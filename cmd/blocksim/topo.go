@@ -2,8 +2,8 @@ package main
 
 // The -topo mode: race an explicit peer graph, report each miner's
 // measured fork rate β_i and win share with confidence intervals, and
-// optionally feed the betas into the topology-aware Stackelberg solver
-// with independent certification. All output is a pure function of the
+// optionally solve the Stackelberg game under them (Config.Betas) with
+// independent certification. All output is a pure function of the
 // flags — byte-identical at any -parallel worker count.
 
 import (
@@ -91,8 +91,9 @@ func topoRace(out io.Writer, shape string, n int, linkDelay, quorum float64, blo
 			EdgeCapacity: 60,
 			CostE:        2,
 			CostC:        1,
+			Betas:        res.Betas(),
 		}
-		sres, err := minegame.SolveStackelbergTopo(game, res.Betas(), minegame.StackelbergOptions{})
+		sres, err := minegame.SolveStackelberg(game, minegame.StackelbergOptions{})
 		if err != nil {
 			return fmt.Errorf("topo stackelberg: %w", err)
 		}
@@ -103,7 +104,7 @@ func topoRace(out io.Writer, shape string, n int, linkDelay, quorum float64, blo
 			ProfitCloud: sres.ProfitC,
 		}
 		if certify {
-			cert, err := minegame.CertifyStackelbergTopo(game, res.Betas(), sres, minegame.VerifyOptions{})
+			cert, err := minegame.CertifyStackelberg(game, sres, minegame.VerifyOptions{})
 			if err != nil {
 				return fmt.Errorf("topo certificate: %w", err)
 			}

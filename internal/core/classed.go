@@ -8,6 +8,7 @@ package core
 // conditions and the quantile-binning approximation bound.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -26,6 +27,9 @@ import (
 func (c Config) Classes(maxClasses int) (miner.ClassedPopulation, error) {
 	if err := c.Validate(); err != nil {
 		return miner.ClassedPopulation{}, err
+	}
+	if c.Betas != nil {
+		return miner.ClassedPopulation{}, errClassedBetas
 	}
 	if len(c.Budgets) == 1 {
 		return miner.FromClasses([]miner.Class{{Budget: c.Budgets[0], Count: c.N}})
@@ -195,16 +199,33 @@ func SolveMinerEquilibriumClassed(cfg Config, cp miner.ClassedPopulation, p Pric
 // sweeps the solve takes, never the equilibrium (up to the solver
 // tolerance). The given slice is not mutated.
 func SolveMinerEquilibriumClassedFrom(cfg Config, cp miner.ClassedPopulation, p Prices, opts game.NEOptions, start []numeric.Point2) (ClassedEquilibrium, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validateClassed(cp); err != nil {
 		return ClassedEquilibrium{}, err
-	}
-	if err := cp.Validate(); err != nil {
-		return ClassedEquilibrium{}, err
-	}
-	if cp.N() != cfg.N {
-		return ClassedEquilibrium{}, fmt.Errorf("core: classed population has %d miners, config has %d", cp.N(), cfg.N)
 	}
 	return solveClassedValidated(cfg, cp, p, opts, start)
+}
+
+// errClassedBetas rejects a per-miner-β market on the classed path: a
+// class carries a budget and a count, but no fork rate.
+var errClassedBetas = errors.New("core: classed solvers do not support per-miner fork rates (Config.Betas)")
+
+// validateClassed checks a config and a classed population for the
+// classed solvers: both valid, the same miner count, and no per-miner
+// fork rates.
+func (c Config) validateClassed(cp miner.ClassedPopulation) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if c.Betas != nil {
+		return errClassedBetas
+	}
+	if err := cp.Validate(); err != nil {
+		return err
+	}
+	if cp.N() != c.N {
+		return fmt.Errorf("core: classed population has %d miners, config has %d", cp.N(), c.N)
+	}
+	return nil
 }
 
 // solveClassedValidated is the post-validation body of
@@ -326,22 +347,16 @@ type ClassedStackelbergResult struct {
 // the miner subgame compressed into classes: every leader-stage price
 // probe anticipates the classed follower equilibrium — O(K) per sweep —
 // so the price grids clear million-miner markets in the time the exact
-// solver needs for a thousand miners. The leader structure (Theorem 4
-// commitment by default, Algorithm 1 simultaneous play via
-// opts.Simultaneous, the Algorithm 2 market-clearing bargain in
-// standalone mode) matches SolveStackelberg; demand probes are memoized
-// per price point with single-flight semantics and seeded from the
-// per-class closed form at their own prices, so results are independent
-// of worker count.
+// solver needs for a thousand miners. The leader stage is
+// SolveStackelberg's (Theorem 4 commitment by default, Algorithm 1
+// simultaneous play via opts.Simultaneous, the Algorithm 2
+// market-clearing bargain in standalone mode); demand probes are
+// memoized per price point with single-flight semantics and seeded from
+// the per-class closed form at their own prices, so results are
+// independent of worker count.
 func SolveStackelbergClassed(cfg Config, cp miner.ClassedPopulation, opts StackelbergOptions) (ClassedStackelbergResult, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validateClassed(cp); err != nil {
 		return ClassedStackelbergResult{}, err
-	}
-	if err := cp.Validate(); err != nil {
-		return ClassedStackelbergResult{}, err
-	}
-	if cp.N() != cfg.N {
-		return ClassedStackelbergResult{}, fmt.Errorf("core: classed population has %d miners, config has %d", cp.N(), cfg.N)
 	}
 	opts = opts.withDefaults(cfg)
 	ob := opts.observer()
@@ -352,95 +367,36 @@ func SolveStackelbergClassed(cfg Config, cp miner.ClassedPopulation, opts Stacke
 		ob.SetGauge("meanfield.class_count", float64(cp.K()))
 		ob.SetGauge("meanfield.compress_ratio", cp.CompressRatio())
 	}
-	probes := ob.Counter("core.demand_probes_total")
-	memoHits := ob.Counter("core.demand_memo_hits_total")
-
-	// Unlike the exact solver's demand memo there is NO cross-price
-	// anchor warm start: the classed seed (the per-class closed-form
-	// homogeneous solution AT THE PROBE'S OWN PRICES) starts inside the
-	// best responses' KKT acceptance pocket, where a stale anchor from
-	// the starting prices leaves the solver circling that pocket at the
-	// best responses' positional noise floor. Seeding per price point
-	// keeps every probe a pure function of its prices, so results remain
-	// independent of worker count.
-	memo := opts.demandCacheOrNew()
-	oracle := func(p Prices) demand {
-		d, hit := memo.get(p, func() (demand, miner.Profile, error) {
-			probes.Inc()
-			eq, err := solveClassedValidated(cfg, cp, p, opts.Follower, nil)
+	var uniformBudget float64
+	if cp.K() == 1 {
+		uniformBudget = cp.Classes[0].Budget
+	}
+	stage := leaderStage{
+		cfg:   cfg,
+		opts:  opts,
+		label: "classed ",
+		// The cache's profile slot stores the K representatives (the same
+		// []numeric.Point2 shape), warm-starting later solves at the same
+		// price point. Bisection points seed from the per-class closed form
+		// at their own prices rather than the previous point's equilibrium:
+		// near-but-stale warm starts leave the classed solver circling the
+		// best responses' KKT pocket at its noise floor.
+		solve: func(c Config, p Prices, start miner.Profile) (demand, miner.Profile, error) {
+			eq, err := solveClassedValidated(c, cp, p, opts.Follower, start)
 			if err != nil {
 				return demand{}, nil, err
 			}
-			// The cache's profile slot stores the K representatives (the
-			// same []numeric.Point2 shape), warm-starting later solves at
-			// the same price point.
 			return demand{edge: eq.EdgeDemand, cloud: eq.CloudDemand, ok: true}, miner.Profile(eq.Requests), nil
-		})
-		if hit {
-			memoHits.Inc()
-		}
-		return d
-	}
-
-	esp := game.Leader{
-		Name: "ESP",
-		Profit: func(own, other float64) float64 {
-			d := oracle(Prices{Edge: own, Cloud: other})
-			if !d.ok {
-				return math.Inf(-1)
-			}
-			return (own - cfg.CostE) * d.edge
 		},
-		Bracket: func(other float64) (float64, float64) {
-			lo := cfg.CostE + 1e-6
-			if cfg.Mode == netmodel.Standalone && !math.IsNaN(other) && other >= lo {
-				lo = other * (1 + 1e-6)
-			}
-			return lo, math.Max(opts.MaxPriceE, lo*1.5)
-		},
+		uniformBudget: uniformBudget,
+		bargainFields: obs.Fields{"miners": cp.N(), "capacity": cfg.EdgeCapacity, "classes": cp.K()},
 	}
-	csp := game.Leader{
-		Name: "CSP",
-		Profit: func(own, other float64) float64 {
-			d := oracle(Prices{Edge: other, Cloud: own})
-			if !d.ok {
-				return math.Inf(-1)
-			}
-			return (own - cfg.CostC) * d.cloud
-		},
-		Bracket: func(other float64) (float64, float64) {
-			return cfg.CostC + 1e-6, opts.MaxPriceC
-		},
-	}
-
-	var (
-		lead game.LeadersResult
-		err  error
-	)
-	switch {
-	case opts.Simultaneous:
-		lead, err = game.SolveLeaders(esp, csp, opts.StartE, opts.StartC, opts.Leader)
-	case cfg.Mode == netmodel.Standalone:
-		lead, err = cfg.solveStandaloneLeadersClassed(cp, opts)
-	default:
-		lead, err = game.SolveLeaderFollower(esp, csp, opts.Leader)
-	}
+	lead, start, err := stage.run(span)
 	if err != nil {
-		span.End(obs.Fields{"failed": true})
-		return ClassedStackelbergResult{}, fmt.Errorf("classed leader stage: %w", err)
-	}
-	// A cancellation that landed mid-grid leaves the leader result
-	// computed from abandoned (-Inf) probes: discard it rather than
-	// solving a follower stage at meaningless prices.
-	if opts.canceled() {
-		span.End(obs.Fields{"canceled": true})
-		return ClassedStackelbergResult{}, fmt.Errorf("classed stackelberg %s mode: %w", cfg.Mode, game.ErrCanceled)
+		return ClassedStackelbergResult{}, err
 	}
 	prices := Prices{Edge: lead.PriceA, Cloud: lead.PriceB}
-	// A memoized probe at the winning prices restarts the final solve at
-	// its own equilibrium; otherwise nil falls back to the closed-form
-	// classed seed at these prices.
-	follower, err := solveClassedValidated(cfg, cp, prices, opts.Follower, []numeric.Point2(memo.profileAt(prices)))
+	follower, err := solveClassedValidated(cfg, cp, prices, opts.Follower, start)
 	if err != nil {
 		span.End(obs.Fields{"failed": true})
 		return ClassedStackelbergResult{}, fmt.Errorf("classed follower stage at equilibrium prices %+v: %w", prices, err)
@@ -459,122 +415,6 @@ func SolveStackelbergClassed(cfg Config, cp miner.ClassedPopulation, opts Stacke
 		Iterations: lead.Iterations,
 		Converged:  lead.Converged,
 	}
-	span.End(obs.Fields{
-		"price_e": res.Prices.Edge, "price_c": res.Prices.Cloud,
-		"profit_e": res.ProfitE, "profit_c": res.ProfitC,
-		"leader_iterations": res.Iterations, "converged": res.Converged,
-	})
-	if !res.Converged {
-		ob.ReportAnomaly("leader_not_converged", obs.Fields{
-			"mode": cfg.Mode.String(), "iterations": res.Iterations,
-			"price_e": prices.Edge, "price_c": prices.Cloud,
-		})
-	}
+	stage.end(span, res.Prices, res.ProfitE, res.ProfitC, lead)
 	return res, nil
-}
-
-// solveStandaloneLeadersClassed is solveStandaloneLeaders with the
-// follower subgame compressed: the market-clearing edge price at each
-// CSP price is found by bisecting the capacity-unconstrained CLASSED
-// edge demand (the homogeneous closed form still short-circuits a
-// single-class population), and the CSP maximizes along that clearing
-// curve over its price grid.
-func (c Config) solveStandaloneLeadersClassed(cp miner.ClassedPopulation, opts StackelbergOptions) (game.LeadersResult, error) {
-	ob := opts.observer()
-	span := ob.StartSpan("core.standalone_bargain", obs.Fields{"miners": cp.N(), "capacity": c.EdgeCapacity, "classes": cp.K()})
-	clearingSolves := ob.Counter("core.clearing_price_solves_total")
-	clearing := func(pc float64) (float64, []numeric.Point2, bool) {
-		clearingSolves.Inc()
-		if cp.K() == 1 {
-			pe := miner.ClearingPriceEdge(c.Reward, c.Beta, pc, cp.N(), c.EdgeCapacity)
-			params := c.Params(Prices{Edge: pe, Cloud: pc})
-			if params.Validate() == nil && pe > pc && pe > c.CostE && pc < (1-c.Beta)*pe {
-				sol, err := miner.HomogeneousStandalone(params, cp.N(), c.EdgeCapacity)
-				if err == nil && params.Spend(sol.Request) <= cp.Classes[0].Budget {
-					return pe, nil, true
-				}
-			}
-		}
-		unconstrained := c
-		unconstrained.EdgeCapacity = math.Inf(1)
-		// Every bisection point seeds from the per-class closed form at
-		// its own prices (nil start) rather than the previous point's
-		// equilibrium: near-but-stale warm starts leave the classed solver
-		// circling the best responses' KKT pocket at its noise floor.
-		var last []numeric.Point2
-		demandAt := func(pe float64) float64 {
-			eq, err := solveClassedValidated(unconstrained, cp, Prices{Edge: pe, Cloud: pc}, opts.Follower, nil)
-			if err != nil {
-				return 0
-			}
-			last = eq.Requests
-			return eq.EdgeDemand
-		}
-		lo := math.Max(pc*(1+1e-6), c.CostE+1e-9)
-		hi := math.Max(opts.MaxPriceE, lo*1.5)
-		if demandAt(lo) < c.EdgeCapacity {
-			return 0, nil, false
-		}
-		if demandAt(hi) >= c.EdgeCapacity {
-			return hi, last, true
-		}
-		pe, err := numeric.Bisect(func(pe float64) float64 {
-			return demandAt(pe) - c.EdgeCapacity
-		}, lo, hi, 1e-6*(1+hi))
-		if err != nil {
-			return 0, nil, false
-		}
-		return pe, last, true
-	}
-	profitC := func(pc float64) float64 {
-		pe, warm, ok := clearing(pc)
-		if !ok {
-			return math.Inf(-1)
-		}
-		eq, err := solveClassedValidated(c, cp, Prices{Edge: pe, Cloud: pc}, opts.Follower, warm)
-		if err != nil {
-			return math.Inf(-1)
-		}
-		return (pc - c.CostC) * eq.CloudDemand
-	}
-	grid := opts.Leader.GridN
-	if grid <= 0 {
-		grid = 60
-	}
-	var (
-		pcStar, vc float64
-		err        error
-	)
-	if opts.Leader.CoarseGridN > 0 {
-		pcStar, vc, err = numeric.MaximizeGridTwoLevel(profitC, c.CostC+1e-6, opts.MaxPriceC, opts.Leader.CoarseGridN, grid, opts.MaxPriceC*1e-7, opts.Leader.Pool)
-	} else {
-		pcStar, vc, err = numeric.MaximizeGridPool(profitC, c.CostC+1e-6, opts.MaxPriceC, grid, opts.MaxPriceC*1e-7, opts.Leader.Pool)
-	}
-	if err != nil {
-		span.End(obs.Fields{"failed": true})
-		return game.LeadersResult{}, fmt.Errorf("standalone classed SP stage: %w", err)
-	}
-	if math.IsInf(vc, -1) {
-		span.End(obs.Fields{"failed": true})
-		return game.LeadersResult{}, fmt.Errorf("standalone classed SP stage: capacity never binds; no market-clearing equilibrium (Problem 2c requires E = E_max)")
-	}
-	peStar, warm, ok := clearing(pcStar)
-	if !ok {
-		span.End(obs.Fields{"failed": true})
-		return game.LeadersResult{}, fmt.Errorf("standalone classed SP stage: no clearing price at P_c = %g", pcStar)
-	}
-	eq, err := solveClassedValidated(c, cp, Prices{Edge: peStar, Cloud: pcStar}, opts.Follower, warm)
-	if err != nil {
-		span.End(obs.Fields{"failed": true})
-		return game.LeadersResult{}, fmt.Errorf("standalone classed SP stage: %w", err)
-	}
-	span.End(obs.Fields{"price_e": peStar, "price_c": pcStar})
-	return game.LeadersResult{
-		PriceA:     peStar,
-		PriceB:     pcStar,
-		ProfitA:    (peStar - c.CostE) * eq.EdgeDemand,
-		ProfitB:    (pcStar - c.CostC) * eq.CloudDemand,
-		Iterations: 1,
-		Converged:  true,
-	}, nil
 }

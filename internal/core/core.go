@@ -28,6 +28,12 @@ type Config struct {
 	Reward float64
 	// Beta is the blockchain fork rate β in [0, 1).
 	Beta float64
+	// Betas optionally gives each miner its own fork rate β_i in [0, 1),
+	// e.g. as measured on a peer graph by internal/chain/topo. Nil means
+	// every miner uses Beta; otherwise len(Betas) must equal N, and only
+	// connected mode accepts it. Beta still seeds the iterating solvers
+	// and the closed forms, which assume one shared β.
+	Betas []float64
 	// SatisfyProb is h: the probability the connected ESP serves a
 	// request at the edge instead of transferring it.
 	SatisfyProb float64
@@ -91,6 +97,19 @@ func (c Config) Validate() error {
 	if c.CostE < 0 || c.CostC < 0 {
 		return fmt.Errorf("core config: costs C_e=%g, C_c=%g must be non-negative", c.CostE, c.CostC)
 	}
+	if c.Betas != nil {
+		if c.Mode != netmodel.Connected {
+			return fmt.Errorf("core config: per-miner fork rates need connected mode, got %v", c.Mode)
+		}
+		if len(c.Betas) != c.N {
+			return fmt.Errorf("core config: %d fork rates for %d miners", len(c.Betas), c.N)
+		}
+		for i, b := range c.Betas {
+			if math.IsNaN(b) || b < 0 || b >= 1 {
+				return fmt.Errorf("core config: fork rate beta[%d] = %g outside [0, 1)", i, b)
+			}
+		}
+	}
 	return nil
 }
 
@@ -130,6 +149,14 @@ func (c Config) Params(p Prices) miner.Params {
 		PriceE: p.Edge,
 		PriceC: p.Cloud,
 	}
+}
+
+// minerParams is miner i's parameter set when the config carries
+// per-miner fork rates: params with the miner's own β_i in place of the
+// scalar β.
+func (c Config) minerParams(params miner.Params, i int) miner.Params {
+	params.Beta = c.Betas[i]
+	return params
 }
 
 // Network materializes a netmodel.Network at the given prices, using the
@@ -176,8 +203,18 @@ func (c Config) summarize(p Prices, prof miner.Profile, iters int, converged boo
 		Multiplier: mu,
 	}
 	eq.EdgeDemand, eq.CloudDemand, eq.TotalDemand = prof.Totals()
-	switch c.Mode {
-	case netmodel.Connected:
+	switch {
+	case c.Betas != nil:
+		// Eq. 9 with each miner charged its own fork rate.
+		eq.Utilities = make([]float64, len(prof))
+		eq.WinProbs = make([]float64, len(prof))
+		t := prof.Aggregate()
+		for i, r := range prof {
+			pi := c.minerParams(params, i)
+			eq.Utilities[i] = miner.UtilityConnected(pi, r, t.Env(r))
+			eq.WinProbs[i] = miner.WinProbConnected(pi.Beta, c.SatisfyProb, r, t.Env(r))
+		}
+	case c.Mode == netmodel.Connected:
 		eq.Utilities = miner.UtilitiesConnected(params, prof)
 		eq.WinProbs = miner.WinProbsConnected(c.Beta, c.SatisfyProb, prof)
 	default:
@@ -243,7 +280,9 @@ func (c Config) ColdStart(p Prices) miner.Profile {
 // solvers: the closed-form homogeneous equilibrium when the regime
 // admits one (Theorem 3 / Table II) — the first sweep's KKT warm path
 // then accepts it almost immediately — and the heuristic cold start
-// otherwise.
+// otherwise. A per-miner-β market seeds from the scalar-β closed form:
+// it is only a warm start, so the solve still converges to the
+// heterogeneous equilibrium.
 func (c Config) seedProfile(p Prices) []numeric.Point2 {
 	if c.Homogeneous() {
 		params := c.Params(p)
@@ -316,7 +355,8 @@ func (c Config) escapeZeroCollapse(p Prices, prof []numeric.Point2) ([]numeric.P
 // given prices.
 //
 // Connected mode solves the NEP of Problem 1a by damped best-response
-// iteration (the equilibrium is unique, Theorem 2). Standalone mode
+// iteration (the equilibrium is unique, Theorem 2); with cfg.Betas set,
+// each miner best-responds under its own fork rate. Standalone mode
 // computes the variational equilibrium of the GNEP of Problem 1c by
 // pricing the shared capacity with a common multiplier (Theorem 5
 // guarantees existence; the variational solution is the economically
@@ -352,8 +392,15 @@ func SolveMinerEquilibriumFrom(cfg Config, p Prices, opts game.NEOptions, start 
 	}
 	switch cfg.Mode {
 	case netmodel.Connected:
+		// The per-miner-β oracle is picked once per solve, so a scalar-β
+		// best response pays nothing for the option.
 		br := func(i int, own, others numeric.Point2) numeric.Point2 {
 			return miner.BestResponseConnected(params, cfg.Budget(i), envFromOthers(others), own)
+		}
+		if cfg.Betas != nil {
+			br = func(i int, own, others numeric.Point2) numeric.Point2 {
+				return miner.BestResponseConnected(cfg.minerParams(params, i), cfg.Budget(i), envFromOthers(others), own)
+			}
 		}
 		res := game.SolveNEAggregate(start, br, opts)
 		if res.Canceled {
@@ -451,7 +498,8 @@ func Deviation(cfg Config, p Prices, prof miner.Profile) float64 {
 // deviation from the profile (zero when the miner is already playing a
 // best response). The vector is the raw material of an ε-Nash
 // certificate: the profile is an ε-equilibrium exactly when every entry
-// is at most ε.
+// is at most ε. With cfg.Betas set, every miner's best response and
+// utility charge its own fork rate.
 func Deviations(cfg Config, p Prices, prof miner.Profile) []float64 {
 	params := cfg.Params(p)
 	switch cfg.Mode {
@@ -461,6 +509,14 @@ func Deviations(cfg Config, p Prices, prof miner.Profile) []float64 {
 		}
 		utility := func(i int, own, others numeric.Point2) float64 {
 			return miner.UtilityConnected(params, own, envFromOthers(others))
+		}
+		if cfg.Betas != nil {
+			br = func(i int, own, others numeric.Point2) numeric.Point2 {
+				return miner.BestResponseConnected(cfg.minerParams(params, i), cfg.Budget(i), envFromOthers(others))
+			}
+			utility = func(i int, own, others numeric.Point2) float64 {
+				return miner.UtilityConnected(cfg.minerParams(params, i), own, envFromOthers(others))
+			}
 		}
 		return game.DeviationsAggregate(prof, br, utility)
 	default:

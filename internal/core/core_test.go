@@ -55,6 +55,17 @@ func TestConfigValidate(t *testing.T) {
 		// +Inf capacity is the documented uncapacitated-ESP sentinel the
 		// standalone leader solver relies on — it must stay valid.
 		{"inf capacity standalone", func(c *Config) { c.Mode = netmodel.Standalone; c.EdgeCapacity = math.Inf(1) }, true},
+		// Per-miner fork rates: N entries in [0, 1), connected mode only.
+		{"betas ok", func(c *Config) { c.Betas = []float64{0, 0.1, 0.2, 0.3, 0.4} }, true},
+		{"betas count", func(c *Config) { c.Betas = []float64{0.1, 0.2} }, false},
+		{"betas empty", func(c *Config) { c.Betas = []float64{} }, false},
+		{"betas one", func(c *Config) { c.Betas = []float64{0.1, 0.1, 1, 0.1, 0.1} }, false},
+		{"betas negative", func(c *Config) { c.Betas = []float64{0.1, -0.1, 0.1, 0.1, 0.1} }, false},
+		{"betas nan", func(c *Config) { c.Betas = []float64{0.1, 0.1, 0.1, math.NaN(), 0.1} }, false},
+		{"betas standalone", func(c *Config) {
+			c.Mode = netmodel.Standalone
+			c.Betas = []float64{0.1, 0.1, 0.1, 0.1, 0.1}
+		}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -49,12 +50,6 @@ type StackelbergOptions struct {
 	// enabling it cannot change the computed result, only reject it: a
 	// certification error fails the whole solve.
 	CertifyAfterSolve Certifier
-	// CertifyTopoAfterSolve is CertifyAfterSolve for the topology-aware
-	// two-stage solver (SolveStackelbergTopo), whose follower equilibrium
-	// is solved under per-miner fork rates the plain Certifier signature
-	// never sees. Same contract: runs once, on the final follower solve
-	// at the equilibrium prices, and an error fails the whole solve.
-	CertifyTopoAfterSolve TopoCertifier
 	// CertifyClassedAfterSolve is CertifyAfterSolve for the classed
 	// two-stage solver (SolveStackelbergClassed), which never
 	// materializes the full MinerEquilibrium the plain Certifier
@@ -174,22 +169,125 @@ func (o StackelbergOptions) canceled() bool {
 // stage iterates asynchronous best responses (Algorithm 1 in connected
 // mode; the SP stage of the Algorithm 2 price bargaining in standalone
 // mode), each price evaluation anticipating the miner subgame equilibrium
-// underneath. Homogeneous populations use the closed-form demand oracle
-// (Theorem 3 / Table II) for speed; heterogeneous ones solve the follower
-// subgame numerically at every probe.
+// underneath. Homogeneous scalar-β populations use the closed-form demand
+// oracle (Theorem 3 / Table II) for speed; heterogeneous ones — budgets
+// or per-miner fork rates (cfg.Betas) — solve the follower subgame
+// numerically at every probe.
 func SolveStackelberg(cfg Config, opts StackelbergOptions) (StackelbergResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return StackelbergResult{}, err
 	}
 	opts = opts.withDefaults(cfg)
-	useClosedForm := cfg.Homogeneous() && !opts.ForceNumericFollower
+	useClosedForm := cfg.Homogeneous() && cfg.Betas == nil && !opts.ForceNumericFollower
 	ob := opts.observer()
 	span := ob.StartSpan("core.stackelberg", obs.Fields{
 		"mode": cfg.Mode.String(), "miners": cfg.N, "closed_form": useClosedForm,
 	})
+	var uniformBudget float64
+	if cfg.Homogeneous() {
+		uniformBudget = cfg.Budget(0)
+	}
+	stage := leaderStage{
+		cfg:  cfg,
+		opts: opts,
+		solve: func(c Config, p Prices, start miner.Profile) (demand, miner.Profile, error) {
+			eq, err := SolveMinerEquilibriumFrom(c, p, opts.Follower, start)
+			if err != nil {
+				return demand{}, nil, err
+			}
+			return demand{edge: eq.EdgeDemand, cloud: eq.CloudDemand, ok: true}, eq.Requests, nil
+		},
+		closedForm:    useClosedForm,
+		warmStart:     true,
+		uniformBudget: uniformBudget,
+		bargainFields: obs.Fields{"miners": cfg.N, "capacity": cfg.EdgeCapacity},
+	}
+	lead, start, err := stage.run(span)
+	if err != nil {
+		return StackelbergResult{}, err
+	}
+	prices := Prices{Edge: lead.PriceA, Cloud: lead.PriceB}
+	follower, err := SolveMinerEquilibriumFrom(cfg, prices, opts.Follower, start)
+	if err != nil {
+		span.End(obs.Fields{"failed": true})
+		return StackelbergResult{}, fmt.Errorf("follower stage at equilibrium prices %+v: %w", prices, err)
+	}
+	if opts.CertifyAfterSolve != nil {
+		if err := opts.CertifyAfterSolve(cfg, prices, follower); err != nil {
+			span.End(obs.Fields{"failed": true})
+			return StackelbergResult{}, fmt.Errorf("certify follower equilibrium at prices %+v: %w", prices, err)
+		}
+	}
+	res := StackelbergResult{
+		Prices:           prices,
+		Follower:         follower,
+		ProfitE:          (prices.Edge - cfg.CostE) * follower.EdgeDemand,
+		ProfitC:          (prices.Cloud - cfg.CostC) * follower.CloudDemand,
+		ClosedFormDemand: useClosedForm,
+		Iterations:       lead.Iterations,
+		Converged:        lead.Converged,
+	}
+	stage.end(span, res.Prices, res.ProfitE, res.ProfitC, lead)
+	return res, nil
+}
+
+// profileDistance is the RMS request-space distance between two
+// profiles — how far the anchor warm start sat from the equilibrium a
+// probe actually converged to. Mismatched or missing profiles yield 0.
+func profileDistance(a, b miner.Profile) float64 {
+	if len(a) == 0 || len(a) != len(b) {
+		return 0
+	}
+	var sum float64
+	for i := range a {
+		de, dc := a[i].E-b[i].E, a[i].C-b[i].C
+		sum += de*de + dc*dc
+	}
+	return math.Sqrt(sum / float64(len(a)))
+}
+
+// leaderStage is the provider-pricing half of the two-stage game, shared
+// by the exact and the classed solvers: it memoizes the follower demand
+// per price point, builds the ESP and CSP leaders over it, and runs the
+// leader search — Algorithm 1's simultaneous play, the standalone
+// Algorithm 2 bargain, or the default Theorem 4 commitment. The follower
+// representation enters only through solve.
+type leaderStage struct {
+	cfg  Config
+	opts StackelbergOptions // with defaults applied
+	// label prefixes error messages ("" for the exact solver).
+	label string
+	// solve returns the follower demand at p under c — the market's
+	// config, or its capacity-unconstrained twin during the standalone
+	// bargain — starting from start (nil picks the representation's own
+	// seed), plus the profile that warm-starts a later solve.
+	solve func(c Config, p Prices, start miner.Profile) (demand, miner.Profile, error)
+	// closedForm answers probes with the Table II demand where it applies.
+	closedForm bool
+	// warmStart seeds numeric solves from neighbouring equilibria: every
+	// probe from one anchor solve at the start prices, every
+	// clearing-price bisection point from the previous point's profile.
+	// Without it each solve seeds at its own prices.
+	warmStart bool
+	// uniformBudget is the one budget of a single-budget population,
+	// which admits the closed-form clearing price; 0 when budgets differ.
+	uniformBudget float64
+	// bargainFields tags the standalone bargain's span.
+	bargainFields obs.Fields
+}
+
+// run solves the leader stage and returns its result plus the warm start
+// for the final follower solve at the winning prices. On failure it ends
+// span and returns the wrapped error.
+func (s leaderStage) run(span *obs.Span) (game.LeadersResult, miner.Profile, error) {
+	cfg, opts := s.cfg, s.opts
+	ob := opts.observer()
 	probes := ob.Counter("core.demand_probes_total")
 	memoHits := ob.Counter("core.demand_memo_hits_total")
-	warmDist := ob.Histogram("core.warm_start_distance")
+	var warmDist *obs.Histogram
+	if s.warmStart {
+		warmDist = ob.Histogram("core.warm_start_distance")
+	}
 
 	// Anchor warm start: solve one canonical follower equilibrium at the
 	// starting prices and seed every numeric demand probe from it. The
@@ -200,40 +298,42 @@ func SolveStackelberg(cfg Config, opts StackelbergOptions) (StackelbergResult, e
 	// With a resident DemandCache the anchor itself is cached (it is a
 	// pure function of the market and its start prices), so repeat
 	// requests skip even this one cold solve.
+	//
+	// The classed solver runs without warm starts: its seed (the per-class closed
+	// form AT THE PROBE'S OWN PRICES) starts inside the best responses'
+	// KKT acceptance pocket, where a stale anchor from the starting prices
+	// leaves the solver circling that pocket at the best responses'
+	// positional noise floor.
 	memo := opts.demandCacheOrNew()
 	var anchor miner.Profile
-	if !useClosedForm {
-		anchor = memo.anchorAt(Prices{Edge: opts.StartE, Cloud: opts.StartC}, func() (miner.Profile, error) {
-			eq, err := SolveMinerEquilibrium(cfg, Prices{Edge: opts.StartE, Cloud: opts.StartC}, opts.Follower)
-			if err != nil {
-				return nil, err
-			}
-			return eq.Requests, nil
+	if s.warmStart && !s.closedForm {
+		startPrices := Prices{Edge: opts.StartE, Cloud: opts.StartC}
+		anchor = memo.anchorAt(startPrices, func() (miner.Profile, error) {
+			_, prof, err := s.solve(cfg, startPrices, nil)
+			return prof, err
 		})
 	}
 	if opts.canceled() {
 		span.End(obs.Fields{"canceled": true})
-		return StackelbergResult{}, fmt.Errorf("stackelberg %s mode: %w", cfg.Mode, game.ErrCanceled)
+		return game.LeadersResult{}, nil, fmt.Errorf("%sstackelberg %s mode: %w", s.label, cfg.Mode, game.ErrCanceled)
 	}
 
 	oracle := func(p Prices) demand {
 		d, hit := memo.get(p, func() (demand, miner.Profile, error) {
 			probes.Inc()
-			var d demand
-			if useClosedForm {
-				d = cfg.closedFormDemand(p)
+			if s.closedForm {
+				if d := cfg.closedFormDemand(p); d.ok {
+					return d, nil, nil
+				}
 			}
-			if d.ok {
-				return d, nil, nil
-			}
-			eq, err := SolveMinerEquilibriumFrom(cfg, p, opts.Follower, anchor)
+			d, prof, err := s.solve(cfg, p, anchor)
 			if err != nil {
-				return d, nil, err
+				return demand{}, nil, err
 			}
 			if warmDist != nil {
-				warmDist.Observe(profileDistance(anchor, eq.Requests))
+				warmDist.Observe(profileDistance(anchor, prof))
 			}
-			return demand{edge: eq.EdgeDemand, cloud: eq.CloudDemand, ok: true}, eq.Requests, nil
+			return d, prof, nil
 		})
 		if hit {
 			memoHits.Inc()
@@ -286,100 +386,69 @@ func SolveStackelberg(cfg Config, opts StackelbergOptions) (StackelbergResult, e
 		// the market-clearing price (the highest price that still sells
 		// out its capacity) and the CSP optimizes with the edge share
 		// pinned, which decouples its problem from P_e.
-		lead, err = cfg.solveStandaloneLeaders(opts)
+		lead, err = s.bargain()
 	default:
 		lead, err = game.SolveLeaderFollower(esp, csp, opts.Leader)
 	}
 	if err != nil {
 		span.End(obs.Fields{"failed": true})
-		return StackelbergResult{}, fmt.Errorf("leader stage: %w", err)
+		return game.LeadersResult{}, nil, fmt.Errorf("%sleader stage: %w", s.label, err)
 	}
 	// A cancellation that landed mid-grid leaves the leader result
 	// computed from abandoned (-Inf) probes: discard it rather than
 	// solving a follower stage at meaningless prices.
 	if opts.canceled() {
 		span.End(obs.Fields{"canceled": true})
-		return StackelbergResult{}, fmt.Errorf("stackelberg %s mode: %w", cfg.Mode, game.ErrCanceled)
+		return game.LeadersResult{}, nil, fmt.Errorf("%sstackelberg %s mode: %w", s.label, cfg.Mode, game.ErrCanceled)
 	}
-	prices := Prices{Edge: lead.PriceA, Cloud: lead.PriceB}
 	// The leader search almost always probed the winning price pair; its
 	// memoized profile (or failing that the anchor) warm-starts the final
 	// follower solve. Both candidates are arrival-order independent, so
-	// determinism is preserved.
-	start := memo.profileAt(prices)
+	// determinism is preserved; nil falls back to the solver's own seed.
+	start := memo.profileAt(Prices{Edge: lead.PriceA, Cloud: lead.PriceB})
 	if start == nil {
 		start = anchor
 	}
-	follower, err := SolveMinerEquilibriumFrom(cfg, prices, opts.Follower, start)
-	if err != nil {
-		span.End(obs.Fields{"failed": true})
-		return StackelbergResult{}, fmt.Errorf("follower stage at equilibrium prices %+v: %w", prices, err)
-	}
-	if opts.CertifyAfterSolve != nil {
-		if err := opts.CertifyAfterSolve(cfg, prices, follower); err != nil {
-			span.End(obs.Fields{"failed": true})
-			return StackelbergResult{}, fmt.Errorf("certify follower equilibrium at prices %+v: %w", prices, err)
-		}
-	}
-	res := StackelbergResult{
-		Prices:           prices,
-		Follower:         follower,
-		ProfitE:          (prices.Edge - cfg.CostE) * follower.EdgeDemand,
-		ProfitC:          (prices.Cloud - cfg.CostC) * follower.CloudDemand,
-		ClosedFormDemand: useClosedForm,
-		Iterations:       lead.Iterations,
-		Converged:        lead.Converged,
-	}
+	return lead, start, nil
+}
+
+// end closes a solved two-stage span and flags a leader stage that
+// stopped short of convergence.
+func (s leaderStage) end(span *obs.Span, prices Prices, profitE, profitC float64, lead game.LeadersResult) {
 	span.End(obs.Fields{
-		"price_e": res.Prices.Edge, "price_c": res.Prices.Cloud,
-		"profit_e": res.ProfitE, "profit_c": res.ProfitC,
-		"leader_iterations": res.Iterations, "converged": res.Converged,
+		"price_e": prices.Edge, "price_c": prices.Cloud,
+		"profit_e": profitE, "profit_c": profitC,
+		"leader_iterations": lead.Iterations, "converged": lead.Converged,
 	})
-	if !res.Converged {
-		ob.ReportAnomaly("leader_not_converged", obs.Fields{
-			"mode": cfg.Mode.String(), "iterations": res.Iterations,
+	if !lead.Converged {
+		s.opts.observer().ReportAnomaly("leader_not_converged", obs.Fields{
+			"mode": s.cfg.Mode.String(), "iterations": lead.Iterations,
 			"price_e": prices.Edge, "price_c": prices.Cloud,
 		})
 	}
-	return res, nil
 }
 
-// profileDistance is the RMS request-space distance between two
-// profiles — how far the anchor warm start sat from the equilibrium a
-// probe actually converged to. Mismatched or missing profiles yield 0.
-func profileDistance(a, b miner.Profile) float64 {
-	if len(a) == 0 || len(a) != len(b) {
-		return 0
-	}
-	var sum float64
-	for i := range a {
-		de, dc := a[i].E-b[i].E, a[i].C-b[i].C
-		sum += de*de + dc*dc
-	}
-	return math.Sqrt(sum / float64(len(a)))
-}
-
-// solveStandaloneLeaders implements the SP stage of Algorithm 2 under
-// Problem 2c's constraint E = E_max: for each CSP price the ESP charges
-// the market-clearing edge price, and the CSP maximizes its profit along
-// that clearing curve. With homogeneous sufficient-budget miners the
-// clearing price and the CSP optimum have closed forms
-// (miner.ClearingPriceEdge, miner.OptimalPriceCloudStandalone); otherwise
-// the clearing price is found by bisecting the capacity-unconstrained
-// edge demand, which is decreasing in P_e.
-func (c Config) solveStandaloneLeaders(opts StackelbergOptions) (game.LeadersResult, error) {
+// bargain implements the SP stage of Algorithm 2 under Problem 2c's
+// constraint E = E_max: for each CSP price the ESP charges the
+// market-clearing edge price, and the CSP maximizes its profit along
+// that clearing curve. With single-budget sufficient-budget miners the
+// clearing price has a closed form (miner.ClearingPriceEdge); otherwise
+// it is found by bisecting the capacity-unconstrained edge demand, which
+// is decreasing in P_e.
+func (s leaderStage) bargain() (game.LeadersResult, error) {
+	c, opts := s.cfg, s.opts
 	ob := opts.observer()
-	span := ob.StartSpan("core.standalone_bargain", obs.Fields{"miners": c.N, "capacity": c.EdgeCapacity})
+	span := ob.StartSpan("core.standalone_bargain", s.bargainFields)
 	clearingSolves := ob.Counter("core.clearing_price_solves_total")
 	// clearing returns the market-clearing edge price at pc and, on the
 	// numeric path, the unconstrained follower profile at that price —
 	// a warm start for the constrained solve the caller runs next. Each
-	// call is self-contained (the bisection chains warm starts through a
-	// call-local profile), so its result depends only on pc and the
-	// surrounding grid stays worker-count independent.
+	// call is self-contained (a chained bisection passes warm starts
+	// through a call-local profile), so its result depends only on pc and
+	// the surrounding grid stays worker-count independent.
 	clearing := func(pc float64) (float64, miner.Profile, bool) {
 		clearingSolves.Inc()
-		if c.Homogeneous() {
+		if s.uniformBudget > 0 {
 			pe := miner.ClearingPriceEdge(c.Reward, c.Beta, pc, c.N, c.EdgeCapacity)
 			params := c.Params(Prices{Edge: pe, Cloud: pc})
 			// A clearing price at or below the ESP's cost means capacity is
@@ -391,23 +460,26 @@ func (c Config) solveStandaloneLeaders(opts StackelbergOptions) (game.LeadersRes
 			// return P_e < C_e with negative ESP profit).
 			if params.Validate() == nil && pe > pc && pe > c.CostE && pc < (1-c.Beta)*pe {
 				sol, err := miner.HomogeneousStandalone(params, c.N, c.EdgeCapacity)
-				if err == nil && params.Spend(sol.Request) <= c.Budget(0) {
+				if err == nil && params.Spend(sol.Request) <= s.uniformBudget {
 					return pe, nil, true
 				}
 			}
 		}
-		// Numeric fallback: bisect the unconstrained edge demand, each
-		// solve warm-started from the previous bisection point's profile.
+		// Numeric fallback: bisect the unconstrained edge demand.
 		unconstrained := c
 		unconstrained.EdgeCapacity = math.Inf(1)
 		var last miner.Profile
 		demandAt := func(pe float64) float64 {
-			eq, err := SolveMinerEquilibriumFrom(unconstrained, Prices{Edge: pe, Cloud: pc}, opts.Follower, last)
+			var start miner.Profile
+			if s.warmStart {
+				start = last
+			}
+			d, prof, err := s.solve(unconstrained, Prices{Edge: pe, Cloud: pc}, start)
 			if err != nil {
 				return 0
 			}
-			last = eq.Requests
-			return eq.EdgeDemand
+			last = prof
+			return d.edge
 		}
 		lo := math.Max(pc*(1+1e-6), c.CostE+1e-9)
 		hi := math.Max(opts.MaxPriceE, lo*1.5)
@@ -430,49 +502,45 @@ func (c Config) solveStandaloneLeaders(opts StackelbergOptions) (game.LeadersRes
 		if !ok {
 			return math.Inf(-1)
 		}
-		eq, err := SolveMinerEquilibriumFrom(c, Prices{Edge: pe, Cloud: pc}, opts.Follower, warm)
+		d, _, err := s.solve(c, Prices{Edge: pe, Cloud: pc}, warm)
 		if err != nil {
 			return math.Inf(-1)
 		}
-		return (pc - c.CostC) * eq.CloudDemand
-	}
-	grid := opts.Leader.GridN
-	if grid <= 0 {
-		grid = 60
+		return (pc - c.CostC) * d.cloud
 	}
 	var (
 		pcStar, vc float64
 		err        error
 	)
 	if opts.Leader.CoarseGridN > 0 {
-		pcStar, vc, err = numeric.MaximizeGridTwoLevel(profitC, c.CostC+1e-6, opts.MaxPriceC, opts.Leader.CoarseGridN, grid, opts.MaxPriceC*1e-7, opts.Leader.Pool)
+		pcStar, vc, err = numeric.MaximizeGridTwoLevel(profitC, c.CostC+1e-6, opts.MaxPriceC, opts.Leader.CoarseGridN, opts.Leader.GridN, opts.MaxPriceC*1e-7, opts.Leader.Pool)
 	} else {
-		pcStar, vc, err = numeric.MaximizeGridPool(profitC, c.CostC+1e-6, opts.MaxPriceC, grid, opts.MaxPriceC*1e-7, opts.Leader.Pool)
+		pcStar, vc, err = numeric.MaximizeGridPool(profitC, c.CostC+1e-6, opts.MaxPriceC, opts.Leader.GridN, opts.MaxPriceC*1e-7, opts.Leader.Pool)
+	}
+	fail := func(err error) (game.LeadersResult, error) {
+		span.End(obs.Fields{"failed": true})
+		return game.LeadersResult{}, fmt.Errorf("standalone %sSP stage: %w", s.label, err)
 	}
 	if err != nil {
-		span.End(obs.Fields{"failed": true})
-		return game.LeadersResult{}, fmt.Errorf("standalone SP stage: %w", err)
+		return fail(err)
 	}
 	if math.IsInf(vc, -1) {
-		span.End(obs.Fields{"failed": true})
-		return game.LeadersResult{}, fmt.Errorf("standalone SP stage: capacity never binds; no market-clearing equilibrium (Problem 2c requires E = E_max)")
+		return fail(errors.New("capacity never binds; no market-clearing equilibrium (Problem 2c requires E = E_max)"))
 	}
 	peStar, warm, ok := clearing(pcStar)
 	if !ok {
-		span.End(obs.Fields{"failed": true})
-		return game.LeadersResult{}, fmt.Errorf("standalone SP stage: no clearing price at P_c = %g", pcStar)
+		return fail(fmt.Errorf("no clearing price at P_c = %g", pcStar))
 	}
-	eq, err := SolveMinerEquilibriumFrom(c, Prices{Edge: peStar, Cloud: pcStar}, opts.Follower, warm)
+	d, _, err := s.solve(c, Prices{Edge: peStar, Cloud: pcStar}, warm)
 	if err != nil {
-		span.End(obs.Fields{"failed": true})
-		return game.LeadersResult{}, fmt.Errorf("standalone SP stage: %w", err)
+		return fail(err)
 	}
 	span.End(obs.Fields{"price_e": peStar, "price_c": pcStar})
 	return game.LeadersResult{
 		PriceA:     peStar,
 		PriceB:     pcStar,
-		ProfitA:    (peStar - c.CostE) * eq.EdgeDemand,
-		ProfitB:    (pcStar - c.CostC) * eq.CloudDemand,
+		ProfitA:    (peStar - c.CostE) * d.edge,
+		ProfitB:    (pcStar - c.CostC) * d.cloud,
 		Iterations: 1,
 		Converged:  true,
 	}, nil

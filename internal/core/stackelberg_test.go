@@ -192,6 +192,11 @@ func TestStackelbergBitIdenticalAcrossWorkerCounts(t *testing.T) {
 			c.Budgets = []float64{1000}
 			return c
 		}()},
+		{name: "per-miner betas", cfg: func() Config {
+			c := testConfig()
+			c.Betas = []float64{0.05, 0.1, 0.2, 0.3, 0.4}
+			return c
+		}()},
 	}
 	for _, tc := range cases {
 		tc := tc

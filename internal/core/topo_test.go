@@ -1,18 +1,14 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"minegame/internal/game"
 	"minegame/internal/miner"
 	"minegame/internal/netmodel"
 )
-
-var errBoom = errors.New("boom")
 
 func uniformBetas(n int, b float64) []float64 {
 	out := make([]float64, n)
@@ -22,20 +18,26 @@ func uniformBetas(n int, b float64) []float64 {
 	return out
 }
 
+// withBetas returns cfg carrying the per-miner fork rates.
+func withBetas(cfg Config, betas []float64) Config {
+	cfg.Betas = betas
+	return cfg
+}
+
 // TestTopoDegenerateBitIdentical pins the degenerate case: a uniform
-// betas vector must make the topology solvers reproduce the scalar
-// numeric solvers bit for bit. paramsTopo with betas[i] == cfg.Beta is
-// the identical Params struct, both paths share seedProfile, the anchor
-// warm start, and the leader stage, so any drift here means the topology
-// path forked the arithmetic.
+// Betas vector must make the solvers reproduce the nil-Betas numeric
+// solve bit for bit. minerParams with Betas[i] == cfg.Beta is the
+// identical Params struct, and both markets share seedProfile, the
+// anchor warm start, and the leader stage, so any drift here means the
+// per-miner-β path forked the arithmetic.
 func TestTopoDegenerateBitIdentical(t *testing.T) {
 	cfg := testConfig()
-	betas := uniformBetas(cfg.N, cfg.Beta)
+	uniform := withBetas(cfg, uniformBetas(cfg.N, cfg.Beta))
 	p := testPrices()
 
-	eqTopo, err := SolveMinerEquilibriumTopo(cfg, betas, p, game.NEOptions{})
+	eqTopo, err := SolveMinerEquilibrium(uniform, p, game.NEOptions{})
 	if err != nil {
-		t.Fatalf("SolveMinerEquilibriumTopo: %v", err)
+		t.Fatalf("SolveMinerEquilibrium with Betas: %v", err)
 	}
 	eqScalar, err := SolveMinerEquilibrium(cfg, p, game.NEOptions{})
 	if err != nil {
@@ -44,18 +46,20 @@ func TestTopoDegenerateBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(eqTopo, eqScalar) {
 		t.Errorf("uniform-betas NE diverged from scalar NE:\n topo   %+v\n scalar %+v", eqTopo, eqScalar)
 	}
+	if gT, gS := Deviations(uniform, p, eqTopo.Requests), Deviations(cfg, p, eqScalar.Requests); !reflect.DeepEqual(gT, gS) {
+		t.Errorf("uniform-betas deviations %v diverged from scalar %v", gT, gS)
+	}
 
-	resTopo, err := SolveStackelbergTopo(cfg, betas, StackelbergOptions{})
+	resTopo, err := SolveStackelberg(uniform, StackelbergOptions{})
 	if err != nil {
-		t.Fatalf("SolveStackelbergTopo: %v", err)
+		t.Fatalf("SolveStackelberg with Betas: %v", err)
 	}
 	resScalar, err := SolveStackelberg(cfg, StackelbergOptions{ForceNumericFollower: true})
 	if err != nil {
 		t.Fatalf("SolveStackelberg: %v", err)
 	}
-	// ClosedFormDemand is a scalar-only field; everything else must match
-	// exactly, prices and profile included.
-	resScalar.ClosedFormDemand = false
+	// A Betas market never takes the closed-form oracle, so even
+	// ClosedFormDemand must match the forced-numeric scalar solve.
 	if !reflect.DeepEqual(resTopo, resScalar) {
 		t.Errorf("uniform-betas Stackelberg diverged from scalar numeric solve:\n topo   %+v\n scalar %+v", resTopo, resScalar)
 	}
@@ -67,17 +71,18 @@ func TestTopoDegenerateBitIdentical(t *testing.T) {
 // from the two-stage solve.
 func TestTopoHeterogeneousBetasShiftEquilibrium(t *testing.T) {
 	cfg := testConfig()
-	uniform := uniformBetas(cfg.N, cfg.Beta)
-	hetero := uniformBetas(cfg.N, cfg.Beta)
+	uniform := withBetas(cfg, uniformBetas(cfg.N, cfg.Beta))
+	betas := uniformBetas(cfg.N, cfg.Beta)
 	// Miners 3 and 4 sit far from the hashpower: triple their orphan risk.
-	hetero[3], hetero[4] = 3*cfg.Beta, 3*cfg.Beta
+	betas[3], betas[4] = 3*cfg.Beta, 3*cfg.Beta
+	hetero := withBetas(cfg, betas)
 
 	p := testPrices()
-	eqU, err := SolveMinerEquilibriumTopo(cfg, uniform, p, game.NEOptions{})
+	eqU, err := SolveMinerEquilibrium(uniform, p, game.NEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eqH, err := SolveMinerEquilibriumTopo(cfg, hetero, p, game.NEOptions{})
+	eqH, err := SolveMinerEquilibrium(hetero, p, game.NEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +92,7 @@ func TestTopoHeterogeneousBetasShiftEquilibrium(t *testing.T) {
 	// Holding the uniform equilibrium profile fixed, a higher β_i strictly
 	// lowers W_i at the symmetric point: e_i/E equals (e_i+c_i)/S there,
 	// so ΔW = Δβ·(h·e_i/E − (e_i+c_i)/S) = Δβ·(h−1)·share < 0 for h < 1.
-	wsFixed, err := miner.WinProbsTopo(hetero, cfg.SatisfyProb, eqU.Requests)
+	wsFixed, err := miner.WinProbsTopo(betas, cfg.SatisfyProb, eqU.Requests)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +111,11 @@ func TestTopoHeterogeneousBetasShiftEquilibrium(t *testing.T) {
 		t.Errorf("penalized miner edge fraction %g should exceed unpenalized %g", frac(eqH, 4), frac(eqH, 0))
 	}
 
-	resU, err := SolveStackelbergTopo(cfg, uniform, StackelbergOptions{})
+	resU, err := SolveStackelberg(uniform, StackelbergOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resH, err := SolveStackelbergTopo(cfg, hetero, StackelbergOptions{})
+	resH, err := SolveStackelberg(hetero, StackelbergOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,85 +126,58 @@ func TestTopoHeterogeneousBetasShiftEquilibrium(t *testing.T) {
 }
 
 func TestTopoDeviationsSmallAtEquilibrium(t *testing.T) {
-	cfg := testConfig()
-	betas := []float64{0.05, 0.1, 0.2, 0.3, 0.4}
+	cfg := withBetas(testConfig(), []float64{0.05, 0.1, 0.2, 0.3, 0.4})
 	p := testPrices()
-	eq, err := SolveMinerEquilibriumTopo(cfg, betas, p, game.NEOptions{})
+	eq, err := SolveMinerEquilibrium(cfg, p, game.NEOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gains, err := DeviationsTopo(cfg, betas, p, eq.Requests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, g := range gains {
+	for i, g := range Deviations(cfg, p, eq.Requests) {
 		if g > 1e-4*cfg.Reward {
 			t.Errorf("miner %d gains %g from unilateral deviation at the solved NE", i, g)
 		}
 	}
 }
 
+// TestTopoValidationErrors: every entry point rejects a malformed Betas
+// market through Config.Validate, and the classed path — whose classes
+// carry no fork rate — rejects any Betas market instead of dropping it.
 func TestTopoValidationErrors(t *testing.T) {
-	cfg := testConfig()
-	good := uniformBetas(cfg.N, cfg.Beta)
+	cfg := withBetas(testConfig(), uniformBetas(testConfig().N, 0.2))
 
 	standalone := cfg
 	standalone.Mode = netmodel.Standalone
 	standalone.EdgeCapacity = 25
-	if _, err := SolveMinerEquilibriumTopo(standalone, good, testPrices(), game.NEOptions{}); err == nil {
+	if _, err := SolveMinerEquilibrium(standalone, testPrices(), game.NEOptions{}); err == nil {
 		t.Error("standalone mode must be rejected")
 	}
-	if _, err := SolveStackelbergTopo(standalone, good, StackelbergOptions{}); err == nil {
+	if _, err := SolveStackelberg(standalone, StackelbergOptions{}); err == nil {
 		t.Error("standalone Stackelberg must be rejected")
 	}
-	if _, err := SolveMinerEquilibriumTopo(cfg, good[:3], testPrices(), game.NEOptions{}); err == nil {
+	short := withBetas(cfg, cfg.Betas[:3])
+	if _, err := SolveMinerEquilibrium(short, testPrices(), game.NEOptions{}); err == nil {
 		t.Error("short betas vector must be rejected")
 	}
-	bad := uniformBetas(cfg.N, cfg.Beta)
-	bad[2] = 1.0
-	if _, err := SolveStackelbergTopo(cfg, bad, StackelbergOptions{}); err == nil {
+	bad := withBetas(cfg, uniformBetas(cfg.N, cfg.Beta))
+	bad.Betas[2] = 1.0
+	if _, err := SolveStackelberg(bad, StackelbergOptions{}); err == nil {
 		t.Error("beta = 1 must be rejected")
 	}
-	bad[2] = math.NaN()
-	if _, err := DeviationsTopo(cfg, bad, testPrices(), nil); err == nil {
-		t.Error("NaN beta must be rejected")
-	}
-	short := make(miner.Profile, cfg.N-1)
-	if _, err := SolveMinerEquilibriumTopoFrom(cfg, good, testPrices(), game.NEOptions{}, short); err == nil {
+	if _, err := SolveMinerEquilibriumFrom(cfg, testPrices(), game.NEOptions{}, make(miner.Profile, cfg.N-1)); err == nil {
 		t.Error("wrong-length start profile must be rejected")
 	}
-}
 
-// TestTopoCertifierHookRuns wires a TopoCertifier through
-// CertifyTopoAfterSolve and checks both directions: a recording hook
-// sees the final equilibrium, and a failing hook fails the whole solve.
-func TestTopoCertifierHookRuns(t *testing.T) {
-	cfg := testConfig()
-	betas := []float64{0.1, 0.15, 0.2, 0.25, 0.3}
-	called := 0
-	opts := StackelbergOptions{
-		CertifyTopoAfterSolve: func(c Config, b []float64, p Prices, eq MinerEquilibrium) error {
-			called++
-			if !reflect.DeepEqual(b, betas) {
-				t.Errorf("certifier saw betas %v, want %v", b, betas)
-			}
-			if len(eq.Requests) != c.N {
-				t.Errorf("certifier saw %d requests for %d miners", len(eq.Requests), c.N)
-			}
-			return nil
-		},
+	if _, err := cfg.Classes(0); err == nil {
+		t.Error("Classes must reject a Betas market")
 	}
-	if _, err := SolveStackelbergTopo(cfg, betas, opts); err != nil {
-		t.Fatalf("solve with passing certifier: %v", err)
+	cp, err := testConfig().Classes(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if called != 1 {
-		t.Errorf("certifier ran %d times, want exactly once", called)
+	if _, err := SolveMinerEquilibriumClassed(cfg, cp, testPrices(), game.NEOptions{}); err == nil {
+		t.Error("classed miner solve must reject a Betas market")
 	}
-
-	opts.CertifyTopoAfterSolve = func(Config, []float64, Prices, MinerEquilibrium) error {
-		return errBoom
-	}
-	if _, err := SolveStackelbergTopo(cfg, betas, opts); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("failing certifier must fail the solve, got %v", err)
+	if _, err := SolveStackelbergClassed(cfg, cp, StackelbergOptions{}); err == nil {
+		t.Error("classed Stackelberg must reject a Betas market")
 	}
 }

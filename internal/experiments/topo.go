@@ -2,7 +2,8 @@ package experiments
 
 // Topology-aware fork-rate experiments: the peer-graph race (chain/topo)
 // measures an effective β_i per miner from its network position, and the
-// topology Stackelberg solver prices against that heterogeneous demand.
+// Stackelberg solver prices against that heterogeneous demand with the
+// vector set as Config.Betas.
 // Three scenarios bracket the mechanism: a uniform ring (the degenerate
 // case — per-miner betas collapse to the scalar model and so must the
 // prices), a star with near-edge and far-cloud spokes (placement spreads
@@ -87,8 +88,9 @@ func runTopo(cfg Config) (Result, error) {
 		}
 
 		game := baseConfig()
+		game.Betas = betas
 		opts := core.StackelbergOptions{}
-		res, err := core.SolveStackelbergTopo(game, betas, opts)
+		res, err := core.SolveStackelberg(game, opts)
 		if err != nil {
 			return Result{}, fmt.Errorf("topo %s stackelberg: %w", sc.name, err)
 		}
@@ -102,6 +104,7 @@ func runTopo(cfg Config) (Result, error) {
 		mean /= float64(len(betas))
 		scalarCfg := game
 		scalarCfg.Beta = mean
+		scalarCfg.Betas = nil
 		scalar, err := core.SolveStackelberg(scalarCfg, opts)
 		if err != nil {
 			return Result{}, fmt.Errorf("topo %s scalar baseline: %w", sc.name, err)

@@ -244,6 +244,9 @@ func classedInputs(cfg core.Config, cp miner.ClassedPopulation, p core.Prices, r
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("verify: %w", err)
 	}
+	if cfg.Betas != nil {
+		return fmt.Errorf("verify: classed certificates do not support per-miner fork rates (Config.Betas)")
+	}
 	if err := cfg.Params(p).Validate(); err != nil {
 		return fmt.Errorf("verify: %w", err)
 	}

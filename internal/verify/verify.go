@@ -225,10 +225,18 @@ func certify(cfg core.Config, p core.Prices, eq core.MinerEquilibrium, opts Opti
 
 	// Reported utilities and winning probabilities vs recomputation.
 	var us, ws []float64
-	if cfg.Mode == netmodel.Connected {
+	switch {
+	case cfg.Betas != nil:
+		if us, err = miner.UtilitiesTopo(params, cfg.Betas, eq.Requests); err != nil {
+			return Certificate{}, fmt.Errorf("verify: %w", err)
+		}
+		if ws, err = miner.WinProbsTopo(cfg.Betas, cfg.SatisfyProb, eq.Requests); err != nil {
+			return Certificate{}, fmt.Errorf("verify: %w", err)
+		}
+	case cfg.Mode == netmodel.Connected:
 		us = miner.UtilitiesConnected(params, eq.Requests)
 		ws = miner.WinProbsConnected(cfg.Beta, cfg.SatisfyProb, eq.Requests)
-	} else {
+	default:
 		us = miner.UtilitiesStandalone(params, eq.Requests)
 		ws = miner.WinProbsFull(cfg.Beta, eq.Requests)
 	}
@@ -258,7 +266,9 @@ func certify(cfg core.Config, p core.Prices, eq core.MinerEquilibrium, opts Opti
 // CertifyProfile certifies a bare strategy profile at the given prices:
 // per-miner ε-Nash deviation gains, budget and non-negativity residuals,
 // the standalone shared-capacity residual, and Theorem 1's
-// winning-probability identities. It is the certificate core shared by
+// winning-probability identities (with cfg.Betas set, each miner is
+// charged its own fork rate and every W_i is bounded to [0, 1]
+// instead). It is the certificate core shared by
 // every richer result shape (and the right entry point for profiles that
 // carry no solver summary, e.g. an RL learner's greedy profile). The
 // returned error reports malformed inputs only; the verification verdict
@@ -321,8 +331,22 @@ func certifyProfile(cfg core.Config, p core.Prices, prof miner.Profile, opts Opt
 	cert.add("deviation", cert.EpsilonRel, opts.GainTol, "worst unilateral best-response gain relative to R")
 
 	// Theorem 1: the fully satisfied winning probabilities sum to one;
-	// in connected mode the expected mass is (1−β) + βh·1{E > 0}.
-	if tot.Edge+tot.Cloud > 0 {
+	// in connected mode the expected mass is (1−β) + βh·1{E > 0}. The
+	// identities are scalar-β facts — with per-miner fork rates the fork
+	// corrections no longer telescope — so a Betas market bounds each W_i
+	// to [0, 1] instead.
+	switch {
+	case cfg.Betas != nil:
+		ws, err := miner.WinProbsTopo(cfg.Betas, cfg.SatisfyProb, prof)
+		if err != nil {
+			return Certificate{}, fmt.Errorf("verify: %w", err)
+		}
+		var wRange float64
+		for _, w := range ws {
+			wRange = math.Max(wRange, math.Max(-w, w-1))
+		}
+		cert.add("winprob_range", wRange, opts.ProbTol, "every W_i must lie in [0, 1] under per-miner betas")
+	case tot.Edge+tot.Cloud > 0:
 		wFull := numeric.Sum(miner.WinProbsFull(cfg.Beta, prof))
 		cert.add("winprob_sum_full", math.Abs(wFull-1), opts.ProbTol,
 			"Theorem 1: fully satisfied winning probabilities must sum to 1")

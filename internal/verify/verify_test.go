@@ -2,7 +2,9 @@ package verify
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -324,23 +326,41 @@ func TestCertifyStackelbergFlagsOffEquilibriumPrices(t *testing.T) {
 	}
 }
 
+// TestNECertifierIntegration wires the verify certifier into the
+// solver's CertifyAfterSolve hook, on a scalar-β market and on a
+// per-miner-β (Config.Betas) one: the hook runs exactly once, on the
+// final follower equilibrium, and a failing certificate fails the solve.
 func TestNECertifierIntegration(t *testing.T) {
-	cfg := connectedConfig()
-	opts := core.StackelbergOptions{CertifyAfterSolve: NECertifier(Options{})}
-	if _, err := core.SolveStackelberg(cfg, opts); err != nil {
-		t.Fatalf("certified solve failed: %v", err)
-	}
-	// An impossible tolerance must reject the solve with a certificate error.
-	opts.CertifyAfterSolve = func(cfg core.Config, p core.Prices, eq core.MinerEquilibrium) error {
-		cert, err := Certify(cfg, p, eq, Options{ConsistTol: 1e-9})
-		if err != nil {
-			return err
-		}
-		cert.add("always_fails", 1, 0, "forced failure for plumbing test")
-		return cert.Err()
-	}
-	if _, err := core.SolveStackelberg(cfg, opts); err == nil {
-		t.Fatal("want SolveStackelberg to surface the certifier failure")
+	for _, cfg := range []core.Config{connectedConfig(), topoConfig()} {
+		t.Run(fmt.Sprintf("betas=%v", cfg.Betas != nil), func(t *testing.T) {
+			calls := 0
+			certify := NECertifier(Options{})
+			opts := core.StackelbergOptions{CertifyAfterSolve: func(c core.Config, p core.Prices, eq core.MinerEquilibrium) error {
+				calls++
+				if !reflect.DeepEqual(c.Betas, cfg.Betas) {
+					t.Errorf("certifier saw betas %v, want %v", c.Betas, cfg.Betas)
+				}
+				return certify(c, p, eq)
+			}}
+			if _, err := core.SolveStackelberg(cfg, opts); err != nil {
+				t.Fatalf("certified solve failed: %v", err)
+			}
+			if calls != 1 {
+				t.Errorf("certifier ran %d times, want exactly once", calls)
+			}
+			// An impossible tolerance must reject the solve with a certificate error.
+			opts.CertifyAfterSolve = func(cfg core.Config, p core.Prices, eq core.MinerEquilibrium) error {
+				cert, err := Certify(cfg, p, eq, Options{ConsistTol: 1e-9})
+				if err != nil {
+					return err
+				}
+				cert.add("always_fails", 1, 0, "forced failure for plumbing test")
+				return cert.Err()
+			}
+			if _, err := core.SolveStackelberg(cfg, opts); err == nil || !strings.Contains(err.Error(), "always_fails") {
+				t.Fatalf("want SolveStackelberg to surface the certifier failure, got %v", err)
+			}
+		})
 	}
 }
 

@@ -92,7 +92,8 @@ func SolveMinerGNE(cfg Config, p Prices, opts NEOptions) (MinerEquilibrium, erro
 	return core.SolveMinerGNE(cfg, p, opts)
 }
 
-// SolveStackelberg runs backward induction on the full two-stage game.
+// SolveStackelberg runs backward induction on the full two-stage game,
+// under per-miner fork rates when cfg.Betas is set (connected mode).
 func SolveStackelberg(cfg Config, opts StackelbergOptions) (StackelbergResult, error) {
 	return core.SolveStackelberg(cfg, opts)
 }
@@ -562,8 +563,9 @@ type (
 
 // Topology-aware fork model (package chain/topo): an event-driven race
 // over an explicit peer graph with per-link delays measures an effective
-// fork rate β_i per miner from its position in the network, and the
-// topology-aware solvers price against that heterogeneous demand.
+// fork rate β_i per miner from its position in the network. Set the
+// measured vector as Config.Betas and SolveStackelberg prices against
+// the heterogeneous demand it induces.
 type (
 	// Topology is an explicit peer graph with per-link relay delays.
 	Topology = topo.Topology
@@ -618,15 +620,9 @@ func EstimateTopoBetas(t *Topology, cfg TopoConfig, seed int64, replicas int) (T
 	return topo.EstimateReplicated(t, cfg, seed, replicas)
 }
 
-// SolveStackelbergTopo runs the two-stage game against per-miner fork
-// rates, e.g. the Betas() of an EstimateTopoBetas result (connected mode
-// only).
-func SolveStackelbergTopo(cfg Config, betas []float64, opts StackelbergOptions) (StackelbergResult, error) {
-	return core.SolveStackelbergTopo(cfg, betas, opts)
-}
-
-// CertifyStackelbergTopo independently re-verifies a topology-aware
-// Stackelberg solution and returns the machine-checkable certificate.
-func CertifyStackelbergTopo(cfg Config, betas []float64, res StackelbergResult, opts VerifyOptions) (VerifyCertificate, error) {
-	return verify.CertifyStackelbergTopo(cfg, betas, res, opts)
+// CertifyStackelberg independently re-verifies a two-stage solution —
+// including one solved under per-miner fork rates (Config.Betas) — and
+// returns the machine-checkable certificate.
+func CertifyStackelberg(cfg Config, res StackelbergResult, opts VerifyOptions) (VerifyCertificate, error) {
+	return verify.CertifyStackelberg(cfg, res, opts)
 }

@@ -148,13 +148,14 @@ func TestFacadeTopologyPipeline(t *testing.T) {
 		t.Errorf("hub beta %g should sit below the far spoke's %g", betas[0], betas[4])
 	}
 	cfg := defaultBenchConfig()
-	sres, err := minegame.SolveStackelbergTopo(cfg, betas, minegame.StackelbergOptions{})
+	cfg.Betas = betas
+	sres, err := minegame.SolveStackelberg(cfg, minegame.StackelbergOptions{})
 	if err != nil {
-		t.Fatalf("SolveStackelbergTopo: %v", err)
+		t.Fatalf("SolveStackelberg: %v", err)
 	}
-	cert, err := minegame.CertifyStackelbergTopo(cfg, betas, sres, minegame.VerifyOptions{})
+	cert, err := minegame.CertifyStackelberg(cfg, sres, minegame.VerifyOptions{})
 	if err != nil {
-		t.Fatalf("CertifyStackelbergTopo: %v", err)
+		t.Fatalf("CertifyStackelberg: %v", err)
 	}
 	if !cert.OK {
 		t.Fatalf("certificate failed: %v", cert.Err())
