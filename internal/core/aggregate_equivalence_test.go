@@ -68,7 +68,7 @@ func TestAggregateSolversMatchFreshSummationConnected(t *testing.T) {
 		}, opts)
 
 		// Incremental: running totals via the aggregate interface.
-		inc := game.SolveNEAggregate(start, func(i int, own, others numeric.Point2) numeric.Point2 {
+		inc := game.SolveNEAggregate(start, nil, func(i int, own, others numeric.Point2) numeric.Point2 {
 			return miner.BestResponseConnected(params, cfg.Budget(i), envFromOthers(others), own)
 		}, opts)
 
@@ -106,7 +106,7 @@ func TestAggregateSolversMatchFreshSummationPenalized(t *testing.T) {
 			shadow := make([]numeric.Point2, len(start))
 			copy(shadow, start)
 			var worstAgg float64
-			inc := game.SolveNEAggregate(start, func(i int, own, others numeric.Point2) numeric.Point2 {
+			inc := game.SolveNEAggregate(start, nil, func(i int, own, others numeric.Point2) numeric.Point2 {
 				var fresh numeric.Point2
 				for _, r := range shadow {
 					fresh = fresh.Add(r)
@@ -159,7 +159,7 @@ func TestVariationalGNEAggregateMatchesReference(t *testing.T) {
 			}
 		}, shared, cfg.EdgeCapacity, capTol, opts)
 
-		inc, incErr := game.SolveVariationalGNEAggregate(start, func(mu float64) game.AggregateBestResponse {
+		inc, incErr := game.SolveVariationalGNEAggregate(start, nil, func(mu float64) game.AggregateBestResponse {
 			return func(i int, own, others numeric.Point2) numeric.Point2 {
 				return miner.BestResponseStandalonePenalized(params, mu, cfg.Budget(i), envFromOthers(others), own)
 			}

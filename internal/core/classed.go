@@ -81,38 +81,24 @@ func (e ClassedEquilibrium) Expand() miner.Profile {
 // with per-miner utilities and winning probabilities — an O(N) summary
 // intended for cross-checks at feasible N, not the million-miner path.
 func (e ClassedEquilibrium) Full(cfg Config, p Prices) MinerEquilibrium {
-	return cfg.summarize(p, e.Expand(), e.Iterations, e.Converged, e.Multiplier)
+	return exactMarket(cfg).summarize(p, e.Expand(), e.Iterations, e.Converged, e.Multiplier)
 }
 
-// classedSummarize assembles the per-class statistics of a solved
-// classed profile in O(K): each class member's environment is the
-// weighted totals minus its own request.
-func (c Config) classedSummarize(p Prices, cp miner.ClassedPopulation, reps []numeric.Point2, iters int, converged bool, mu float64) ClassedEquilibrium {
-	params := c.Params(p)
-	totals := cp.Aggregate(reps)
-	eq := ClassedEquilibrium{
-		Population: cp,
-		Requests:   reps,
-		Iterations: iters,
-		Converged:  converged,
-		Multiplier: mu,
-		Utilities:  make([]float64, len(reps)),
-		WinProbs:   make([]float64, len(reps)),
+// classedEquilibrium attaches a population to a solved per-class
+// summary (one request, utility and winning probability per class).
+func classedEquilibrium(cp miner.ClassedPopulation, eq MinerEquilibrium) ClassedEquilibrium {
+	return ClassedEquilibrium{
+		Population:  cp,
+		Requests:    eq.Requests,
+		EdgeDemand:  eq.EdgeDemand,
+		CloudDemand: eq.CloudDemand,
+		TotalDemand: eq.TotalDemand,
+		Utilities:   eq.Utilities,
+		WinProbs:    eq.WinProbs,
+		Iterations:  eq.Iterations,
+		Converged:   eq.Converged,
+		Multiplier:  eq.Multiplier,
 	}
-	eq.EdgeDemand, eq.CloudDemand = totals.Edge, totals.Cloud
-	eq.TotalDemand = totals.Edge + totals.Cloud
-	for k, own := range reps {
-		env := totals.Env(own)
-		switch c.Mode {
-		case netmodel.Connected:
-			eq.Utilities[k] = miner.UtilityConnected(params, own, env)
-			eq.WinProbs[k] = miner.WinProbConnected(c.Beta, c.SatisfyProb, own, env)
-		default:
-			eq.Utilities[k] = miner.UtilityStandalone(params, own, env)
-			eq.WinProbs[k] = miner.WinProbFull(c.Beta, own, env)
-		}
-	}
-	return eq
 }
 
 // classedSeed returns the default starting representatives: the
@@ -151,34 +137,6 @@ func (c Config) classedSeed(cp miner.ClassedPopulation, p Prices) []numeric.Poin
 		}
 	}
 	return reps
-}
-
-// escapeZeroCollapseClassed is Config.escapeZeroCollapse for classed
-// profiles: when the solve stalls on the all-zero pseudo-equilibrium
-// (never a Nash equilibrium — see escapeZeroCollapse), restart each
-// class from a small interior request.
-func (c Config) escapeZeroCollapseClassed(cp miner.ClassedPopulation, p Prices, reps []numeric.Point2) ([]numeric.Point2, bool) {
-	var s float64
-	for k, r := range reps {
-		s += float64(cp.Classes[k].Count) * (r.E + r.C)
-	}
-	if s > 1e-9 {
-		return nil, false
-	}
-	seed := make([]numeric.Point2, cp.K())
-	for k, cl := range cp.Classes {
-		spend := math.Min(cl.Budget, c.Reward/float64(4*cp.N()))
-		seed[k] = numeric.Point2{E: spend / (2 * p.Edge), C: spend / (2 * p.Cloud)}
-	}
-	if c.Mode == netmodel.Standalone && !math.IsInf(c.EdgeCapacity, 1) {
-		if e := cp.Aggregate(seed).Edge; e > c.EdgeCapacity/2 {
-			scale := c.EdgeCapacity / (2 * e)
-			for k := range seed {
-				seed[k].E *= scale
-			}
-		}
-	}
-	return seed, true
 }
 
 // SolveMinerEquilibriumClassed computes the miner-subgame equilibrium
@@ -236,12 +194,8 @@ func (c Config) validateClassed(cp miner.ClassedPopulation) error {
 // must have validated cfg and cp and checked cp.N() == cfg.N; the
 // price-dependent params check (O(1)) stays here.
 func solveClassedValidated(cfg Config, cp miner.ClassedPopulation, p Prices, opts game.NEOptions, start []numeric.Point2) (ClassedEquilibrium, error) {
-	params := cfg.Params(p)
-	if err := params.Validate(); err != nil {
+	if err := cfg.Params(p).Validate(); err != nil {
 		return ClassedEquilibrium{}, err
-	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-6
 	}
 	if start == nil {
 		start = cfg.classedSeed(cp, p)
@@ -252,45 +206,11 @@ func solveClassedValidated(cfg Config, cp miner.ClassedPopulation, p Prices, opt
 		ob.SetGauge("meanfield.class_count", float64(cp.K()))
 		ob.SetGauge("meanfield.compress_ratio", cp.CompressRatio())
 	}
-	counts := cp.Counts()
-	switch cfg.Mode {
-	case netmodel.Connected:
-		br := func(k int, own, others numeric.Point2) numeric.Point2 {
-			return miner.BestResponseConnected(params, cp.Classes[k].Budget, envFromOthers(others), own)
-		}
-		res := game.SolveNEClassed(start, counts, br, opts)
-		if res.Canceled {
-			return ClassedEquilibrium{}, fmt.Errorf("connected classed miner subgame: %w", game.ErrCanceled)
-		}
-		if reps, ok := cfg.escapeZeroCollapseClassed(cp, p, res.Profile); ok {
-			res = game.SolveNEClassed(reps, counts, br, opts)
-			if res.Canceled {
-				return ClassedEquilibrium{}, fmt.Errorf("connected classed miner subgame: %w", game.ErrCanceled)
-			}
-		}
-		return cfg.classedSummarize(p, cp, res.Profile, res.Iterations, res.Converged, 0), nil
-	default:
-		brAt := func(mu float64) game.AggregateBestResponse {
-			return func(k int, own, others numeric.Point2) numeric.Point2 {
-				return miner.BestResponseStandalonePenalized(params, mu, cp.Classes[k].Budget, envFromOthers(others), own)
-			}
-		}
-		shared := func(reps []numeric.Point2) float64 {
-			return cp.Aggregate(reps).Edge
-		}
-		capTol := 1e-4 * cfg.EdgeCapacity
-		res, err := game.SolveVariationalGNEClassed(start, counts, brAt, shared, cfg.EdgeCapacity, capTol, opts)
-		if err != nil {
-			return ClassedEquilibrium{}, fmt.Errorf("standalone classed miner subgame: %w", err)
-		}
-		if reps, ok := cfg.escapeZeroCollapseClassed(cp, p, res.Profile); ok {
-			res, err = game.SolveVariationalGNEClassed(reps, counts, brAt, shared, cfg.EdgeCapacity, capTol, opts)
-			if err != nil {
-				return ClassedEquilibrium{}, fmt.Errorf("standalone classed miner subgame: %w", err)
-			}
-		}
-		return cfg.classedSummarize(p, cp, res.Profile, res.Iterations, res.Converged, res.Multiplier), nil
+	eq, err := classedMarket(cfg, cp).solve(p, opts, start, "classed ")
+	if err != nil {
+		return ClassedEquilibrium{}, err
 	}
+	return classedEquilibrium(cp, eq), nil
 }
 
 // classedObserver resolves the observer the classed solvers record
@@ -309,26 +229,7 @@ func classedObserver(opts game.NEOptions) *obs.Observer {
 // each of the class's count_k members, so max_k gains[k] ≤ ε certifies
 // all N expanded miners at once.
 func DeviationsClassed(cfg Config, p Prices, cp miner.ClassedPopulation, reps []numeric.Point2) []float64 {
-	params := cfg.Params(p)
-	switch cfg.Mode {
-	case netmodel.Connected:
-		br := func(k int, own, others numeric.Point2) numeric.Point2 {
-			return miner.BestResponseConnected(params, cp.Classes[k].Budget, envFromOthers(others))
-		}
-		utility := func(k int, own, others numeric.Point2) float64 {
-			return miner.UtilityConnected(params, own, envFromOthers(others))
-		}
-		return game.DeviationsClassed(reps, cp.Counts(), br, utility)
-	default:
-		br := func(k int, own, others numeric.Point2) numeric.Point2 {
-			env := envFromOthers(others)
-			return miner.BestResponseStandalone(params, cp.Classes[k].Budget, cfg.EdgeCapacity-env.EdgeOthers, env)
-		}
-		utility := func(k int, own, others numeric.Point2) float64 {
-			return miner.UtilityStandalone(params, own, envFromOthers(others))
-		}
-		return game.DeviationsClassed(reps, cp.Counts(), br, utility)
-	}
+	return classedMarket(cfg, cp).deviations(p, reps)
 }
 
 // ClassedStackelbergResult is a solved two-stage game over a classed

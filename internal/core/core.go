@@ -151,14 +151,6 @@ func (c Config) Params(p Prices) miner.Params {
 	}
 }
 
-// minerParams is miner i's parameter set when the config carries
-// per-miner fork rates: params with the miner's own β_i in place of the
-// scalar β.
-func (c Config) minerParams(params miner.Params, i int) miner.Params {
-	params.Beta = c.Betas[i]
-	return params
-}
-
 // Network materializes a netmodel.Network at the given prices, using the
 // block interval to back out the propagation delay that induces β.
 func (c Config) Network(p Prices, blockInterval float64) netmodel.Network {
@@ -192,36 +184,6 @@ type MinerEquilibrium struct {
 	// Multiplier is the standalone shared-capacity shadow price (zero in
 	// connected mode or when capacity is slack).
 	Multiplier float64
-}
-
-func (c Config) summarize(p Prices, prof miner.Profile, iters int, converged bool, mu float64) MinerEquilibrium {
-	params := c.Params(p)
-	eq := MinerEquilibrium{
-		Requests:   prof,
-		Iterations: iters,
-		Converged:  converged,
-		Multiplier: mu,
-	}
-	eq.EdgeDemand, eq.CloudDemand, eq.TotalDemand = prof.Totals()
-	switch {
-	case c.Betas != nil:
-		// Eq. 9 with each miner charged its own fork rate.
-		eq.Utilities = make([]float64, len(prof))
-		eq.WinProbs = make([]float64, len(prof))
-		t := prof.Aggregate()
-		for i, r := range prof {
-			pi := c.minerParams(params, i)
-			eq.Utilities[i] = miner.UtilityConnected(pi, r, t.Env(r))
-			eq.WinProbs[i] = miner.WinProbConnected(pi.Beta, c.SatisfyProb, r, t.Env(r))
-		}
-	case c.Mode == netmodel.Connected:
-		eq.Utilities = miner.UtilitiesConnected(params, prof)
-		eq.WinProbs = miner.WinProbsConnected(c.Beta, c.SatisfyProb, prof)
-	default:
-		eq.Utilities = miner.UtilitiesStandalone(params, prof)
-		eq.WinProbs = miner.WinProbsFull(c.Beta, prof)
-	}
-	return eq
 }
 
 // envFromOthers adapts the aggregate solvers' others-total to a
@@ -309,48 +271,6 @@ func (c Config) seedProfile(p Prices) []numeric.Point2 {
 	return c.startProfile(p)
 }
 
-// escapeZeroCollapse detects the all-zero pseudo-equilibrium and
-// returns a tiny interior restart profile for a second solve.
-//
-// The empty market is always a fixed point of the COMPUTED best-response
-// map: against zero rivals the contest utility jumps to ≈R at any
-// positive request, so the supremum is not attained and the numeric
-// best response returns zero. But it is never a Nash equilibrium — a
-// miner deviating to an arbitrarily small request wins the whole
-// contest. In regimes where competing is unprofitable against the
-// default seed (reward small relative to prices), every miner drops out
-// in the first sweep and the iteration stalls on this artifact; found
-// by FuzzSolveVariationalGNE. Restarting from a small interior profile
-// (spend ≈ R/4n each, well under the interior equilibrium scale) lets
-// the iteration climb to the genuine contest equilibrium instead.
-func (c Config) escapeZeroCollapse(p Prices, prof []numeric.Point2) ([]numeric.Point2, bool) {
-	var s float64
-	for _, r := range prof {
-		s += r.E + r.C
-	}
-	if s > 1e-9 {
-		return nil, false
-	}
-	seed := make([]numeric.Point2, c.N)
-	for i := range seed {
-		spend := math.Min(c.Budget(i), c.Reward/float64(4*c.N))
-		seed[i] = numeric.Point2{E: spend / (2 * p.Edge), C: spend / (2 * p.Cloud)}
-	}
-	if c.Mode == netmodel.Standalone && !math.IsInf(c.EdgeCapacity, 1) {
-		var e float64
-		for _, r := range seed {
-			e += r.E
-		}
-		if e > c.EdgeCapacity/2 {
-			scale := c.EdgeCapacity / (2 * e)
-			for i := range seed {
-				seed[i].E *= scale
-			}
-		}
-	}
-	return seed, true
-}
-
 // SolveMinerEquilibrium computes the miner-subgame equilibrium at the
 // given prices.
 //
@@ -378,66 +298,15 @@ func SolveMinerEquilibriumFrom(cfg Config, p Prices, opts game.NEOptions, start 
 	if err := cfg.Validate(); err != nil {
 		return MinerEquilibrium{}, err
 	}
-	params := cfg.Params(p)
-	if err := params.Validate(); err != nil {
+	if err := cfg.Params(p).Validate(); err != nil {
 		return MinerEquilibrium{}, err
-	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-6
 	}
 	if start == nil {
 		start = cfg.seedProfile(p)
 	} else if len(start) != cfg.N {
 		return MinerEquilibrium{}, fmt.Errorf("core: start profile has %d entries, config has %d miners", len(start), cfg.N)
 	}
-	switch cfg.Mode {
-	case netmodel.Connected:
-		// The per-miner-β oracle is picked once per solve, so a scalar-β
-		// best response pays nothing for the option.
-		br := func(i int, own, others numeric.Point2) numeric.Point2 {
-			return miner.BestResponseConnected(params, cfg.Budget(i), envFromOthers(others), own)
-		}
-		if cfg.Betas != nil {
-			br = func(i int, own, others numeric.Point2) numeric.Point2 {
-				return miner.BestResponseConnected(cfg.minerParams(params, i), cfg.Budget(i), envFromOthers(others), own)
-			}
-		}
-		res := game.SolveNEAggregate(start, br, opts)
-		if res.Canceled {
-			return MinerEquilibrium{}, fmt.Errorf("connected miner subgame: %w", game.ErrCanceled)
-		}
-		if prof, ok := cfg.escapeZeroCollapse(p, res.Profile); ok {
-			res = game.SolveNEAggregate(prof, br, opts)
-			if res.Canceled {
-				return MinerEquilibrium{}, fmt.Errorf("connected miner subgame: %w", game.ErrCanceled)
-			}
-		}
-		return cfg.summarize(p, res.Profile, res.Iterations, res.Converged, 0), nil
-	default:
-		brAt := func(mu float64) game.AggregateBestResponse {
-			return func(i int, own, others numeric.Point2) numeric.Point2 {
-				return miner.BestResponseStandalonePenalized(params, mu, cfg.Budget(i), envFromOthers(others), own)
-			}
-		}
-		shared := func(prof []numeric.Point2) float64 {
-			var e float64
-			for _, r := range prof {
-				e += r.E
-			}
-			return e
-		}
-		res, err := game.SolveVariationalGNEAggregate(start, brAt, shared, cfg.EdgeCapacity, 1e-4*cfg.EdgeCapacity, opts)
-		if err != nil {
-			return MinerEquilibrium{}, fmt.Errorf("standalone miner subgame: %w", err)
-		}
-		if prof, ok := cfg.escapeZeroCollapse(p, res.Profile); ok {
-			res, err = game.SolveVariationalGNEAggregate(prof, brAt, shared, cfg.EdgeCapacity, 1e-4*cfg.EdgeCapacity, opts)
-			if err != nil {
-				return MinerEquilibrium{}, fmt.Errorf("standalone miner subgame: %w", err)
-			}
-		}
-		return cfg.summarize(p, res.Profile, res.Iterations, res.Converged, res.Multiplier), nil
-	}
+	return exactMarket(cfg).solve(p, opts, start, "")
 }
 
 // SolveMinerGNE computes a generalized Nash equilibrium of the standalone
@@ -471,11 +340,11 @@ func SolveMinerGNE(cfg Config, p Prices, opts game.NEOptions) (MinerEquilibrium,
 	}
 	// The GNEP's equilibrium selection depends on the starting point, so
 	// keep the historical heuristic start rather than the closed-form seed.
-	res := game.SolveNEAggregate(cfg.startProfile(p), br, opts)
+	res := game.SolveNEAggregate(cfg.startProfile(p), nil, br, opts)
 	if res.Canceled {
 		return MinerEquilibrium{}, fmt.Errorf("standalone miner GNE: %w", game.ErrCanceled)
 	}
-	return cfg.summarize(p, res.Profile, res.Iterations, res.Converged, 0), nil
+	return exactMarket(cfg).summarize(p, res.Profile, res.Iterations, res.Converged, 0), nil
 }
 
 // Deviation returns the largest utility gain any miner can realize by a
@@ -483,9 +352,15 @@ func SolveMinerGNE(cfg Config, p Prices, opts game.NEOptions) (MinerEquilibrium,
 // quality (≈0 at a Nash equilibrium). The aggregate form shares one O(N)
 // total across all miners, so the certificate costs O(N) best responses
 // plus O(N) arithmetic instead of the O(N²) of per-miner re-summation.
+// A profile whose length is not cfg.N is no equilibrium of the market
+// and reports +Inf.
 func Deviation(cfg Config, p Prices, prof miner.Profile) float64 {
+	gains := Deviations(cfg, p, prof)
+	if gains == nil {
+		return math.Inf(1)
+	}
 	var worst float64
-	for _, g := range Deviations(cfg, p, prof) {
+	for _, g := range gains {
 		if g > worst {
 			worst = g
 		}
@@ -499,36 +374,10 @@ func Deviation(cfg Config, p Prices, prof miner.Profile) float64 {
 // best response). The vector is the raw material of an ε-Nash
 // certificate: the profile is an ε-equilibrium exactly when every entry
 // is at most ε. With cfg.Betas set, every miner's best response and
-// utility charge its own fork rate.
+// utility charge its own fork rate. A profile whose length is not cfg.N
+// gives nil.
 func Deviations(cfg Config, p Prices, prof miner.Profile) []float64 {
-	params := cfg.Params(p)
-	switch cfg.Mode {
-	case netmodel.Connected:
-		br := func(i int, own, others numeric.Point2) numeric.Point2 {
-			return miner.BestResponseConnected(params, cfg.Budget(i), envFromOthers(others))
-		}
-		utility := func(i int, own, others numeric.Point2) float64 {
-			return miner.UtilityConnected(params, own, envFromOthers(others))
-		}
-		if cfg.Betas != nil {
-			br = func(i int, own, others numeric.Point2) numeric.Point2 {
-				return miner.BestResponseConnected(cfg.minerParams(params, i), cfg.Budget(i), envFromOthers(others))
-			}
-			utility = func(i int, own, others numeric.Point2) float64 {
-				return miner.UtilityConnected(cfg.minerParams(params, i), own, envFromOthers(others))
-			}
-		}
-		return game.DeviationsAggregate(prof, br, utility)
-	default:
-		br := func(i int, own, others numeric.Point2) numeric.Point2 {
-			env := envFromOthers(others)
-			return miner.BestResponseStandalone(params, cfg.Budget(i), cfg.EdgeCapacity-env.EdgeOthers, env)
-		}
-		utility := func(i int, own, others numeric.Point2) float64 {
-			return miner.UtilityStandalone(params, own, envFromOthers(others))
-		}
-		return game.DeviationsAggregate(prof, br, utility)
-	}
+	return exactMarket(cfg).deviations(p, prof)
 }
 
 // ValidateWinProbs checks Theorem 1 at a profile: in standalone (full

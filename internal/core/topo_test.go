@@ -26,7 +26,7 @@ func withBetas(cfg Config, betas []float64) Config {
 
 // TestTopoDegenerateBitIdentical pins the degenerate case: a uniform
 // Betas vector must make the solvers reproduce the nil-Betas numeric
-// solve bit for bit. minerParams with Betas[i] == cfg.Beta is the
+// solve bit for bit. A market type with β_k == cfg.Beta gets the
 // identical Params struct, and both markets share seedProfile, the
 // anchor warm start, and the leader stage, so any drift here means the
 // per-miner-β path forked the arithmetic.

@@ -23,18 +23,38 @@ import (
 	"minegame/internal/miner"
 	"minegame/internal/netmodel"
 	"minegame/internal/numeric"
+	"minegame/internal/obs"
 	"minegame/internal/population"
 	"minegame/internal/rl"
 	"minegame/internal/sim"
 )
+
+// sweepDeltas returns a private observer whose flight recorder keeps a
+// solve's trace, and a reader of the "max_delta" field of every
+// "game.sweep" event recorded so far, in sweep order. The default ring
+// (4096 records) holds every sweep of the traced solves, whose budgets
+// are at most two 500-sweep solves.
+func sweepDeltas() (*obs.Observer, func() []float64) {
+	ob := obs.New()
+	ob.EnableFlightRecorder(0)
+	return ob, func() []float64 {
+		var deltas []float64
+		for _, rec := range ob.FlightRecords() {
+			if rec.Type == "event" && rec.Name == "game.sweep" {
+				deltas = append(deltas, rec.Fields["max_delta"].(float64))
+			}
+		}
+		return deltas
+	}
+}
 
 // runConvergence traces the miner-subgame best-response iterations in
 // both modes and reports their geometric contraction rates.
 func runConvergence(Config) (Result, error) {
 	prices := defaultPrices()
 	trace := func(cfg core.Config, gne bool, opts game.NEOptions) ([]float64, error) {
-		var deltas []float64
-		opts.OnSweep = func(_ int, d float64) { deltas = append(deltas, d) }
+		ob, deltas := sweepDeltas()
+		opts.Observer = ob
 		if opts.Tol == 0 {
 			opts.Tol = 1e-9
 		}
@@ -47,7 +67,7 @@ func runConvergence(Config) (Result, error) {
 			// solve seeds homogeneous configs from the closed form.
 			_, err = core.SolveMinerEquilibriumFrom(cfg, prices, opts, cfg.ColdStart(prices))
 		}
-		return deltas, err
+		return deltas(), err
 	}
 	conn, err := trace(baseConfig(), false, game.NEOptions{})
 	if err != nil {
@@ -72,7 +92,7 @@ func runConvergence(Config) (Result, error) {
 	}
 	// Fictitious play on the same connected subgame: stable but with a
 	// slow averaging tail (MaxDelta here is the equilibrium residual).
-	var fp []float64
+	ob, fpDeltas := sweepDeltas()
 	{
 		cfg := baseConfig()
 		params := cfg.Params(prices)
@@ -91,11 +111,12 @@ func runConvergence(Config) (Result, error) {
 			start[i] = numeric.Point2{E: 2, C: 10}
 		}
 		game.SolveNEFictitiousAggregate(start, br, game.NEOptions{
-			MaxIter: 60,
-			Tol:     1e-9,
-			OnSweep: func(_ int, d float64) { fp = append(fp, d) },
+			MaxIter:  60,
+			Tol:      1e-9,
+			Observer: ob,
 		})
 	}
+	fp := fpDeltas()
 	t := Table{
 		ID:    "conv",
 		Title: "best-response sweep deltas: Gauss–Seidel, Jacobi (undamped/damped), GNE, fictitious play",

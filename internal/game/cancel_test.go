@@ -15,18 +15,23 @@ func crawlBR(i int, own, others numeric.Point2) numeric.Point2 {
 	return numeric.Point2{E: 0.5*own.E + 1, C: 0.5*own.C + 1}
 }
 
+// cancelAfterCalls wraps crawlBR so that the given call cancels the
+// context: with p players, call p·s is the last of sweep s.
+func cancelAfterCalls(calls int, cancel context.CancelFunc) AggregateBestResponse {
+	n := 0
+	return func(i int, own, others numeric.Point2) numeric.Point2 {
+		if n++; n == calls {
+			cancel()
+		}
+		return crawlBR(i, own, others)
+	}
+}
+
 func TestSolveNECanceledMidSolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	opts := NEOptions{
-		Ctx: ctx,
-		Tol: 1e-12,
-		OnSweep: func(iteration int, maxDelta float64) {
-			if iteration == 3 {
-				cancel()
-			}
-		},
-	}
-	res := SolveNEAggregate([]numeric.Point2{{E: 100, C: 100}, {E: 100, C: 100}}, crawlBR, opts)
+	opts := NEOptions{Ctx: ctx, Tol: 1e-12}
+	// Two players: the sixth call ends sweep 3.
+	res := SolveNEAggregate([]numeric.Point2{{E: 100, C: 100}, {E: 100, C: 100}}, nil, cancelAfterCalls(6, cancel), opts)
 	if !res.Canceled {
 		t.Fatalf("expected Canceled=true, got %+v", res)
 	}
@@ -43,7 +48,7 @@ func TestSolveNECanceledMidSolve(t *testing.T) {
 func TestSolveNEClassedCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := SolveNEClassed([]numeric.Point2{{E: 5, C: 5}}, []int{4}, crawlBR, NEOptions{Ctx: ctx, Tol: 1e-12})
+	res := SolveNEAggregate([]numeric.Point2{{E: 5, C: 5}}, []int{4}, crawlBR, NEOptions{Ctx: ctx, Tol: 1e-12})
 	if !res.Canceled || res.Iterations != 0 {
 		t.Fatalf("pre-canceled classed solve should stop before the first sweep, got %+v", res)
 	}
@@ -60,17 +65,11 @@ func TestSolveNEFictitiousCanceled(t *testing.T) {
 
 func TestSolveVariationalGNECanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	// Cancel during the very first inner NEP solve.
-	opts := NEOptions{
-		Ctx: ctx,
-		Tol: 1e-12,
-		OnSweep: func(iteration int, maxDelta float64) {
-			if iteration == 2 {
-				cancel()
-			}
-		},
-	}
-	brAt := func(mu float64) AggregateBestResponse { return crawlBR }
+	// Cancel during the very first inner NEP solve: two players, so the
+	// fourth best-response call ends its second sweep.
+	opts := NEOptions{Ctx: ctx, Tol: 1e-12}
+	br := cancelAfterCalls(4, cancel)
+	brAt := func(mu float64) AggregateBestResponse { return br }
 	shared := func(prof []numeric.Point2) float64 {
 		var e float64
 		for _, r := range prof {
@@ -79,7 +78,7 @@ func TestSolveVariationalGNECanceled(t *testing.T) {
 		return e
 	}
 	_, err := SolveVariationalGNEAggregate(
-		[]numeric.Point2{{E: 100, C: 100}, {E: 100, C: 100}}, brAt, shared, 1.0, 1e-6, opts)
+		[]numeric.Point2{{E: 100, C: 100}, {E: 100, C: 100}}, nil, brAt, shared, 1.0, 1e-6, opts)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("expected ErrCanceled, got %v", err)
 	}
@@ -88,7 +87,7 @@ func TestSolveVariationalGNECanceled(t *testing.T) {
 // TestSolveNENilContext pins that a nil Ctx (every pre-existing caller)
 // behaves exactly as before: no cancel, normal convergence.
 func TestSolveNENilContext(t *testing.T) {
-	res := SolveNEAggregate([]numeric.Point2{{E: 100, C: 100}}, crawlBR, NEOptions{})
+	res := SolveNEAggregate([]numeric.Point2{{E: 100, C: 100}}, nil, crawlBR, NEOptions{})
 	if res.Canceled || !res.Converged {
 		t.Fatalf("nil-context solve should converge uncanceled, got %+v", res)
 	}

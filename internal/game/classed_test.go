@@ -59,14 +59,14 @@ func TestSolveNEClassedMatchesExact(t *testing.T) {
 	for k := range start {
 		start[k] = numeric.Point2{E: a[k] / 2, C: b[k] / 2}
 	}
-	res := SolveNEClassed(start, counts, classed.br, opts)
+	res := SolveNEAggregate(start, counts, classed.br, opts)
 	if !res.Converged {
 		t.Fatalf("classed solve did not converge: %+v", res)
 	}
 
 	fullStart, ea, eb := expandReps(start, counts, a, b)
 	exact := toyClassedGame{a: ea, b: eb, g: classed.g}
-	full := SolveNEAggregate(fullStart, exact.br, opts)
+	full := SolveNEAggregate(fullStart, nil, exact.br, opts)
 	if !full.Converged {
 		t.Fatalf("exact solve did not converge: %+v", full)
 	}
@@ -79,7 +79,7 @@ func TestSolveNEClassedMatchesExact(t *testing.T) {
 	}
 
 	// At the classed equilibrium no class member can gain by deviating.
-	gains := DeviationsClassed(res.Profile, counts, classed.br, classed.utility)
+	gains := DeviationsAggregate(res.Profile, counts, classed.br, classed.utility)
 	for k, gain := range gains {
 		if gain > 1e-18 {
 			t.Fatalf("class %d has deviation gain %g at equilibrium", k, gain)
@@ -94,7 +94,7 @@ func TestSolveNEClassedHomogeneousBigClass(t *testing.T) {
 	counts := []int{1000}
 	g := 0.95 / 999.0
 	game := toyClassedGame{a: []float64{20}, b: []float64{10}, g: g}
-	res := SolveNEClassed([]numeric.Point2{{E: 1, C: 1}}, counts, game.br, NEOptions{MaxIter: 500, Tol: 1e-12})
+	res := SolveNEAggregate([]numeric.Point2{{E: 1, C: 1}}, counts, game.br, NEOptions{MaxIter: 500, Tol: 1e-12})
 	if !res.Converged {
 		t.Fatalf("homogeneous classed solve did not converge: %+v", res)
 	}
@@ -130,7 +130,7 @@ func TestSolveVariationalGNEClassedMatchesExact(t *testing.T) {
 	opts := NEOptions{MaxIter: 4000, Tol: 1e-12}
 	start := []numeric.Point2{{E: 1, C: 1}, {E: 1, C: 1}}
 	capacity := 60.0 // binds: unconstrained total edge demand is far larger
-	classedRes, err := SolveVariationalGNEClassed(start, counts, brAtClassed, sharedClassed, capacity, 1e-9, opts)
+	classedRes, err := SolveVariationalGNEAggregate(start, counts, brAtClassed, sharedClassed, capacity, 1e-9, opts)
 	if err != nil {
 		t.Fatalf("classed VGNE: %v", err)
 	}
@@ -157,7 +157,7 @@ func TestSolveVariationalGNEClassedMatchesExact(t *testing.T) {
 		}
 		return total
 	}
-	fullRes, err := SolveVariationalGNEAggregate(fullStart, brAtFull, sharedFull, capacity, 1e-9, opts)
+	fullRes, err := SolveVariationalGNEAggregate(fullStart, nil, brAtFull, sharedFull, capacity, 1e-9, opts)
 	if err != nil {
 		t.Fatalf("full VGNE: %v", err)
 	}
@@ -170,14 +170,14 @@ func TestSolveVariationalGNEClassedMatchesExact(t *testing.T) {
 }
 
 func TestSolveNEClassedShapeMismatch(t *testing.T) {
-	res := SolveNEClassed([]numeric.Point2{{E: 1}}, []int{1, 2}, func(int, numeric.Point2, numeric.Point2) numeric.Point2 {
+	res := SolveNEAggregate([]numeric.Point2{{E: 1}}, []int{1, 2}, func(int, numeric.Point2, numeric.Point2) numeric.Point2 {
 		return numeric.Point2{}
 	}, NEOptions{})
 	if res.Profile != nil || res.Converged {
 		t.Fatalf("mismatched shapes should return zero result, got %+v", res)
 	}
-	if DeviationsClassed([]numeric.Point2{{}}, []int{1, 2}, nil, nil) != nil {
-		t.Fatal("mismatched DeviationsClassed should return nil")
+	if DeviationsAggregate([]numeric.Point2{{}}, []int{1, 2}, nil, nil) != nil {
+		t.Fatal("mismatched DeviationsAggregate should return nil")
 	}
 }
 
@@ -187,7 +187,7 @@ func TestSolveNEClassedSkipsEmptyClasses(t *testing.T) {
 	b := []float64{5, 99, 5}
 	game := toyClassedGame{a: a, b: b, g: 0.05}
 	start := []numeric.Point2{{E: 1, C: 1}, {E: 7, C: 7}, {E: 1, C: 1}}
-	res := SolveNEClassed(start, counts, game.br, NEOptions{MaxIter: 1000, Tol: 1e-12})
+	res := SolveNEAggregate(start, counts, game.br, NEOptions{MaxIter: 1000, Tol: 1e-12})
 	if !res.Converged {
 		t.Fatalf("solve with empty class did not converge: %+v", res)
 	}
@@ -198,5 +198,41 @@ func TestSolveNEClassedSkipsEmptyClasses(t *testing.T) {
 	// Classes 0 and 2 are identical, so they share a fixed point.
 	if d := res.Profile[0].Sub(res.Profile[2]).Norm(); d > 1e-9 {
 		t.Fatalf("identical classes diverged by %g", d)
+	}
+}
+
+// TestSolveNEAggregateUnitCountsMatchNil pins the exact game as the
+// unit-count case of the engine: explicit counts of 1 and nil counts
+// must give bit-identical iterates under both update schedules, and so
+// must the deviation gains.
+func TestSolveNEAggregateUnitCountsMatchNil(t *testing.T) {
+	a := []float64{10, 14, 6, 8, 11}
+	b := []float64{5, 3, 9, 4, 7}
+	g := toyClassedGame{a: a, b: b, g: 0.2}
+	start := make([]numeric.Point2, len(a))
+	for k := range start {
+		start[k] = numeric.Point2{E: a[k] / 3, C: b[k] / 3}
+	}
+	ones := []int{1, 1, 1, 1, 1}
+	for _, jacobi := range []bool{false, true} {
+		opts := NEOptions{MaxIter: 400, Tol: 1e-12, Jacobi: jacobi, Damping: 0.7}
+		unit := SolveNEAggregate(start, ones, g.br, opts)
+		exact := SolveNEAggregate(start, nil, g.br, opts)
+		if !exact.Converged || unit.Iterations != exact.Iterations || unit.MaxDelta != exact.MaxDelta {
+			t.Fatalf("jacobi=%v: unit counts %+v vs nil counts %+v", jacobi, unit, exact)
+		}
+		for k := range exact.Profile {
+			if unit.Profile[k] != exact.Profile[k] {
+				t.Fatalf("jacobi=%v entry %d: unit counts %v vs nil counts %v", jacobi, k, unit.Profile[k], exact.Profile[k])
+			}
+		}
+	}
+	off := []numeric.Point2{{E: 1, C: 1}, {E: 9, C: 2}, {E: 3, C: 3}, {E: 0, C: 8}, {E: 4, C: 4}}
+	gu := DeviationsAggregate(off, ones, g.br, g.utility)
+	gn := DeviationsAggregate(off, nil, g.br, g.utility)
+	for k := range gn {
+		if gu[k] != gn[k] {
+			t.Fatalf("entry %d: unit-count gain %g vs nil-count gain %g", k, gu[k], gn[k])
+		}
 	}
 }

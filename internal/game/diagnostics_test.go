@@ -5,18 +5,32 @@ import (
 	"testing"
 
 	"minegame/internal/numeric"
+	"minegame/internal/obs"
 )
 
-func TestOnSweepObservesEverySweep(t *testing.T) {
-	var iters []int
-	var deltas []float64
-	opts := NEOptions{
-		OnSweep: func(it int, d float64) {
-			iters = append(iters, it)
-			deltas = append(deltas, d)
-		},
+// sweepRecorder returns a private observer whose flight recorder keeps
+// the solver's trace, and a reader of the "game.sweep" events' sweep
+// numbers and largest strategy changes, in order.
+func sweepRecorder() (*obs.Observer, func() ([]int, []float64)) {
+	ob := obs.New()
+	ob.EnableFlightRecorder(0)
+	return ob, func() ([]int, []float64) {
+		var iters []int
+		var deltas []float64
+		for _, rec := range ob.FlightRecords() {
+			if rec.Type == "event" && rec.Name == "game.sweep" {
+				iters = append(iters, rec.Fields["iter"].(int))
+				deltas = append(deltas, rec.Fields["max_delta"].(float64))
+			}
+		}
+		return iters, deltas
 	}
-	res := SolveNE([]numeric.Point2{{E: 0}, {E: 90}}, cournotBR(120, 30), opts)
+}
+
+func TestSweepEventsObserveEverySweep(t *testing.T) {
+	ob, sweeps := sweepRecorder()
+	res := SolveNE([]numeric.Point2{{E: 0}, {E: 90}}, cournotBR(120, 30), NEOptions{Observer: ob})
+	iters, deltas := sweeps()
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -38,12 +52,9 @@ func TestOnSweepObservesEverySweep(t *testing.T) {
 // sweep of Gauss–Seidel multiplies the error by 1/4 (each player halves
 // the rival's deviation, twice per sweep).
 func TestContractionRateCournot(t *testing.T) {
-	var deltas []float64
-	opts := NEOptions{
-		Tol:     1e-10,
-		OnSweep: func(_ int, d float64) { deltas = append(deltas, d) },
-	}
-	SolveNE([]numeric.Point2{{E: 0}, {E: 90}}, cournotBR(120, 30), opts)
+	ob, sweeps := sweepRecorder()
+	SolveNE([]numeric.Point2{{E: 0}, {E: 90}}, cournotBR(120, 30), NEOptions{Tol: 1e-10, Observer: ob})
+	_, deltas := sweeps()
 	rate := ContractionRate(deltas)
 	if math.IsNaN(rate) {
 		t.Fatalf("no rate from deltas %v", deltas)
@@ -71,12 +82,13 @@ func TestContractionRateDegenerate(t *testing.T) {
 // both players see fresh rivals) vs 1/2 (Jacobi, frozen rivals).
 func TestJacobiVsGaussSeidelRates(t *testing.T) {
 	rate := func(jacobi bool) float64 {
-		var deltas []float64
+		ob, sweeps := sweepRecorder()
 		SolveNE([]numeric.Point2{{E: 0}, {E: 90}}, cournotBR(120, 30), NEOptions{
-			Tol:     1e-10,
-			Jacobi:  jacobi,
-			OnSweep: func(_ int, d float64) { deltas = append(deltas, d) },
+			Tol:      1e-10,
+			Jacobi:   jacobi,
+			Observer: ob,
 		})
+		_, deltas := sweeps()
 		return ContractionRate(deltas)
 	}
 	gs := rate(false)

@@ -52,18 +52,12 @@ type NEOptions struct {
 	MaxIter int     // outer sweeps over all players (default 500)
 	Tol     float64 // convergence threshold on the max strategy change (default 1e-8)
 	Damping float64 // weight on the new strategy in (0, 1] (default 1: undamped)
-	// OnSweep, when non-nil, observes every sweep's largest strategy
-	// change — the hook behind the convergence diagnostics.
-	//
-	// Deprecated: prefer Observer, which receives the same per-sweep
-	// signal as "game.sweep" trace events plus solver spans and
-	// contraction-rate metrics. OnSweep remains supported for callers
-	// that need the raw deltas in-process.
-	OnSweep func(iteration int, maxDelta float64)
 	// Observer receives solver telemetry: a span per solve, one
-	// "game.sweep" trace event per sweep, and iteration/contraction
-	// metrics. Nil falls back to obs.Default() (disabled unless the
-	// process enabled it), which costs one atomic check per sweep.
+	// "game.sweep" trace event per sweep (its "max_delta" field is the
+	// sweep's largest strategy change — the signal behind the
+	// convergence diagnostics), and iteration/contraction metrics. Nil
+	// falls back to obs.Default() (disabled unless the process enabled
+	// it), which costs one atomic check per sweep.
 	Observer *obs.Observer
 	// Jacobi switches to simultaneous updates: every player best-responds
 	// to the PREVIOUS sweep's profile instead of the freshest strategies.
@@ -125,44 +119,17 @@ type NEResult struct {
 // starting profile: players update in index order, each against the
 // freshest strategies of the others. For games with a unique NE and
 // contractive best responses (the paper's Theorem 2 setting) the iteration
-// converges to the equilibrium.
+// converges to the equilibrium. Aggregative games should prefer
+// SolveNEAggregate, whose sweeps cost O(N) instead of O(N²).
 func SolveNE(start []numeric.Point2, br BestResponse, opts NEOptions) NEResult {
-	return solveNE(start, br, nil, opts)
-}
-
-// SolveNEAggregate is SolveNE for aggregative games: the best response
-// depends on the opponents only through their coordinate-wise total, so
-// the solver maintains running profile totals (delta-updated as each
-// player moves, exactly re-summed at every sweep boundary) and each
-// sweep costs O(N) instead of O(N²). The iteration order, damping and
-// convergence semantics match SolveNE exactly.
-func SolveNEAggregate(start []numeric.Point2, br AggregateBestResponse, opts NEOptions) NEResult {
-	return solveNE(start, nil, br, opts)
-}
-
-// solveNE is the shared Gauss–Seidel/Jacobi loop behind SolveNE and
-// SolveNEAggregate: exactly one of br and abr is non-nil. The aggregate
-// form carries running totals through the sweep; the classic form skips
-// all totals bookkeeping.
-//
-//minelint:hotpath
-func solveNE(start []numeric.Point2, br BestResponse, abr AggregateBestResponse, opts NEOptions) NEResult {
 	opts = opts.withDefaults()
-	solver := "best_response"
-	if abr != nil {
-		solver = "aggregate_best_response"
-	}
-	tel := newSolveTelemetry(opts, "game.solve_ne", solver, len(start))
+	tel := newSolveTelemetry(opts, "game.solve_ne", "best_response", len(start))
 	prof := make([]numeric.Point2, len(start))
 	copy(prof, start)
 	res := NEResult{Profile: prof}
 	var frozen []numeric.Point2
 	if opts.Jacobi {
 		frozen = make([]numeric.Point2, len(prof))
-	}
-	var totals numeric.Point2
-	if abr != nil {
-		totals = sumPoints(prof)
 	}
 	for it := 0; it < opts.MaxIter; it++ {
 		if opts.canceled() {
@@ -176,43 +143,17 @@ func solveNE(start []numeric.Point2, br BestResponse, abr AggregateBestResponse,
 			copy(frozen, prof)
 			view = frozen
 		}
-		// Jacobi responds to the PREVIOUS sweep's aggregate, so freeze the
-		// totals alongside the profile.
-		frozenTotals := totals
 		for i := range prof {
-			var next numeric.Point2
-			if abr != nil {
-				own := view[i]
-				others := totals.Sub(prof[i])
-				if opts.Jacobi {
-					others = frozenTotals.Sub(own)
-				}
-				next = abr(i, own, others)
-			} else {
-				next = br(i, view)
-			}
+			next := br(i, view)
 			if opts.Damping < 1 {
 				next = prof[i].Scale(1 - opts.Damping).Add(next.Scale(opts.Damping))
 			}
 			if d := next.Sub(prof[i]).Norm(); d > res.MaxDelta {
 				res.MaxDelta = d
 			}
-			if abr != nil {
-				// O(1) delta update keeps the running totals current for the
-				// next player in this sweep.
-				totals = totals.Add(next.Sub(prof[i]))
-			}
 			prof[i] = next
 		}
-		if abr != nil {
-			// Sweep boundary: re-sum exactly so incremental floating-point
-			// drift never outlives a single sweep.
-			totals = sumPoints(prof)
-		}
-		if opts.OnSweep != nil {
-			opts.OnSweep(res.Iterations, res.MaxDelta)
-		}
-		tel.sweep(res.Iterations, res.MaxDelta) //lint:allow hotalloc sweep telemetry appends to the delta history; disabled-mode cost is zero and pinned by TestSolveNEAggregateAllocationBudget
+		tel.sweep(res.Iterations, res.MaxDelta)
 		if res.MaxDelta < opts.Tol {
 			res.Converged = true
 			break
@@ -385,9 +326,6 @@ func solveNEFictitious(start []numeric.Point2, br BestResponse, abr AggregateBes
 			// Sweep boundary: exact re-summation bounds incremental drift.
 			totals = sumPoints(avg)
 		}
-		if opts.OnSweep != nil {
-			opts.OnSweep(it, res.MaxDelta)
-		}
 		tel.sweep(it, res.MaxDelta)
 		if res.MaxDelta < opts.Tol {
 			res.Converged = true
@@ -397,74 +335,6 @@ func solveNEFictitious(start []numeric.Point2, br BestResponse, abr AggregateBes
 	}
 	tel.finish(res)
 	return res
-}
-
-// Deviation quantifies how far a profile is from equilibrium: the largest
-// utility gain any single player can achieve by a unilateral best-response
-// deviation. utility(i, profile) must evaluate player i's payoff.
-func Deviation(profile []numeric.Point2, br BestResponse, utility func(int, []numeric.Point2) float64) float64 {
-	work := make([]numeric.Point2, len(profile))
-	copy(work, profile)
-	var worst float64
-	for i := range profile {
-		current := utility(i, work)
-		dev := br(i, work)
-		old := work[i]
-		work[i] = dev
-		gain := utility(i, work) - current
-		work[i] = old
-		if gain > worst {
-			worst = gain
-		}
-	}
-	return worst
-}
-
-// DeviationAggregate is Deviation for aggregative games: utilities and
-// best responses see the opponents only through their coordinate-wise
-// total (profile totals minus own), so the whole equilibrium certificate
-// costs O(N) instead of O(N²). utility(i, own, others) must evaluate
-// player i's payoff when playing own against the aggregate others.
-func DeviationAggregate(
-	profile []numeric.Point2,
-	br AggregateBestResponse,
-	utility func(i int, own, others numeric.Point2) float64,
-) float64 {
-	totals := sumPoints(profile)
-	var worst float64
-	for i, own := range profile {
-		others := totals.Sub(own)
-		current := utility(i, own, others)
-		dev := br(i, own, others)
-		if gain := utility(i, dev, others) - current; gain > worst {
-			worst = gain
-		}
-	}
-	return worst
-}
-
-// DeviationsAggregate is the per-player form of DeviationAggregate: it
-// returns each player's maximal unilateral best-response gain against the
-// rest of the profile (clamped below at zero, so a player already at its
-// best response reports exactly 0). The whole vector costs O(N) best
-// responses plus O(N) arithmetic; an ε-Nash certificate is the claim
-// max_i gains[i] ≤ ε.
-func DeviationsAggregate(
-	profile []numeric.Point2,
-	br AggregateBestResponse,
-	utility func(i int, own, others numeric.Point2) float64,
-) []float64 {
-	totals := sumPoints(profile)
-	gains := make([]float64, len(profile))
-	for i, own := range profile {
-		others := totals.Sub(own)
-		current := utility(i, own, others)
-		dev := br(i, own, others)
-		if gain := utility(i, dev, others) - current; gain > 0 {
-			gains[i] = gain
-		}
-	}
-	return gains
 }
 
 // ErrNoEquilibrium is returned when an iterative solver cannot locate an
@@ -511,27 +381,8 @@ func SolveVariationalGNE(
 	return solveVariationalGNE(start, neAt, shared, capacity, capTol, opts)
 }
 
-// SolveVariationalGNEAggregate is SolveVariationalGNE for aggregative
-// games: brAt(μ) returns the μ-penalized best response in aggregate form,
-// so every inner NEP solve runs O(N) sweeps via SolveNEAggregate. The
-// multiplier search (slackness check, doubling, bisection) is shared with
-// SolveVariationalGNE and behaves identically.
-func SolveVariationalGNEAggregate(
-	start []numeric.Point2,
-	brAt func(mu float64) AggregateBestResponse,
-	shared func([]numeric.Point2) float64,
-	capacity float64,
-	capTol float64,
-	opts NEOptions,
-) (VGNEResult, error) {
-	neAt := func(mu float64, from []numeric.Point2) NEResult {
-		return SolveNEAggregate(from, brAt(mu), opts)
-	}
-	return solveVariationalGNE(start, neAt, shared, capacity, capTol, opts)
-}
-
-// solveVariationalGNE is the shared multiplier search behind the two
-// exported variational solvers: neAt(μ, from) must solve the μ-penalized
+// solveVariationalGNE is the shared multiplier search behind
+// SolveVariationalGNE and SolveVariationalGNEAggregate: neAt(μ, from) must solve the μ-penalized
 // NEP warm-started from the given profile.
 func solveVariationalGNE(
 	start []numeric.Point2,

@@ -71,20 +71,27 @@ func TestSolveNEDoesNotMutateStart(t *testing.T) {
 
 func TestDeviation(t *testing.T) {
 	const a, c = 120.0, 30.0
-	br := cournotBR(a, c)
-	utility := func(i int, prof []numeric.Point2) float64 {
-		var q float64
-		for _, r := range prof {
-			q += r.E
-		}
-		return (a - q - c) * prof[i].E
+	// The aggregate form of the Cournot duopoly: a firm's profit and best
+	// response depend on its rivals only through their total quantity.
+	br := func(_ int, _, others numeric.Point2) numeric.Point2 {
+		return numeric.Point2{E: math.Max(0, (a-c-others.E)/2)}
 	}
-	ne := SolveNE([]numeric.Point2{{E: 10}, {E: 10}}, br, NEOptions{})
-	if dev := Deviation(ne.Profile, br, utility); dev > 1e-8 {
+	utility := func(_ int, own, others numeric.Point2) float64 {
+		return (a - own.E - others.E - c) * own.E
+	}
+	worst := func(prof []numeric.Point2) float64 {
+		var w float64
+		for _, g := range DeviationsAggregate(prof, nil, br, utility) {
+			w = math.Max(w, g)
+		}
+		return w
+	}
+	ne := SolveNE([]numeric.Point2{{E: 10}, {E: 10}}, cournotBR(a, c), NEOptions{})
+	if dev := worst(ne.Profile); dev > 1e-8 {
 		t.Errorf("deviation at NE = %g, want ≈0", dev)
 	}
 	off := []numeric.Point2{{E: 5}, {E: 60}}
-	if dev := Deviation(off, br, utility); dev <= 1 {
+	if dev := worst(off); dev <= 1 {
 		t.Errorf("deviation off NE = %g, want substantial", dev)
 	}
 }
@@ -194,29 +201,9 @@ func TestSolveVariationalGNEInfeasible(t *testing.T) {
 	}
 }
 
-// Degenerate-profile behavior of the deviation certificates: empty and
+// Degenerate-profile behavior of the deviation certificate: empty and
 // singleton profiles are legal inputs (a certificate over no players is
 // vacuously exact; a lone player checks only its own best response).
-func TestDeviationDegenerateProfiles(t *testing.T) {
-	util := func(_ int, prof []numeric.Point2) float64 {
-		var s float64
-		for _, p := range prof {
-			s -= (p.E - 1) * (p.E - 1)
-		}
-		return s
-	}
-	br := func(int, []numeric.Point2) numeric.Point2 { return numeric.Point2{E: 1} }
-	if d := Deviation(nil, br, util); d != 0 {
-		t.Errorf("empty profile deviation = %g, want 0", d)
-	}
-	if d := Deviation([]numeric.Point2{{E: 1}}, br, util); d != 0 {
-		t.Errorf("singleton at best response: deviation = %g, want 0", d)
-	}
-	if d := Deviation([]numeric.Point2{{E: 3}}, br, util); d <= 0 {
-		t.Errorf("singleton off best response must gain, got %g", d)
-	}
-}
-
 func TestDeviationAggregateDegenerateProfiles(t *testing.T) {
 	util := func(_ int, own, others numeric.Point2) float64 {
 		return -(own.E - 1 - others.E) * (own.E - 1 - others.E)
@@ -224,18 +211,48 @@ func TestDeviationAggregateDegenerateProfiles(t *testing.T) {
 	br := func(_ int, _, others numeric.Point2) numeric.Point2 {
 		return numeric.Point2{E: 1 + others.E}
 	}
-	if d := DeviationAggregate(nil, br, util); d != 0 {
-		t.Errorf("empty profile deviation = %g, want 0", d)
-	}
-	if gains := DeviationsAggregate(nil, br, util); len(gains) != 0 {
+	if gains := DeviationsAggregate(nil, nil, br, util); len(gains) != 0 {
 		t.Errorf("empty profile gains = %v, want empty", gains)
 	}
 	// Singleton: the aggregate of the others is the zero point.
-	if d := DeviationAggregate([]numeric.Point2{{E: 1}}, br, util); d != 0 {
-		t.Errorf("singleton at best response: deviation = %g, want 0", d)
+	if gains := DeviationsAggregate([]numeric.Point2{{E: 1}}, nil, br, util); len(gains) != 1 || gains[0] != 0 {
+		t.Errorf("singleton at best response: gains = %v, want [0]", gains)
 	}
-	gains := DeviationsAggregate([]numeric.Point2{{E: 5}}, br, util)
+	gains := DeviationsAggregate([]numeric.Point2{{E: 5}}, nil, br, util)
 	if len(gains) != 1 || gains[0] <= 0 {
 		t.Errorf("singleton off best response: gains = %v", gains)
+	}
+}
+
+// Degenerate class-weighted profiles for the deviation certificate: an
+// empty or all-zero-count profile certifies nothing and reports no gain,
+// a singleton class checks only its own best response, and a class of
+// identical peers sees count−1 of them in its opponents' aggregate.
+func TestDeviationDegenerateProfiles(t *testing.T) {
+	util := func(_ int, own, others numeric.Point2) float64 {
+		return -(own.E - 1 - others.E) * (own.E - 1 - others.E)
+	}
+	br := func(_ int, _, others numeric.Point2) numeric.Point2 {
+		return numeric.Point2{E: 1 + others.E}
+	}
+	if gains := DeviationsAggregate(nil, []int{}, br, util); len(gains) != 0 {
+		t.Errorf("empty profile gains = %v, want empty", gains)
+	}
+	if gains := DeviationsAggregate([]numeric.Point2{{E: 5}}, []int{0}, br, util); len(gains) != 1 || gains[0] != 0 {
+		t.Errorf("zero-count class: gains = %v, want [0]", gains)
+	}
+	if gains := DeviationsAggregate([]numeric.Point2{{E: 1}}, []int{1}, br, util); len(gains) != 1 || gains[0] != 0 {
+		t.Errorf("singleton class at best response: gains = %v, want [0]", gains)
+	}
+	if gains := DeviationsAggregate([]numeric.Point2{{E: 3}}, []int{1}, br, util); len(gains) != 1 || gains[0] <= 0 {
+		t.Errorf("singleton class off best response must gain, got %v", gains)
+	}
+	// Three identical peers at E=3: each member faces others.E = 6, so
+	// its best response is 7 and the gain is (3−1−6)² = 16.
+	if gains := DeviationsAggregate([]numeric.Point2{{E: 3}}, []int{3}, br, util); len(gains) != 1 || gains[0] != 16 {
+		t.Errorf("class of three peers: gains = %v, want [16]", gains)
+	}
+	if gains := DeviationsAggregate([]numeric.Point2{{E: 1}}, []int{1, 2}, br, util); gains != nil {
+		t.Errorf("profile/counts length mismatch: gains = %v, want nil", gains)
 	}
 }

@@ -3,11 +3,11 @@ package miner
 // Totals-based environments: the O(N) alternative to re-summing a
 // Profile for every player. A Totals value carries the profile-wide
 // aggregates (E, C); the environment any one miner faces is then
-// env_i = totals − own_i, an O(1) subtraction. Iterating solvers keep a
-// Totals current across a Gauss–Seidel sweep by applying Shift deltas as
-// strategies mutate in place, and re-sum exactly (Aggregate) at every
-// sweep boundary so floating-point drift cannot accumulate beyond one
-// sweep's worth of rounding; see DESIGN.md §9 for the invariants.
+// env_i = totals − own_i, an O(1) subtraction. The iterating solvers in
+// internal/game keep their running totals current across a Gauss–Seidel
+// sweep by delta updates and re-sum exactly at every sweep boundary, so
+// floating-point drift cannot accumulate beyond one sweep's worth of
+// rounding; see DESIGN.md §9 for the invariants.
 
 import "minegame/internal/numeric"
 
@@ -43,17 +43,4 @@ func (t Totals) Env(own numeric.Point2) Env {
 		c = 0
 	}
 	return Env{EdgeOthers: e, CloudOthers: c}
-}
-
-// Shift applies an in-place strategy change old → next to the running
-// totals — the O(1) update Gauss–Seidel performs after each player moves.
-func (t *Totals) Shift(old, next numeric.Point2) {
-	t.Edge += next.E - old.E
-	t.Cloud += next.C - old.C
-}
-
-// Add includes one request in the totals.
-func (t *Totals) Add(r numeric.Point2) {
-	t.Edge += r.E
-	t.Cloud += r.C
 }

@@ -279,12 +279,3 @@ func FromClasses(classes []Class) (ClassedPopulation, error) {
 	}
 	return cp, nil
 }
-
-// ShiftN applies an in-place strategy change old → next for count
-// identical miners to the running totals — the O(1) update the classed
-// Gauss–Seidel performs after a whole class moves.
-func (t *Totals) ShiftN(old, next numeric.Point2, count int) {
-	m := float64(count)
-	t.Edge += m * (next.E - old.E)
-	t.Cloud += m * (next.C - old.C)
-}

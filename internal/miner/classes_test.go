@@ -153,24 +153,6 @@ func TestClassedAggregateMatchesExpanded(t *testing.T) {
 	}
 }
 
-func TestTotalsShiftN(t *testing.T) {
-	t1 := Totals{Edge: 100, Cloud: 50}
-	old := numeric.Point2{E: 2, C: 1}
-	next := numeric.Point2{E: 3, C: 0.5}
-	t1.ShiftN(old, next, 10)
-	if math.Abs(t1.Edge-110) > 1e-12 || math.Abs(t1.Cloud-45) > 1e-12 {
-		t.Fatalf("ShiftN gave %+v", t1)
-	}
-	// ShiftN with count 1 agrees with Shift.
-	t2 := Totals{Edge: 100, Cloud: 50}
-	t3 := t2
-	t2.ShiftN(old, next, 1)
-	t3.Shift(old, next)
-	if t2 != t3 {
-		t.Fatalf("ShiftN(1) %+v != Shift %+v", t2, t3)
-	}
-}
-
 func TestExpandLengthMismatch(t *testing.T) {
 	cp := ClassifyExact([]float64{1, 2, 3})
 	if cp.Expand([]numeric.Point2{{}}) != nil {

@@ -308,7 +308,7 @@ func (s *Stream) SolvePeriods(p miner.Params, periods int, opts game.NEOptions) 
 		if warm.MaxIter <= 0 || warm.MaxIter > 10 {
 			warm.MaxIter = 10
 		}
-		res := game.SolveNEClassed(reps, counts, br, warm)
+		res := game.SolveNEAggregate(reps, counts, br, warm)
 		if !res.Converged {
 			fresh := make([]numeric.Point2, len(s.classes))
 			for k, c := range s.classes {
@@ -318,7 +318,7 @@ func (s *Stream) SolvePeriods(p miner.Params, periods int, opts game.NEOptions) 
 					fresh[k] = numeric.Point2{E: c.Budget / (4 * p.PriceE), C: c.Budget / (4 * p.PriceC)}
 				}
 			}
-			res = game.SolveNEClassed(fresh, counts, br, opts)
+			res = game.SolveNEAggregate(fresh, counts, br, opts)
 		}
 		reps = res.Profile
 		pt := PeriodPoint{

@@ -42,103 +42,32 @@ func certifyClassed(cfg core.Config, cp miner.ClassedPopulation, p core.Prices, 
 	if err := classedInputs(cfg, cp, p, len(eq.Requests)); err != nil {
 		return Certificate{}, err
 	}
-	opts = opts.withDefaults()
-	params := cfg.Params(p)
-	cert := Certificate{Kind: "miner_ne_classed", Mode: cfg.Mode.String(), N: cfg.N, OK: true}
+	m := market{
+		reqs:   eq.Requests,
+		counts: cp.Counts(),
+		budget: func(k int) float64 { return cp.Classes[k].Budget },
+		gains:  core.DeviationsClassed(cfg, p, cp, eq.Requests),
+		text:   &classedText,
+	}
+	sum := core.MinerEquilibrium{
+		Requests:    eq.Requests,
+		EdgeDemand:  eq.EdgeDemand,
+		CloudDemand: eq.CloudDemand,
+		TotalDemand: eq.TotalDemand,
+		Utilities:   eq.Utilities,
+		WinProbs:    eq.WinProbs,
+		Multiplier:  eq.Multiplier,
+	}
+	return certifyMarket(cfg, p, m, &sum, opts), nil
+}
 
-	// Feasibility residuals per class (one member certifies all).
-	var nonneg, budget float64
-	for k, r := range eq.Requests {
-		nonneg = math.Max(nonneg, math.Max(-r.E, -r.C))
-		b := cp.Classes[k].Budget
-		if over := (params.Spend(r) - b) / (1 + b); over > budget {
-			budget = over
-		}
-	}
-	cert.add("nonneg", nonneg, opts.FeasTol, "negative request coordinates")
-	cert.add("budget", budget, opts.FeasTol, "relative budget overspend max_k (spend_k - B_k)/(1 + B_k)")
-	tot := cp.Aggregate(eq.Requests)
-	if cfg.Mode == netmodel.Standalone && !math.IsInf(cfg.EdgeCapacity, 1) {
-		cert.add("capacity", (tot.Edge-cfg.EdgeCapacity)/cfg.EdgeCapacity, opts.SlackTol,
-			fmt.Sprintf("relative shared-capacity overshoot, E=%g E_max=%g", tot.Edge, cfg.EdgeCapacity))
-	}
-
-	// ε-Nash: per-class deviation gains — exact for every one of the
-	// class's count_k members, so max_k certifies all N expanded miners.
-	gains := core.DeviationsClassed(cfg, p, cp, eq.Requests)
-	var eps float64
-	for _, g := range gains {
-		if g > eps {
-			eps = g
-		}
-	}
-	cert.Gains = gains
-	cert.Epsilon = eps
-	cert.EpsilonRel = eps / cfg.Reward
-	cert.add("deviation", cert.EpsilonRel, opts.GainTol, "worst per-class best-response gain relative to R (exact for all members)")
-
-	// Theorem 1 with multiplicities: Σ_k count_k·W_k = 1 in full form,
-	// and the connected-mode mass identity on the weighted sum.
-	if tot.Edge+tot.Cloud > 0 {
-		var wFull, wConn float64
-		for k, r := range eq.Requests {
-			m := float64(cp.Classes[k].Count)
-			env := tot.Env(r)
-			wFull += m * miner.WinProbFull(cfg.Beta, r, env)
-			if cfg.Mode == netmodel.Connected {
-				wConn += m * miner.WinProbConnected(cfg.Beta, cfg.SatisfyProb, r, env)
-			}
-		}
-		cert.add("winprob_sum_full", math.Abs(wFull-1), opts.ProbTol,
-			"Theorem 1: weighted fully satisfied winning probabilities must sum to 1")
-		if cfg.Mode == netmodel.Connected {
-			want := 1 - cfg.Beta
-			if tot.Edge > 1e-12 {
-				want += cfg.Beta * cfg.SatisfyProb
-			}
-			cert.add("winprob_sum_connected", math.Abs(wConn-want), opts.ProbTol,
-				"connected-mode mass identity ΣW = (1−β) + βh·1{E>0}")
-		}
-	}
-
-	// Internal consistency: reported aggregates and per-class statistics
-	// vs recomputation from the representatives.
-	scale := 1 + math.Abs(tot.Edge) + math.Abs(tot.Cloud)
-	aggRes := math.Max(math.Abs(tot.Edge-eq.EdgeDemand), math.Abs(tot.Cloud-eq.CloudDemand))
-	aggRes = math.Max(aggRes, math.Abs(tot.Edge+tot.Cloud-eq.TotalDemand))
-	cert.add("aggregates", aggRes/scale, opts.ConsistTol,
-		fmt.Sprintf("reported E=%g C=%g S=%g", eq.EdgeDemand, eq.CloudDemand, eq.TotalDemand))
-	us := make([]float64, len(eq.Requests))
-	ws := make([]float64, len(eq.Requests))
-	for k, r := range eq.Requests {
-		env := tot.Env(r)
-		if cfg.Mode == netmodel.Connected {
-			us[k] = miner.UtilityConnected(params, r, env)
-			ws[k] = miner.WinProbConnected(cfg.Beta, cfg.SatisfyProb, r, env)
-		} else {
-			us[k] = miner.UtilityStandalone(params, r, env)
-			ws[k] = miner.WinProbFull(cfg.Beta, r, env)
-		}
-	}
-	uRes, uScale := sliceResidual(us, eq.Utilities)
-	cert.add("utilities", uRes/uScale, opts.ConsistTol, "reported vs recomputed per-class utilities")
-	wRes, _ := sliceResidual(ws, eq.WinProbs)
-	cert.add("winprobs_reported", wRes, opts.ConsistTol, "reported vs recomputed per-class winning probabilities")
-
-	// GNEP shared-multiplier consistency (standalone only).
-	if cfg.Mode == netmodel.Standalone {
-		cert.add("multiplier_sign", math.Max(0, -eq.Multiplier), 0, "shared-capacity shadow price must be non-negative")
-		if !math.IsInf(cfg.EdgeCapacity, 1) {
-			slack := math.Max(0, cfg.EdgeCapacity-tot.Edge)
-			res := 0.0
-			if eq.Multiplier > opts.ConsistTol*params.PriceE {
-				res = slack / cfg.EdgeCapacity
-			}
-			cert.add("multiplier_slackness", res, opts.SlackTol,
-				fmt.Sprintf("mu=%g, capacity slack=%g", eq.Multiplier, slack))
-		}
-	}
-	return cert, nil
+var classedText = certText{
+	kind:        "miner_ne_classed",
+	budget:      "relative budget overspend max_k (spend_k - B_k)/(1 + B_k)",
+	deviation:   "worst per-class best-response gain relative to R (exact for all members)",
+	winprobFull: "Theorem 1: weighted fully satisfied winning probabilities must sum to 1",
+	utilities:   "reported vs recomputed per-class utilities",
+	winprobs:    "reported vs recomputed per-class winning probabilities",
 }
 
 // CertifyExpandedSample certifies the O(N) EXPANSION of a classed

@@ -197,7 +197,7 @@ func TestPropertyProfileAggregateSolverAgreement(t *testing.T) {
 				}
 				start := cfg.ColdStart(p)
 				profA = game.SolveNE(start.Clone(), br, game.NEOptions{}).Profile
-				profB = game.SolveNEAggregate(start.Clone(), brAgg, game.NEOptions{}).Profile
+				profB = game.SolveNEAggregate(start.Clone(), nil, brAgg, game.NEOptions{}).Profile
 			} else {
 				// The capacity-projected NE solver vs the variational GNEP
 				// solver: when capacity does not bind they coincide, and when

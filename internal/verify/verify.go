@@ -208,59 +208,10 @@ func Certify(cfg core.Config, p core.Prices, eq core.MinerEquilibrium, opts Opti
 // certify is Certify without the telemetry record, for wrappers that
 // extend the certificate before reporting it exactly once.
 func certify(cfg core.Config, p core.Prices, eq core.MinerEquilibrium, opts Options) (Certificate, error) {
-	cert, err := certifyProfile(cfg, p, eq.Requests, opts)
-	if err != nil {
+	if err := profileInputs(cfg, p, eq.Requests); err != nil {
 		return Certificate{}, err
 	}
-	opts = opts.withDefaults()
-	params := cfg.Params(p)
-
-	// Aggregate consistency: the summary's E, C, S vs fresh summation.
-	tot := eq.Requests.Aggregate()
-	scale := 1 + math.Abs(tot.Edge) + math.Abs(tot.Cloud)
-	aggRes := math.Max(math.Abs(tot.Edge-eq.EdgeDemand), math.Abs(tot.Cloud-eq.CloudDemand))
-	aggRes = math.Max(aggRes, math.Abs(tot.Edge+tot.Cloud-eq.TotalDemand))
-	cert.add("aggregates", aggRes/scale, opts.ConsistTol,
-		fmt.Sprintf("reported E=%g C=%g S=%g", eq.EdgeDemand, eq.CloudDemand, eq.TotalDemand))
-
-	// Reported utilities and winning probabilities vs recomputation.
-	var us, ws []float64
-	switch {
-	case cfg.Betas != nil:
-		if us, err = miner.UtilitiesTopo(params, cfg.Betas, eq.Requests); err != nil {
-			return Certificate{}, fmt.Errorf("verify: %w", err)
-		}
-		if ws, err = miner.WinProbsTopo(cfg.Betas, cfg.SatisfyProb, eq.Requests); err != nil {
-			return Certificate{}, fmt.Errorf("verify: %w", err)
-		}
-	case cfg.Mode == netmodel.Connected:
-		us = miner.UtilitiesConnected(params, eq.Requests)
-		ws = miner.WinProbsConnected(cfg.Beta, cfg.SatisfyProb, eq.Requests)
-	default:
-		us = miner.UtilitiesStandalone(params, eq.Requests)
-		ws = miner.WinProbsFull(cfg.Beta, eq.Requests)
-	}
-	uRes, uScale := sliceResidual(us, eq.Utilities)
-	cert.add("utilities", uRes/uScale, opts.ConsistTol, "reported vs recomputed miner utilities")
-	wRes, _ := sliceResidual(ws, eq.WinProbs)
-	cert.add("winprobs_reported", wRes, opts.ConsistTol, "reported vs recomputed winning probabilities")
-
-	// GNEP shared-multiplier consistency (standalone only): μ ≥ 0, and a
-	// strictly positive μ prices a BINDING capacity, so the market must
-	// clear to within the slackness tolerance.
-	if cfg.Mode == netmodel.Standalone {
-		cert.add("multiplier_sign", math.Max(0, -eq.Multiplier), 0, "shared-capacity shadow price must be non-negative")
-		if !math.IsInf(cfg.EdgeCapacity, 1) {
-			slack := math.Max(0, cfg.EdgeCapacity-tot.Edge)
-			res := 0.0
-			if eq.Multiplier > opts.ConsistTol*params.PriceE {
-				res = slack / cfg.EdgeCapacity
-			}
-			cert.add("multiplier_slackness", res, opts.SlackTol,
-				fmt.Sprintf("mu=%g, capacity slack=%g", eq.Multiplier, slack))
-		}
-	}
-	return cert, nil
+	return certifyMarket(cfg, p, exactMarket(cfg, p, eq.Requests), &eq, opts), nil
 }
 
 // CertifyProfile certifies a bare strategy profile at the given prices:
@@ -283,32 +234,101 @@ func CertifyProfile(cfg core.Config, p core.Prices, prof miner.Profile, opts Opt
 
 // certifyProfile is CertifyProfile without the telemetry record.
 func certifyProfile(cfg core.Config, p core.Prices, prof miner.Profile, opts Options) (Certificate, error) {
-	if err := cfg.Validate(); err != nil {
-		return Certificate{}, fmt.Errorf("verify: %w", err)
+	if err := profileInputs(cfg, p, prof); err != nil {
+		return Certificate{}, err
 	}
-	params := cfg.Params(p)
-	if err := params.Validate(); err != nil {
-		return Certificate{}, fmt.Errorf("verify: %w", err)
+	return certifyMarket(cfg, p, exactMarket(cfg, p, prof), nil, opts), nil
+}
+
+// profileInputs validates the preconditions of the exact certificates:
+// a valid config and price pair, and one request per miner.
+func profileInputs(cfg core.Config, p core.Prices, prof miner.Profile) error {
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("verify: %w", err)
+	}
+	if err := cfg.Params(p).Validate(); err != nil {
+		return fmt.Errorf("verify: %w", err)
 	}
 	if len(prof) != cfg.N {
-		return Certificate{}, fmt.Errorf("verify: profile has %d entries, config has %d miners", len(prof), cfg.N)
+		return fmt.Errorf("verify: profile has %d entries, config has %d miners", len(prof), cfg.N)
 	}
+	return nil
+}
+
+// market is a certificate's view of a solved follower market in
+// weighted-type form: one request per type, type k standing for
+// counts[k] identical miners with budget budget(k). The exact market is
+// one type per miner with nil counts; a classed market weights each
+// class representative by its count. gains holds the per-type deviation
+// gains from the public best-response oracles, and text the wording of
+// the certificate kind.
+type market struct {
+	reqs   []numeric.Point2
+	counts []int
+	budget func(k int) float64
+	gains  []float64
+	text   *certText
+}
+
+// certText is the wording one certificate kind gives its checks.
+type certText struct {
+	kind, budget, deviation, winprobFull, utilities, winprobs string
+}
+
+var exactText = certText{
+	kind:        "miner_ne",
+	budget:      "relative budget overspend max_i (spend_i - B_i)/(1 + B_i)",
+	deviation:   "worst unilateral best-response gain relative to R",
+	winprobFull: "Theorem 1: fully satisfied winning probabilities must sum to 1",
+	utilities:   "reported vs recomputed miner utilities",
+	winprobs:    "reported vs recomputed winning probabilities",
+}
+
+// exactMarket is the N-miner market of a bare profile.
+func exactMarket(cfg core.Config, p core.Prices, prof []numeric.Point2) market {
+	return market{reqs: prof, budget: cfg.Budget, gains: core.Deviations(cfg, p, prof), text: &exactText}
+}
+
+// weight is the number of miners type k stands for.
+func (m market) weight(k int) float64 {
+	if m.counts == nil {
+		return 1
+	}
+	return float64(m.counts[k])
+}
+
+// certifyMarket is the one certificate body behind Certify,
+// CertifyProfile and CertifyClassed. It checks the requests — per-type
+// feasibility, the standalone shared capacity, ε-Nash deviation gains,
+// and Theorem 1's winning-probability identities weighted by the type
+// counts (with cfg.Betas set, each miner is charged its own fork rate
+// and every W_i is bounded to [0, 1] instead) — and, when eq is
+// non-nil, the internal consistency of the solver's summary: reported
+// aggregates, utilities, winning probabilities and the shared-capacity
+// multiplier must match what the requests imply. One member's checks
+// certify every member of its type exactly, since all of them play the
+// same request against the same environment. Inputs must be validated.
+func certifyMarket(cfg core.Config, p core.Prices, m market, eq *core.MinerEquilibrium, opts Options) Certificate {
 	opts = opts.withDefaults()
-	cert := Certificate{Kind: "miner_ne", Mode: cfg.Mode.String(), N: cfg.N, OK: true}
+	params := cfg.Params(p)
+	cert := Certificate{Kind: m.text.kind, Mode: cfg.Mode.String(), N: cfg.N, OK: true}
 
 	// Feasibility residuals: every request in its polytope, and (in
 	// standalone mode) the shared capacity respected jointly.
 	var nonneg, budget float64
-	for i, r := range prof {
+	var tot miner.Totals
+	for k, r := range m.reqs {
 		nonneg = math.Max(nonneg, math.Max(-r.E, -r.C))
-		b := cfg.Budget(i)
+		b := m.budget(k)
 		if over := (params.Spend(r) - b) / (1 + b); over > budget {
 			budget = over
 		}
+		w := m.weight(k)
+		tot.Edge += w * r.E
+		tot.Cloud += w * r.C
 	}
 	cert.add("nonneg", nonneg, opts.FeasTol, "negative request coordinates")
-	cert.add("budget", budget, opts.FeasTol, "relative budget overspend max_i (spend_i - B_i)/(1 + B_i)")
-	tot := prof.Aggregate()
+	cert.add("budget", budget, opts.FeasTol, m.text.budget)
 	if cfg.Mode == netmodel.Standalone && !math.IsInf(cfg.EdgeCapacity, 1) {
 		// The variational solver clears the shared market to 1e-4·E_max by
 		// contract, so the overshoot bound is SlackTol, not the (tighter)
@@ -317,18 +337,36 @@ func certifyProfile(cfg core.Config, p core.Prices, prof miner.Profile, opts Opt
 			fmt.Sprintf("relative shared-capacity overshoot, E=%g E_max=%g", tot.Edge, cfg.EdgeCapacity))
 	}
 
-	// ε-Nash: per-miner best-response deviation gains, normalized by R.
-	gains := core.Deviations(cfg, p, prof)
+	// ε-Nash: per-type best-response deviation gains, normalized by R.
 	var eps float64
-	for _, g := range gains {
+	for _, g := range m.gains {
 		if g > eps {
 			eps = g
 		}
 	}
-	cert.Gains = gains
+	cert.Gains = m.gains
 	cert.Epsilon = eps
 	cert.EpsilonRel = eps / cfg.Reward
-	cert.add("deviation", cert.EpsilonRel, opts.GainTol, "worst unilateral best-response gain relative to R")
+	cert.add("deviation", cert.EpsilonRel, opts.GainTol, m.text.deviation)
+
+	// Each type's utility and winning probability in the mode's form
+	// (Eq. 9 with the miner's own fork rate connected, Eq. 6 standalone).
+	us := make([]float64, len(m.reqs))
+	ws := make([]float64, len(m.reqs))
+	for k, r := range m.reqs {
+		pk := params
+		if cfg.Betas != nil {
+			pk.Beta = cfg.Betas[k]
+		}
+		env := tot.Env(r)
+		if cfg.Mode == netmodel.Connected {
+			us[k] = miner.UtilityConnected(pk, r, env)
+			ws[k] = miner.WinProbConnected(pk.Beta, cfg.SatisfyProb, r, env)
+		} else {
+			us[k] = miner.UtilityStandalone(pk, r, env)
+			ws[k] = miner.WinProbFull(pk.Beta, r, env)
+		}
+	}
 
 	// Theorem 1: the fully satisfied winning probabilities sum to one;
 	// in connected mode the expected mass is (1−β) + βh·1{E > 0}. The
@@ -337,30 +375,61 @@ func certifyProfile(cfg core.Config, p core.Prices, prof miner.Profile, opts Opt
 	// to [0, 1] instead.
 	switch {
 	case cfg.Betas != nil:
-		ws, err := miner.WinProbsTopo(cfg.Betas, cfg.SatisfyProb, prof)
-		if err != nil {
-			return Certificate{}, fmt.Errorf("verify: %w", err)
-		}
 		var wRange float64
 		for _, w := range ws {
 			wRange = math.Max(wRange, math.Max(-w, w-1))
 		}
 		cert.add("winprob_range", wRange, opts.ProbTol, "every W_i must lie in [0, 1] under per-miner betas")
 	case tot.Edge+tot.Cloud > 0:
-		wFull := numeric.Sum(miner.WinProbsFull(cfg.Beta, prof))
-		cert.add("winprob_sum_full", math.Abs(wFull-1), opts.ProbTol,
-			"Theorem 1: fully satisfied winning probabilities must sum to 1")
+		var wFull, wConn float64
+		for k, r := range m.reqs {
+			w := m.weight(k)
+			wFull += w * miner.WinProbFull(cfg.Beta, r, tot.Env(r))
+			wConn += w * ws[k]
+		}
+		cert.add("winprob_sum_full", math.Abs(wFull-1), opts.ProbTol, m.text.winprobFull)
 		if cfg.Mode == netmodel.Connected {
 			want := 1 - cfg.Beta
 			if tot.Edge > 1e-12 {
 				want += cfg.Beta * cfg.SatisfyProb
 			}
-			wConn := numeric.Sum(miner.WinProbsConnected(cfg.Beta, cfg.SatisfyProb, prof))
 			cert.add("winprob_sum_connected", math.Abs(wConn-want), opts.ProbTol,
 				"connected-mode mass identity ΣW = (1−β) + βh·1{E>0}")
 		}
 	}
-	return cert, nil
+	if eq == nil {
+		return cert
+	}
+
+	// Aggregate consistency: the summary's E, C, S vs fresh summation.
+	scale := 1 + math.Abs(tot.Edge) + math.Abs(tot.Cloud)
+	aggRes := math.Max(math.Abs(tot.Edge-eq.EdgeDemand), math.Abs(tot.Cloud-eq.CloudDemand))
+	aggRes = math.Max(aggRes, math.Abs(tot.Edge+tot.Cloud-eq.TotalDemand))
+	cert.add("aggregates", aggRes/scale, opts.ConsistTol,
+		fmt.Sprintf("reported E=%g C=%g S=%g", eq.EdgeDemand, eq.CloudDemand, eq.TotalDemand))
+
+	// Reported utilities and winning probabilities vs recomputation.
+	uRes, uScale := sliceResidual(us, eq.Utilities)
+	cert.add("utilities", uRes/uScale, opts.ConsistTol, m.text.utilities)
+	wRes, _ := sliceResidual(ws, eq.WinProbs)
+	cert.add("winprobs_reported", wRes, opts.ConsistTol, m.text.winprobs)
+
+	// GNEP shared-multiplier consistency (standalone only): μ ≥ 0, and a
+	// strictly positive μ prices a BINDING capacity, so the market must
+	// clear to within the slackness tolerance.
+	if cfg.Mode == netmodel.Standalone {
+		cert.add("multiplier_sign", math.Max(0, -eq.Multiplier), 0, "shared-capacity shadow price must be non-negative")
+		if !math.IsInf(cfg.EdgeCapacity, 1) {
+			slack := math.Max(0, cfg.EdgeCapacity-tot.Edge)
+			res := 0.0
+			if eq.Multiplier > opts.ConsistTol*params.PriceE {
+				res = slack / cfg.EdgeCapacity
+			}
+			cert.add("multiplier_slackness", res, opts.SlackTol,
+				fmt.Sprintf("mu=%g, capacity slack=%g", eq.Multiplier, slack))
+		}
+	}
+	return cert
 }
 
 // sliceResidual returns the largest absolute difference between two

@@ -104,7 +104,8 @@ func CompareModes(cfg Config, opts StackelbergOptions) (ModeComparison, error) {
 }
 
 // Deviation returns the largest utility gain any miner can achieve by a
-// unilateral deviation from the profile (≈0 at equilibrium).
+// unilateral deviation from the profile (≈0 at equilibrium). A profile
+// whose length is not cfg.N reports +Inf.
 func Deviation(cfg Config, p Prices, prof []Request) float64 {
 	return core.Deviation(cfg, p, prof)
 }

@@ -23,6 +23,11 @@ func TestFacadeFullPipelineConnected(t *testing.T) {
 	if dev := minegame.Deviation(cfg, res.Prices, res.Follower.Requests); dev > 1e-3 {
 		t.Errorf("profitable deviation of %g at equilibrium", dev)
 	}
+	// A truncated profile is no equilibrium of the market, however small
+	// its rows' gains would be.
+	if dev := minegame.Deviation(cfg, res.Prices, res.Follower.Requests[1:]); !math.IsInf(dev, 1) {
+		t.Errorf("truncated profile: Deviation %g, want +Inf", dev)
+	}
 	// The closed form must agree with the solved follower stage.
 	sol, err := minegame.HomogeneousConnected(cfg.Params(res.Prices), cfg.N, cfg.Budget(0))
 	if err != nil {
