@@ -164,3 +164,76 @@ func TestBestResponseStandaloneZeroCapacity(t *testing.T) {
 		t.Errorf("edge request %g with negative remaining capacity", got.E)
 	}
 }
+
+func TestBestResponseNoRivalEdgeDemand(t *testing.T) {
+	// With no rival edge demand the fork bonus is worth its full β for
+	// any e > 0, so the supremum is the e → 0⁺ limit point with the
+	// cloud-optimal total s = √((1−β)R·C₋ᵢ/P_c) − C₋ᵢ = 43.2455…, worth
+	// 574.0356. A projected-gradient search stalls on the flat bonus at
+	// (1e-12, 33.09), worth 566.26.
+	p := Params{Reward: 1000, Beta: 0.2, H: 1, PriceE: 8, PriceC: 4}
+	env := Env{CloudOthers: 20}
+	wantS := math.Sqrt(0.8*1000*20/4) - 20
+	for _, tc := range []struct {
+		name string
+		mu   float64
+		br   func() numeric.Point2
+	}{
+		{"standalone", 0, func() numeric.Point2 { return BestResponseStandalone(p, 200, 60, env) }},
+		{"penalized mu=0", 0, func() numeric.Point2 { return BestResponseStandalonePenalized(p, 0, 200, env) }},
+		{"penalized mu=1", 1, func() numeric.Point2 { return BestResponseStandalonePenalized(p, 1, 200, env) }},
+		{"connected h=1", 0, func() numeric.Point2 { return BestResponseConnected(p, 200, env) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.br()
+			if got.E <= 0 || got.E > 1e-9 {
+				t.Errorf("edge request %g, want the e → 0⁺ limit (0, 1e-9]", got.E)
+			}
+			if s := got.E + got.C; math.Abs(s-wantS) > 1e-6 {
+				t.Errorf("total request %.9g, want %.9g", s, wantS)
+			}
+			if u := UtilityStandalone(p, got, env) - tc.mu*got.E; u < 574.035 {
+				t.Errorf("utility %.6f, want the limit value 574.0356", u)
+			}
+		})
+	}
+}
+
+func TestBestResponseTieTakesLeastEdge(t *testing.T) {
+	// P_e = P_c with β = 0: only the total request matters, and the tie
+	// rule buys cloud.
+	p := Params{Reward: 1000, Beta: 0, H: 0.7, PriceE: 4, PriceC: 4}
+	env := Env{EdgeOthers: 10, CloudOthers: 20}
+	wantS := math.Sqrt(1000*30/4.0) - 30
+	for _, got := range []numeric.Point2{
+		BestResponseConnected(p, 1000, env),
+		BestResponseStandalone(p, 1000, 60, env),
+	} {
+		if got.E != 0 || math.Abs(got.C-wantS) > 1e-9 {
+			t.Errorf("best response %+v, want (0, %.9g)", got, wantS)
+		}
+	}
+}
+
+func TestBestResponseAllocatesNothing(t *testing.T) {
+	p := testParams()
+	cases := []struct {
+		budget float64
+		env    Env
+	}{
+		{200, Env{EdgeOthers: 10, CloudOthers: 20}}, // interior
+		{10, Env{EdgeOthers: 10, CloudOthers: 20}},  // budget binds
+		{200, Env{CloudOthers: 20}},                 // no rival edge demand
+		{200, Env{}},                                // no rivals
+	}
+	for _, tc := range cases {
+		allocs := testing.AllocsPerRun(50, func() {
+			BestResponseConnected(p, tc.budget, tc.env)
+			BestResponseStandalone(p, tc.budget, 5, tc.env)
+			BestResponseStandalonePenalized(p, 1.5, tc.budget, tc.env, numeric.Point2{E: 1, C: 1})
+		})
+		if allocs != 0 {
+			t.Errorf("budget %g env %+v: %g allocations per call, want 0", tc.budget, tc.env, allocs)
+		}
+	}
+}

@@ -46,17 +46,6 @@ func UtilityStandalone(p Params, own numeric.Point2, env Env) float64 {
 	return p.Reward*WinProbFull(p.Beta, own, env) - p.Spend(own)
 }
 
-// GradStandalone is ∇U_i for the standalone mode: R·∇W_i − (P_e, P_c)
-// with the fully satisfied winning probability of Eq. 6/23 (see
-// WinProbFullGrad for the expanded derivatives).
-func GradStandalone(p Params, own numeric.Point2, env Env) numeric.Point2 {
-	g := WinProbFullGrad(p.Beta, own, env)
-	return numeric.Point2{
-		E: p.Reward*g.E - p.PriceE,
-		C: p.Reward*g.C - p.PriceC,
-	}
-}
-
 // UtilitiesConnected evaluates every miner's connected-mode utility,
 // summing the aggregates once so the whole profile costs O(N).
 func UtilitiesConnected(p Params, prof Profile) []float64 {

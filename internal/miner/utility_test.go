@@ -32,7 +32,7 @@ func TestGradientsMatchFiniteDifferences(t *testing.T) {
 		}
 
 		fs := func(x numeric.Point2) float64 { return UtilityStandalone(p, x, env) }
-		gotS := GradStandalone(p, own, env)
+		gotS := gradStandalone(p, own, env)
 		wantS := numeric.Grad2FiniteDiff(fs, 1e-5)(own)
 		if !closePt(gotS, wantS, 1e-3) {
 			t.Fatalf("standalone gradient mismatch at %+v: analytic %+v, fd %+v (params %+v env %+v)", own, gotS, wantS, p, env)

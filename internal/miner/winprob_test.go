@@ -154,3 +154,31 @@ func TestParamsSpend(t *testing.T) {
 		t.Errorf("Spend = %g, want 28", got)
 	}
 }
+
+// TestStandaloneIsConnectedAtH1 pins the identity behind the single
+// best-response kernel: with c = s − e and C = S − E, Eq. 6's fork term
+// β(e·C − c·E)/(E·S) equals β·e/E − β·s/S, so W_i of Eq. 6 is Eq. 9 at
+// h = 1 whenever E exceeds tiny. At E ≤ tiny the two conventions differ:
+// Eq. 6 gives the whole share s/S, Eq. 9 gives (1−β)s/S.
+func TestStandaloneIsConnectedAtH1(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 20000; trial++ {
+		beta := rng.Float64() * 0.99
+		own := numeric.Point2{E: rng.Float64() * 10, C: rng.Float64() * 10}
+		env := Env{EdgeOthers: rng.Float64() * 50, CloudOthers: rng.Float64() * 50}
+		if env.EdgeOthers+own.E <= tiny {
+			continue
+		}
+		full, conn := WinProbFull(beta, own, env), WinProbConnected(beta, 1, own, env)
+		if math.Abs(full-conn) > 1e-15*math.Max(1, math.Abs(full)) {
+			t.Fatalf("W_full = %.17g, W_connected(h=1) = %.17g (beta %g own %+v env %+v)", full, conn, beta, own, env)
+		}
+	}
+	own, env := numeric.Point2{C: 5}, Env{CloudOthers: 15}
+	if got := WinProbFull(0.2, own, env); got != 0.25 {
+		t.Errorf("W_full at E = 0 is %g, want the whole share s/S = 0.25", got)
+	}
+	if got := WinProbConnected(0.2, 1, own, env); math.Abs(got-0.2) > 1e-15 {
+		t.Errorf("W_connected(h=1) at E = 0 is %g, want (1−β)s/S = 0.2", got)
+	}
+}

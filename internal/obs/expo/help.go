@@ -19,7 +19,7 @@ var DefaultHelp = map[string]string{
 	// miner: per-miner best responses.
 	"miner.best_response_calls_total": "Best-response oracle invocations",
 	"miner.kkt_warm_hits_total":       "Best responses answered by the KKT warm-start fast path",
-	"miner.kkt_analytic_hits_total":   "Best responses answered by the closed-form candidate passing KKT",
+	"miner.kkt_analytic_hits_total":   "Best responses answered by the KKT kernel (closed forms and Newton faces)",
 	// parallel: deterministic worker pool.
 	"parallel.tasks_total":     "Tasks executed by the deterministic worker pools",
 	"parallel.pool_size":       "High-water worker count across pools",
