@@ -308,7 +308,7 @@ func certifyClassed(out io.Writer, cfg minegame.Config, cp minegame.ClassedPopul
 func printClassedEquilibrium(out io.Writer, cfg minegame.Config, cp minegame.ClassedPopulation, eq minegame.ClassedEquilibrium) {
 	fmt.Fprintf(out, "classed miner equilibrium (%s mode, %d miners in %d classes, compression %.3gx)\n",
 		cfg.Mode, cp.N(), cp.K(), cp.CompressRatio())
-	fmt.Fprintf(out, "  converged: %v after %d sweeps\n", eq.Converged, eq.Iterations)
+	fmt.Fprintf(out, "  converged: %v after %d passes\n", eq.Converged, eq.Iterations)
 	for k, c := range cp.Classes {
 		r := eq.Requests[k]
 		fmt.Fprintf(out, "  class %d: %d miners, budget %.4g: e=%.6f c=%.6f  utility=%.3f  win prob=%.3g\n",
@@ -334,7 +334,7 @@ func printClassedStackelberg(out io.Writer, cfg minegame.Config, cp minegame.Cla
 
 func printMinerEquilibrium(out io.Writer, cfg minegame.Config, eq minegame.MinerEquilibrium) {
 	fmt.Fprintf(out, "miner subgame equilibrium (%s mode, %d miners)\n", cfg.Mode, cfg.N)
-	fmt.Fprintf(out, "  converged: %v after %d iterations\n", eq.Converged, eq.Iterations)
+	fmt.Fprintf(out, "  converged: %v after %d passes\n", eq.Converged, eq.Iterations)
 	for i, r := range eq.Requests {
 		fmt.Fprintf(out, "  miner %d: e=%.4f c=%.4f  utility=%.3f  win prob=%.4f\n",
 			i+1, r.E, r.C, eq.Utilities[i], eq.WinProbs[i])

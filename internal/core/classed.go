@@ -2,8 +2,8 @@ package core
 
 // Mean-field class compression at the core layer: the miner subgame and
 // the full two-stage Stackelberg solve over a miner.ClassedPopulation.
-// A sweep (and an ε-Nash certificate) costs O(K) best responses instead
-// of O(N), which is what lets the leader-stage price grids anticipate
+// A pass of the share root costs O(K) kernel calls and an ε-Nash
+// certificate O(K) best responses instead of O(N), which is what lets the leader-stage price grids anticipate
 // N = 10⁶ follower markets. See DESIGN.md §12 for the exactness
 // conditions and the quantile-binning approximation bound.
 
@@ -103,8 +103,8 @@ func classedEquilibrium(cp miner.ClassedPopulation, eq MinerEquilibrium) Classed
 
 // classedSeed returns the default starting representatives: the
 // closed-form homogeneous equilibrium evaluated per class — each class
-// seeded as if the whole N-miner market shared its budget, which the
-// first sweeps then correct — with a heuristic feasible spread as the
+// seeded as if the whole N-miner market shared its budget; the totals
+// warm-start the share root — with a heuristic feasible spread as the
 // fallback. Standalone seeds are scaled to stay jointly within the
 // shared capacity.
 func (c Config) classedSeed(cp miner.ClassedPopulation, p Prices) []numeric.Point2 {
@@ -140,13 +140,13 @@ func (c Config) classedSeed(cp miner.ClassedPopulation, p Prices) []numeric.Poin
 }
 
 // SolveMinerEquilibriumClassed computes the miner-subgame equilibrium
-// over a classed population at the given prices: connected mode runs
-// the classed Gauss–Seidel NEP solve, standalone mode the classed
-// variational GNEP solve (shared capacity priced by a common
-// multiplier). Per-class budgets come from the population; cfg supplies
-// the game constants, and cfg.N must equal cp.N(). Each sweep costs
-// O(K) best responses, so N = 10⁶ with K ≤ 10³ classes solves at the
-// cost of a thousand-miner market.
+// over a classed population at the given prices: the share root of
+// SolveMinerEquilibrium with each class weighted by its count (standalone
+// mode prices the shared capacity with a common multiplier). Per-class
+// budgets come from the population; cfg supplies the game constants,
+// and cfg.N must equal cp.N(). Each pass costs O(K) kernel calls, so
+// N = 10⁶ with K ≤ 10³ classes solves at the cost of a thousand-miner
+// market.
 func SolveMinerEquilibriumClassed(cfg Config, cp miner.ClassedPopulation, p Prices, opts game.NEOptions) (ClassedEquilibrium, error) {
 	return SolveMinerEquilibriumClassedFrom(cfg, cp, p, opts, nil)
 }
@@ -154,8 +154,7 @@ func SolveMinerEquilibriumClassed(cfg Config, cp miner.ClassedPopulation, p Pric
 // SolveMinerEquilibriumClassedFrom is SolveMinerEquilibriumClassed with
 // an explicit starting representative vector (length cp.K()); nil picks
 // the per-class closed-form seed. The start only changes how many
-// sweeps the solve takes, never the equilibrium (up to the solver
-// tolerance). The given slice is not mutated.
+// passes the solve takes, never the equilibrium (up to rounding). The given slice is not mutated.
 func SolveMinerEquilibriumClassedFrom(cfg Config, cp miner.ClassedPopulation, p Prices, opts game.NEOptions, start []numeric.Point2) (ClassedEquilibrium, error) {
 	if err := cfg.validateClassed(cp); err != nil {
 		return ClassedEquilibrium{}, err
@@ -246,7 +245,7 @@ type ClassedStackelbergResult struct {
 
 // SolveStackelbergClassed runs backward induction on the full game with
 // the miner subgame compressed into classes: every leader-stage price
-// probe anticipates the classed follower equilibrium — O(K) per sweep —
+// probe anticipates the classed follower equilibrium — O(K) per pass —
 // so the price grids clear million-miner markets in the time the exact
 // solver needs for a thousand miners. The leader stage is
 // SolveStackelberg's (Theorem 4 commitment by default, Algorithm 1
@@ -279,9 +278,7 @@ func SolveStackelbergClassed(cfg Config, cp miner.ClassedPopulation, opts Stacke
 		// The cache's profile slot stores the K representatives (the same
 		// []numeric.Point2 shape), warm-starting later solves at the same
 		// price point. Bisection points seed from the per-class closed form
-		// at their own prices rather than the previous point's equilibrium:
-		// near-but-stale warm starts leave the classed solver circling the
-		// best responses' KKT pocket at its noise floor.
+		// at their own prices rather than the previous point's equilibrium.
 		solve: func(c Config, p Prices, start miner.Profile) (demand, miner.Profile, error) {
 			eq, err := solveClassedValidated(c, cp, p, opts.Follower, start)
 			if err != nil {

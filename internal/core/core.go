@@ -31,7 +31,7 @@ type Config struct {
 	// Betas optionally gives each miner its own fork rate β_i in [0, 1),
 	// e.g. as measured on a peer graph by internal/chain/topo. Nil means
 	// every miner uses Beta; otherwise len(Betas) must equal N, and only
-	// connected mode accepts it. Beta still seeds the iterating solvers
+	// connected mode accepts it. Beta still seeds the solvers' warm start
 	// and the closed forms, which assume one shared β.
 	Betas []float64
 	// SatisfyProb is h: the probability the connected ESP serves a
@@ -238,12 +238,12 @@ func (c Config) ColdStart(p Prices) miner.Profile {
 	return c.startProfile(p)
 }
 
-// seedProfile returns the default starting profile for the iterating
-// solvers: the closed-form homogeneous equilibrium when the regime
-// admits one (Theorem 3 / Table II) — the first sweep's KKT warm path
-// then accepts it almost immediately — and the heuristic cold start
+// seedProfile returns the default starting profile, whose totals
+// warm-start the share root: the closed-form homogeneous equilibrium
+// when the regime admits one (Theorem 3 / Table II), where the root is
+// then found on the first passes, and the heuristic cold start
 // otherwise. A per-miner-β market seeds from the scalar-β closed form:
-// it is only a warm start, so the solve still converges to the
+// it is only a warm start, so the solve still reaches the
 // heterogeneous equilibrium.
 func (c Config) seedProfile(p Prices) []numeric.Point2 {
 	if c.Homogeneous() {
@@ -274,26 +274,29 @@ func (c Config) seedProfile(p Prices) []numeric.Point2 {
 // SolveMinerEquilibrium computes the miner-subgame equilibrium at the
 // given prices.
 //
-// Connected mode solves the NEP of Problem 1a by damped best-response
-// iteration (the equilibrium is unique, Theorem 2); with cfg.Betas set,
-// each miner best-responds under its own fork rate. Standalone mode
-// computes the variational equilibrium of the GNEP of Problem 1c by
-// pricing the shared capacity with a common multiplier (Theorem 5
-// guarantees existence; the variational solution is the economically
-// meaningful one, with every miner facing the same scarcity price).
+// Connected mode solves the NEP of Problem 1a (the equilibrium is
+// unique, Theorem 2) as the root of the share equations in the totals
+// (E, S) (game.SolveShares over miner.Share, DESIGN.md §9); with
+// cfg.Betas set, each miner responds under its own fork rate.
+// Standalone mode computes the variational equilibrium of the GNEP of
+// Problem 1c by pricing the shared capacity with a common multiplier μ
+// (Theorem 5 guarantees existence; the variational solution is the
+// economically meaningful one, with every miner facing the same
+// scarcity price); a binding capacity clears exactly. Iterations
+// reports the solve's passes over the miners.
 func SolveMinerEquilibrium(cfg Config, p Prices, opts game.NEOptions) (MinerEquilibrium, error) {
 	return SolveMinerEquilibriumFrom(cfg, p, opts, nil)
 }
 
 // SolveMinerEquilibriumFrom is SolveMinerEquilibrium with an explicit
-// starting profile for the best-response iteration. A nil start picks
+// starting profile, whose totals warm-start the root. A nil start picks
 // the config's default seed (the closed-form homogeneous equilibrium
 // when the regime admits one, the heuristic spread otherwise); a
 // non-nil start — a neighbouring price point's equilibrium during a
 // leader-stage grid sweep, or Config.ColdStart for convergence studies
 // — must have length cfg.N. The returned equilibrium is independent of
-// the start up to the solver tolerance; the start only changes how many
-// sweeps the solve takes. The given profile is not mutated.
+// the start up to rounding; the start only changes how many passes the
+// solve takes. The given profile is not mutated.
 func SolveMinerEquilibriumFrom(cfg Config, p Prices, opts game.NEOptions, start miner.Profile) (MinerEquilibrium, error) {
 	if err := cfg.Validate(); err != nil {
 		return MinerEquilibrium{}, err
@@ -340,7 +343,7 @@ func SolveMinerGNE(cfg Config, p Prices, opts game.NEOptions) (MinerEquilibrium,
 	}
 	// The GNEP's equilibrium selection depends on the starting point, so
 	// keep the historical heuristic start rather than the closed-form seed.
-	res := game.SolveNEAggregate(cfg.startProfile(p), nil, br, opts)
+	res := game.SolveNEAggregate(cfg.startProfile(p), br, opts)
 	if res.Canceled {
 		return MinerEquilibrium{}, fmt.Errorf("standalone miner GNE: %w", game.ErrCanceled)
 	}

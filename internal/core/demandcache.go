@@ -32,7 +32,7 @@ const DefaultDemandCacheCap = 4096
 // the arrival order of concurrent probes AND of which earlier solves
 // populated them. That purity is what makes it safe to keep a
 // DemandCache resident across requests: reuse changes only how many
-// sweeps a solve takes, never what it returns.
+// passes a solve takes, never what it returns.
 //
 // A cache must only ever be shared across solves of the identical
 // market: same Config (including mode and budgets), same follower

@@ -6,9 +6,10 @@ package core
 // best-response input are interchangeable, and one representation
 // serves both follower markets: the exact N-miner market is K = N types
 // with every count 1, and the classed market (miner.ClassedPopulation)
-// is the compressed K. One follower body, one zero-collapse escape, one
-// deviation certificate and one per-type summary run on it; the exact
-// and classed entry points only build the market and pick the seed.
+// is the compressed K. Class counts are weights in the share sums of one
+// follower body; one deviation certificate and one per-type summary run
+// on the same representation; the exact and classed entry points only
+// build the market and pick the seed.
 
 import (
 	"fmt"
@@ -22,9 +23,9 @@ import (
 
 // market is a follower market of K weighted miner types: type k stands
 // for count(k) identical miners with budget budget(k) and fork rate β_k.
-// Its methods take it by pointer: the best-response closures call them
-// once per miner per sweep, and a by-value receiver would copy the whole
-// config each time.
+// Its methods take it by pointer: the share sums call them once per
+// type per pass, and a by-value receiver would copy the whole config
+// each time.
 type market struct {
 	cfg     Config
 	budgets []float64 // one shared entry, or one per type
@@ -89,92 +90,159 @@ func (m *market) totals(reqs []numeric.Point2) miner.Totals {
 }
 
 // solve is the follower body behind every miner-subgame entry point:
-// connected mode runs the aggregate NEP solve, standalone mode the
-// variational GNEP solve (shared capacity priced by a common
-// multiplier), each followed by the zero-collapse escape. start holds
-// one request per type and is not mutated; the caller has validated the
-// config, the prices and the start's length. label names the market in
-// errors ("" or "classed ").
+// the share-function root of game.SolveShares, warm-started at the
+// totals of start (one request per type, not mutated), then one
+// miner.Share point per type at the root. Standalone mode prices a
+// binding capacity with the common multiplier μ (the variational
+// equilibrium of the GNEP). The caller has validated the config, the
+// prices and the start's length. label names the market in errors (""
+// or "classed ").
 func (m *market) solve(p Prices, opts game.NEOptions, start []numeric.Point2, label string) (MinerEquilibrium, error) {
 	params := m.cfg.Params(p)
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-6
+	capacity := math.Inf(1)
+	if m.cfg.Mode == netmodel.Standalone {
+		params.H = 1
+		capacity = m.cfg.EdgeCapacity
 	}
-	switch m.cfg.Mode {
-	case netmodel.Connected:
-		br := func(k int, own, others numeric.Point2) numeric.Point2 {
-			return miner.BestResponseConnected(m.params(params, k), m.budget(k), envFromOthers(others), own)
-		}
-		res := game.SolveNEAggregate(start, m.counts, br, opts)
-		if !res.Canceled {
-			if seed, ok := m.escapeZeroCollapse(p, res.Profile); ok {
-				res = game.SolveNEAggregate(seed, m.counts, br, opts)
+	t := m.totals(start)
+	reqs, res := m.shares(params, capacity, numeric.Point2{E: t.Edge, C: t.Cloud}, opts)
+	if res.Canceled {
+		return MinerEquilibrium{}, fmt.Errorf("%s %sminer subgame: %w", m.cfg.Mode, label, game.ErrCanceled)
+	}
+	return m.summarize(p, reqs, res.Passes, res.Converged, res.Mu), nil
+}
+
+// SolveClassShares solves the connected-mode miner subgame of K miner
+// classes at params p with the share-function engine: class k has
+// budgets[k] and counts[k] members (a zero count drops the class from
+// the totals), and start (one request per class) warm-starts the root
+// at its totals. It returns one request per class, the root, and the
+// solve's pass count and convergence. The population stream re-solves
+// its churned classes through it. Inputs are not validated.
+func SolveClassShares(p miner.Params, budgets []float64, counts []int, start []numeric.Point2, opts game.NEOptions) ([]numeric.Point2, game.ShareResult) {
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	m := &market{
+		cfg:     Config{Reward: p.Reward, Beta: p.Beta, SatisfyProb: p.H, Mode: netmodel.Connected},
+		budgets: budgets, counts: counts, k: len(budgets), n: n,
+	}
+	t := m.totals(start)
+	return m.shares(p, math.Inf(1), numeric.Point2{E: t.Edge, C: t.Cloud}, opts)
+}
+
+// shares solves the market's share system at params (h = 1 in
+// standalone mode) under the edge capacity, and returns each type's
+// point at the root: the points of the root's last pass, which
+// game.SolveShares makes at the root.
+func (m *market) shares(params miner.Params, capacity float64, start numeric.Point2, opts game.NEOptions) ([]numeric.Point2, game.ShareResult) {
+	reqs := make([]numeric.Point2, m.k)
+	sys := game.ShareSystem{
+		Sums: func(mu, e, s float64) (float64, float64) {
+			var sumE, sumS float64
+			for k := range reqs {
+				r := miner.Share(m.params(params, k), mu, m.budget(k), e, s)
+				reqs[k] = r
+				n := m.count(k)
+				sumE += n * r.E
+				sumS += n * (r.E + r.C)
 			}
+			return sumE, sumS
+		},
+		Players:  float64(m.n),
+		Capacity: capacity,
+		FlatEdge: true,
+	}
+	// The interior root: Σ_k n_k(1 − E/σ₁²) = 1 and Σ_k n_k(1 − S/σ₂²)
+	// = 1 with σ₁² = b/(P_e − P_c) and σ₂² = a/P_c (Eqs. 14–15). Without
+	// per-type fork rates every type has the same a and b.
+	var invE, invS, maxA, maxB float64
+	d := params.PriceE - params.PriceC
+	types, weight := m.k, 1.0
+	if m.betas == nil {
+		types, weight = 1, sys.Players
+	}
+	for k := 0; k < types; k++ {
+		pk := m.params(params, k)
+		n := weight
+		if m.betas != nil {
+			n = m.count(k)
 		}
-		if res.Canceled {
-			return MinerEquilibrium{}, fmt.Errorf("connected %sminer subgame: %w", label, game.ErrCanceled)
+		a, b := (1-pk.Beta)*pk.Reward, pk.H*pk.Beta*pk.Reward
+		if b > 0 {
+			sys.FlatEdge = false
+			invE += n * d / b
 		}
-		return m.summarize(p, res.Profile, res.Iterations, res.Converged, 0), nil
-	default:
-		brAt := func(mu float64) game.AggregateBestResponse {
-			return func(k int, own, others numeric.Point2) numeric.Point2 {
-				return miner.BestResponseStandalonePenalized(m.params(params, k), mu, m.budget(k), envFromOthers(others), own)
-			}
-		}
-		shared := func(reqs []numeric.Point2) float64 {
-			return m.totals(reqs).Edge
-		}
-		capTol := 1e-4 * m.cfg.EdgeCapacity
-		res, err := game.SolveVariationalGNEAggregate(start, m.counts, brAt, shared, m.cfg.EdgeCapacity, capTol, opts)
-		if err == nil {
-			if seed, ok := m.escapeZeroCollapse(p, res.Profile); ok {
-				res, err = game.SolveVariationalGNEAggregate(seed, m.counts, brAt, shared, m.cfg.EdgeCapacity, capTol, opts)
-			}
-		}
-		if err != nil {
-			return MinerEquilibrium{}, fmt.Errorf("standalone %sminer subgame: %w", label, err)
-		}
-		return m.summarize(p, res.Profile, res.Iterations, res.Converged, res.Multiplier), nil
+		invS += n * params.PriceC / a
+		maxA, maxB = math.Max(maxA, a), math.Max(maxB, b)
+	}
+	if d > 0 && !sys.FlatEdge {
+		sys.Guess.E = (sys.Players - 1) / invE
+	}
+	sys.Guess.C = (sys.Players-1)/invS - sys.Guess.E
+	// Each type spends at most its share reward a·s/S + b·e/E, so at
+	// S = (a + b)/min(P_e, P_c) the S-shares sum below 1; with E = E_max
+	// no type requests edge once μ exceeds the largest marginal reward.
+	sys.TotalMax = 2 * (maxA + maxB) / math.Min(params.PriceE, params.PriceC)
+	k := math.Abs(d) / params.PriceC
+	sys.MuMax = 2*(maxA+maxB)*(1+k)/capacity + params.PriceC
+	res := game.SolveShares(sys, start, opts)
+	if sys.FlatEdge && d < 0 && res.Mu > 0 && !res.Converged && !res.Canceled {
+		return m.splitCapacity(params, sys, res, reqs, opts)
+	}
+	m.rescale(reqs, res)
+	return reqs, res
+}
+
+// rescale scales a converged root's points so that they add up to its
+// totals. The totals are accurate to rounding, but each type's share of
+// them is a difference of order-one terms that cancels to about 1/N,
+// so the points carry rounding of order N·ε relative (2e-10 at
+// N = 10⁶) — enough to move a leader's argmax on a flat profit surface.
+// The rescaling removes the part common to all types: all of it when
+// every type is interior with one σ, where each point becomes E/N.
+func (m *market) rescale(reqs []numeric.Point2, res game.ShareResult) {
+	if !res.Converged {
+		return
+	}
+	var sumE, sumS float64
+	for k, r := range reqs {
+		sumE += m.count(k) * r.E
+		sumS += m.count(k) * (r.E + r.C)
+	}
+	if !(sumE > 0) || !(sumS > 0) {
+		return
+	}
+	ae, as := res.Edge/sumE, res.Total/sumS
+	for k, r := range reqs {
+		e := r.E * ae
+		reqs[k] = numeric.Point2{E: e, C: math.Max((r.E+r.C)*as-e, 0)}
 	}
 }
 
-// escapeZeroCollapse detects the all-zero pseudo-equilibrium and
-// returns a tiny interior restart (one request per type) for a second
-// solve.
-//
-// The empty market is always a fixed point of the COMPUTED best-response
-// map: against zero rivals the contest utility jumps to ≈R at any
-// positive request, so the supremum is not attained and the numeric
-// best response returns zero. But it is never a Nash equilibrium — a
-// miner deviating to an arbitrarily small request wins the whole
-// contest. In regimes where competing is unprofitable against the
-// default seed (reward small relative to prices), every miner drops out
-// in the first sweep and the iteration stalls on this artifact; found
-// by FuzzSolveVariationalGNE. Restarting from a small interior profile
-// (spend ≈ R/4n each, well under the interior equilibrium scale) lets
-// the iteration climb to the genuine contest equilibrium instead.
-func (m *market) escapeZeroCollapse(p Prices, reqs []numeric.Point2) ([]numeric.Point2, bool) {
-	var s float64
+// splitCapacity clears a binding capacity where no type earns a fork
+// bonus and P_e < P_c. Edge and cloud are then perfect substitutes at
+// μ = P_c − P_e, where each type's edge request jumps from all of its
+// request to none, so no μ clears the capacity exactly. It clears at
+// that μ: the totals solve the all-cloud market, and every type buys the
+// same share E_max/S of its request at the edge — spending no more, and
+// with the edge it is left unable to widen. reqs is the buffer sys.Sums
+// fills.
+func (m *market) splitCapacity(params miner.Params, sys game.ShareSystem, failed game.ShareResult, reqs []numeric.Point2, opts game.NEOptions) ([]numeric.Point2, game.ShareResult) {
+	mu := params.PriceC - params.PriceE
+	sums := sys.Sums
+	sys.Sums = func(_, e, s float64) (float64, float64) { return sums(mu, e, s) }
+	sys.Capacity = math.Inf(1)
+	res := game.SolveShares(sys, numeric.Point2{C: failed.Total}, opts)
+	res.Passes += failed.Passes
+	res.Mu, res.Edge = mu, math.Min(m.cfg.EdgeCapacity, res.Total)
 	for k, r := range reqs {
-		s += m.count(k) * (r.E + r.C)
+		e := (r.E + r.C) * res.Edge / res.Total
+		reqs[k] = numeric.Point2{E: e, C: r.E + r.C - e}
 	}
-	if s > 1e-9 {
-		return nil, false
-	}
-	seed := make([]numeric.Point2, len(reqs))
-	for k := range seed {
-		spend := math.Min(m.budget(k), m.cfg.Reward/float64(4*m.n))
-		seed[k] = numeric.Point2{E: spend / (2 * p.Edge), C: spend / (2 * p.Cloud)}
-	}
-	if m.cfg.Mode == netmodel.Standalone && !math.IsInf(m.cfg.EdgeCapacity, 1) {
-		if e := m.totals(seed).Edge; e > m.cfg.EdgeCapacity/2 {
-			scale := m.cfg.EdgeCapacity / (2 * e)
-			for k := range seed {
-				seed[k].E *= scale
-			}
-		}
-	}
-	return seed, true
+	m.rescale(reqs, res)
+	return reqs, res
 }
 
 // deviations returns each type's largest unilateral best-response gain

@@ -59,7 +59,7 @@ type StackelbergOptions struct {
 	// DemandCache, when non-nil, is an external warm-start cache kept
 	// resident across solves: anchor equilibria and per-price demand
 	// probes survive from one SolveStackelberg call to the next, so a
-	// repeat or near-neighbor query re-solves in a couple of sweeps.
+	// repeat or near-neighbor query re-solves in a couple of passes.
 	// The cache must only ever be reused for the IDENTICAL market —
 	// same Config, same follower options, same exact/classed family
 	// (see DemandCache). Nil gets a fresh per-solve cache bounded by
@@ -71,7 +71,7 @@ type StackelbergOptions struct {
 	DemandCacheCap int
 	// Ctx, when non-nil, cancels the whole two-stage solve
 	// cooperatively: it is threaded into the follower options (making
-	// every demand probe abandon at its next sweep boundary) and
+	// every demand probe abandon before its next pass) and
 	// checked between stages. A canceled solve returns an error
 	// wrapping game.ErrCanceled, and nothing computed under a canceled
 	// context is ever cached.
@@ -299,11 +299,8 @@ func (s leaderStage) run(span *obs.Span) (game.LeadersResult, miner.Profile, err
 	// pure function of the market and its start prices), so repeat
 	// requests skip even this one cold solve.
 	//
-	// The classed solver runs without warm starts: its seed (the per-class closed
-	// form AT THE PROBE'S OWN PRICES) starts inside the best responses'
-	// KKT acceptance pocket, where a stale anchor from the starting prices
-	// leaves the solver circling that pocket at the best responses'
-	// positional noise floor.
+	// The classed solver runs without warm starts: its seed is the
+	// per-class closed form AT THE PROBE'S OWN PRICES.
 	memo := opts.demandCacheOrNew()
 	var anchor miner.Profile
 	if s.warmStart && !s.closedForm {

@@ -3,14 +3,20 @@ package core
 import (
 	"testing"
 
+	"minegame/internal/game"
+	"minegame/internal/miner"
 	"minegame/internal/netmodel"
+	"minegame/internal/numeric"
 	"minegame/internal/obs"
 )
 
 // TestSolveTelemetryCounters pins the hot-path instrumentation contract:
 // an observed solve reports its demand-oracle traffic, memo efficiency,
-// warm-start quality, and per-sweep residuals, and the miner layer's
-// KKT fast-path hit rates reach the process-default observer.
+// warm-start quality, and per-pass residuals, and the miner layer's
+// KKT fast-path hit rates reach the process-default observer. The
+// share-function follower calls no best response, so the KKT counters
+// are checked on best-response iteration (game.SolveNEAggregate) of the
+// same market.
 func TestSolveTelemetryCounters(t *testing.T) {
 	ob := obs.New()
 	// The miner best responses report through obs.Default (they have no
@@ -55,7 +61,7 @@ func TestSolveTelemetryCounters(t *testing.T) {
 		t.Errorf("warm-start distance must be non-negative, min = %g", wd.Min)
 	}
 
-	// Per-sweep residuals: one sample per recorded sweep.
+	// Per-pass residuals: one sample per recorded pass.
 	sd, ok := snap.Histograms["game.sweep_delta"]
 	if !ok || sd.Count != snap.Counters["game.sweeps_total"] {
 		t.Errorf("game.sweep_delta count = %d, want %d (one sample per sweep)",
@@ -65,6 +71,14 @@ func TestSolveTelemetryCounters(t *testing.T) {
 	// KKT paths: calls always tick, warm hits dominate once the
 	// best-response iteration settles, and every other call is answered
 	// by the KKT kernel — there is no fallback tier.
+	params := cfg.Params(res.Prices)
+	iter := game.SolveNEAggregate(cfg.ColdStart(res.Prices), func(i int, own, others numeric.Point2) numeric.Point2 {
+		return miner.BestResponseConnected(params, cfg.Budget(i), envFromOthers(others), own)
+	}, game.NEOptions{Tol: 1e-9})
+	if !iter.Converged {
+		t.Fatalf("best-response iteration did not converge in %d sweeps", iter.Iterations)
+	}
+	snap = ob.Snapshot()
 	calls := snap.Counters["miner.best_response_calls_total"]
 	warm := snap.Counters["miner.kkt_warm_hits_total"]
 	if calls == 0 {

@@ -17,7 +17,10 @@ import (
 // classed market with every count 1: with distinct ascending budgets,
 // ClassifyExact keeps miner order, so from the same start the classed
 // and exact solvers, deviation certificates and equilibrium
-// certificates must agree bit for bit — under Jacobi updates too.
+// certificates must agree bit for bit. Jacobi updates no longer reach
+// the share-function solvers; the Jacobi row checks that best-response
+// iteration under that schedule (game.SolveNEAggregate, the paper's
+// Algorithm 1 with simultaneous updates) reaches the same equilibrium.
 func TestExactIsClassedWithUnitCounts(t *testing.T) {
 	base := core.Config{
 		N:            5,
@@ -60,6 +63,23 @@ func TestExactIsClassedWithUnitCounts(t *testing.T) {
 			}
 			if !exact.Converged {
 				t.Fatalf("exact solve did not converge in %d sweeps", exact.Iterations)
+			}
+			if tc.opts.Jacobi {
+				params := tc.cfg.Params(p)
+				opts := tc.opts
+				opts.Tol = 1e-12
+				iter := game.SolveNEAggregate(start, func(i int, _, others numeric.Point2) numeric.Point2 {
+					env := miner.Env{EdgeOthers: math.Max(others.E, 0), CloudOthers: math.Max(others.C, 0)}
+					return miner.BestResponseConnected(params, tc.cfg.Budget(i), env)
+				}, opts)
+				if !iter.Converged {
+					t.Fatalf("Jacobi iteration did not converge in %d sweeps", iter.Iterations)
+				}
+				for i, r := range iter.Profile {
+					if d := r.Sub(exact.Requests[i]).Norm(); d > 1e-7 {
+						t.Errorf("miner %d: Jacobi iteration %v vs share root %v", i, r, exact.Requests[i])
+					}
+				}
 			}
 			if !reflect.DeepEqual([]numeric.Point2(exact.Requests), classed.Requests) {
 				t.Errorf("requests differ:\n exact   %v\n classed %v", exact.Requests, classed.Requests)

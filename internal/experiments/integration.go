@@ -49,9 +49,25 @@ func sweepDeltas() (*obs.Observer, func() []float64) {
 }
 
 // runConvergence traces the miner-subgame best-response iterations in
-// both modes and reports their geometric contraction rates.
+// both modes and reports their geometric contraction rates. The solvers
+// behind core.SolveMinerEquilibrium find the equilibrium as a root
+// instead of iterating, so the connected traces drive
+// game.SolveNEAggregate directly: the paper's Algorithm 1 is the object
+// of study here.
 func runConvergence(Config) (Result, error) {
 	prices := defaultPrices()
+	base := baseConfig()
+	params := base.Params(prices)
+	br := func(i int, own, others numeric.Point2) numeric.Point2 {
+		if others.E < 0 {
+			others.E = 0
+		}
+		if others.C < 0 {
+			others.C = 0
+		}
+		return miner.BestResponseConnected(params, base.Budget(i),
+			miner.Env{EdgeOthers: others.E, CloudOthers: others.C}, own)
+	}
 	trace := func(cfg core.Config, gne bool, opts game.NEOptions) ([]float64, error) {
 		ob, deltas := sweepDeltas()
 		opts.Observer = ob
@@ -62,25 +78,24 @@ func runConvergence(Config) (Result, error) {
 		if gne {
 			_, err = core.SolveMinerGNE(cfg, prices, opts)
 		} else {
-			// The iteration itself is the object of study here: an explicit
-			// cold start keeps the traces meaningful now that the default
-			// solve seeds homogeneous configs from the closed form.
-			_, err = core.SolveMinerEquilibriumFrom(cfg, prices, opts, cfg.ColdStart(prices))
+			// A cold start keeps the traces meaningful: the iteration itself
+			// is measured, not a closed-form seed.
+			game.SolveNEAggregate(cfg.ColdStart(prices), br, opts)
 		}
 		return deltas(), err
 	}
-	conn, err := trace(baseConfig(), false, game.NEOptions{})
+	conn, err := trace(base, false, game.NEOptions{})
 	if err != nil {
 		return Result{}, fmt.Errorf("conv connected: %w", err)
 	}
 	// Undamped parallel updates OVERSHOOT for n = 5 miners (every player
 	// responds to the same stale profile, so the aggregate response slope
 	// exceeds one) — capture a bounded slice of the oscillation.
-	jacRaw, err := trace(baseConfig(), false, game.NEOptions{Jacobi: true, MaxIter: 40})
+	jacRaw, err := trace(base, false, game.NEOptions{Jacobi: true, MaxIter: 40})
 	if err != nil {
 		return Result{}, fmt.Errorf("conv jacobi undamped: %w", err)
 	}
-	jacDamped, err := trace(baseConfig(), false, game.NEOptions{Jacobi: true, Damping: 0.3})
+	jacDamped, err := trace(base, false, game.NEOptions{Jacobi: true, Damping: 0.3})
 	if err != nil {
 		return Result{}, fmt.Errorf("conv jacobi damped: %w", err)
 	}
@@ -94,19 +109,7 @@ func runConvergence(Config) (Result, error) {
 	// slow averaging tail (MaxDelta here is the equilibrium residual).
 	ob, fpDeltas := sweepDeltas()
 	{
-		cfg := baseConfig()
-		params := cfg.Params(prices)
-		br := func(i int, own, others numeric.Point2) numeric.Point2 {
-			if others.E < 0 {
-				others.E = 0
-			}
-			if others.C < 0 {
-				others.C = 0
-			}
-			return miner.BestResponseConnected(params, cfg.Budget(i),
-				miner.Env{EdgeOthers: others.E, CloudOthers: others.C}, own)
-		}
-		start := make([]numeric.Point2, cfg.N)
+		start := make([]numeric.Point2, base.N)
 		for i := range start {
 			start[i] = numeric.Point2{E: 2, C: 10}
 		}

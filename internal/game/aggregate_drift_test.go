@@ -58,7 +58,7 @@ func TestAggregateTotalsDriftBounded(t *testing.T) {
 		shadow[i] = next
 		return next
 	}
-	res := SolveNEAggregate(start, nil, br, NEOptions{MaxIter: sweeps, Tol: 1e-300})
+	res := SolveNEAggregate(start, br, NEOptions{MaxIter: sweeps, Tol: 1e-300})
 	if res.Iterations != sweeps {
 		t.Fatalf("ran %d sweeps, want %d (the probe map must not converge)", res.Iterations, sweeps)
 	}
@@ -85,7 +85,7 @@ func TestSolveNEAggregateAllocationBudget(t *testing.T) {
 	}
 	solve := func(sweeps int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			SolveNEAggregate(start, nil, br, NEOptions{MaxIter: sweeps, Tol: 1e-300})
+			SolveNEAggregate(start, br, NEOptions{MaxIter: sweeps, Tol: 1e-300})
 		})
 	}
 	short, long := solve(5), solve(200)

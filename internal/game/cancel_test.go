@@ -2,7 +2,7 @@ package game
 
 import (
 	"context"
-	"errors"
+	"math"
 	"testing"
 
 	"minegame/internal/numeric"
@@ -31,7 +31,7 @@ func TestSolveNECanceledMidSolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := NEOptions{Ctx: ctx, Tol: 1e-12}
 	// Two players: the sixth call ends sweep 3.
-	res := SolveNEAggregate([]numeric.Point2{{E: 100, C: 100}, {E: 100, C: 100}}, nil, cancelAfterCalls(6, cancel), opts)
+	res := SolveNEAggregate([]numeric.Point2{{E: 100, C: 100}, {E: 100, C: 100}}, cancelAfterCalls(6, cancel), opts)
 	if !res.Canceled {
 		t.Fatalf("expected Canceled=true, got %+v", res)
 	}
@@ -48,9 +48,10 @@ func TestSolveNECanceledMidSolve(t *testing.T) {
 func TestSolveNEClassedCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := SolveNEAggregate([]numeric.Point2{{E: 5, C: 5}}, []int{4}, crawlBR, NEOptions{Ctx: ctx, Tol: 1e-12})
-	if !res.Canceled || res.Iterations != 0 {
-		t.Fatalf("pre-canceled classed solve should stop before the first sweep, got %+v", res)
+	sys := toyClassedGame{a: []float64{5}, b: []float64{5}, g: 0.1}.shares([]int{4}, math.Inf(1))
+	res := SolveShares(sys, numeric.Point2{E: 5, C: 5}, NEOptions{Ctx: ctx})
+	if !res.Canceled || res.Converged || res.Passes != 0 {
+		t.Fatalf("pre-canceled share solve should stop before the first pass, got %+v", res)
 	}
 }
 
@@ -65,29 +66,25 @@ func TestSolveNEFictitiousCanceled(t *testing.T) {
 
 func TestSolveVariationalGNECanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	// Cancel during the very first inner NEP solve: two players, so the
-	// fourth best-response call ends its second sweep.
-	opts := NEOptions{Ctx: ctx, Tol: 1e-12}
-	br := cancelAfterCalls(4, cancel)
-	brAt := func(mu float64) AggregateBestResponse { return br }
-	shared := func(prof []numeric.Point2) float64 {
-		var e float64
-		for _, r := range prof {
-			e += r.E
+	// Cancel on the fourth pass of a share solve whose capacity binds.
+	sys := toyClassedGame{a: []float64{12, 18}, b: []float64{6, 6}, g: 0.02}.shares([]int{30, 10}, 60)
+	sums, calls := sys.Sums, 0
+	sys.Sums = func(mu, e, s float64) (float64, float64) {
+		if calls++; calls == 4 {
+			cancel()
 		}
-		return e
+		return sums(mu, e, s)
 	}
-	_, err := SolveVariationalGNEAggregate(
-		[]numeric.Point2{{E: 100, C: 100}, {E: 100, C: 100}}, nil, brAt, shared, 1.0, 1e-6, opts)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("expected ErrCanceled, got %v", err)
+	res := SolveShares(sys, numeric.Point2{}, NEOptions{Ctx: ctx})
+	if !res.Canceled || res.Converged || res.Passes != 4 {
+		t.Fatalf("want the solve abandoned right after the canceling pass, got %+v", res)
 	}
 }
 
 // TestSolveNENilContext pins that a nil Ctx (every pre-existing caller)
 // behaves exactly as before: no cancel, normal convergence.
 func TestSolveNENilContext(t *testing.T) {
-	res := SolveNEAggregate([]numeric.Point2{{E: 100, C: 100}}, nil, crawlBR, NEOptions{})
+	res := SolveNEAggregate([]numeric.Point2{{E: 100, C: 100}}, crawlBR, NEOptions{})
 	if res.Canceled || !res.Converged {
 		t.Fatalf("nil-context solve should converge uncanceled, got %+v", res)
 	}

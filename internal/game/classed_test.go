@@ -10,7 +10,8 @@ import (
 // toyClassedGame is a contractive linear aggregative game: player i's
 // best response to the others' total t is (a_i − g·t.E, b_i − g·t.C)
 // clamped at zero. With g·(N−1) < 1 the NE is unique, so the classed
-// and per-player solvers must land on the same point.
+// share solve and per-player best-response iteration must land on the
+// same point.
 type toyClassedGame struct {
 	a, b []float64 // per-class (or per-player) targets
 	g    float64
@@ -44,6 +45,57 @@ func expandReps(reps []numeric.Point2, counts []int, a, b []float64) ([]numeric.
 	return prof, ea, eb
 }
 
+// point is the toy game's replacement function: the strategy of a
+// member of class k that best-responds to the others when the totals
+// are (E, C), with the edge coordinate priced by μ: x = a − μ − g(E − x)
+// solved for x, clamped at zero.
+func (t toyClassedGame) point(k int, mu float64, tot numeric.Point2) numeric.Point2 {
+	return numeric.Point2{
+		E: math.Max(0, (t.a[k]-mu-t.g*tot.E)/(1-t.g)),
+		C: math.Max(0, (t.b[k]-t.g*tot.C)/(1-t.g)),
+	}
+}
+
+// shares is the toy game's share system over classes of the given
+// counts (nil: one player per entry); S is the sum of both coordinates.
+func (t toyClassedGame) shares(counts []int, capacity float64) ShareSystem {
+	var players, top, reach float64
+	for k := range t.a {
+		n := 1.0
+		if counts != nil {
+			n = float64(counts[k])
+		}
+		players += n
+		top = math.Max(top, t.a[k])
+		reach += n * (t.a[k] + t.b[k]) / (1 - t.g)
+	}
+	return ShareSystem{
+		Sums: func(mu, e, s float64) (float64, float64) {
+			var sumE, sumS float64
+			for k := range t.a {
+				n := 1.0
+				if counts != nil {
+					n = float64(counts[k])
+				}
+				x := t.point(k, mu, numeric.Point2{E: e, C: s - e})
+				sumE += n * x.E
+				sumS += n * (x.E + x.C)
+			}
+			return sumE, sumS
+		},
+		Players: players, TotalMax: 2 * reach, Capacity: capacity, MuMax: top,
+	}
+}
+
+// classedProfile is one point per class at the root of a toy share solve.
+func (t toyClassedGame) classedProfile(res ShareResult) []numeric.Point2 {
+	prof := make([]numeric.Point2, len(t.a))
+	for k := range prof {
+		prof[k] = t.point(k, res.Mu, numeric.Point2{E: res.Edge, C: res.Total - res.Edge})
+	}
+	return prof
+}
+
 func TestSolveNEClassedMatchesExact(t *testing.T) {
 	counts := []int{50, 7, 1, 12}
 	a := []float64{10, 14, 6, 8}
@@ -53,25 +105,24 @@ func TestSolveNEClassedMatchesExact(t *testing.T) {
 		n += m
 	}
 	classed := toyClassedGame{a: a, b: b, g: 0.9 / float64(n-1)}
-	opts := NEOptions{MaxIter: 4000, Tol: 1e-12}
+	res := SolveShares(classed.shares(counts, math.Inf(1)), numeric.Point2{}, NEOptions{})
+	if !res.Converged {
+		t.Fatalf("classed share solve did not converge: %+v", res)
+	}
+	reps := classed.classedProfile(res)
 
 	start := make([]numeric.Point2, len(counts))
 	for k := range start {
 		start[k] = numeric.Point2{E: a[k] / 2, C: b[k] / 2}
 	}
-	res := SolveNEAggregate(start, counts, classed.br, opts)
-	if !res.Converged {
-		t.Fatalf("classed solve did not converge: %+v", res)
-	}
-
 	fullStart, ea, eb := expandReps(start, counts, a, b)
 	exact := toyClassedGame{a: ea, b: eb, g: classed.g}
-	full := SolveNEAggregate(fullStart, nil, exact.br, opts)
+	full := SolveNEAggregate(fullStart, exact.br, NEOptions{MaxIter: 4000, Tol: 1e-12})
 	if !full.Converged {
 		t.Fatalf("exact solve did not converge: %+v", full)
 	}
 
-	expanded, _, _ := expandReps(res.Profile, counts, a, b)
+	expanded, _, _ := expandReps(reps, counts, a, b)
 	for i := range expanded {
 		if d := expanded[i].Sub(full.Profile[i]).Norm(); d > 1e-9 {
 			t.Fatalf("player %d: classed %v vs exact %v (dist %g)", i, expanded[i], full.Profile[i], d)
@@ -79,7 +130,7 @@ func TestSolveNEClassedMatchesExact(t *testing.T) {
 	}
 
 	// At the classed equilibrium no class member can gain by deviating.
-	gains := DeviationsAggregate(res.Profile, counts, classed.br, classed.utility)
+	gains := DeviationsAggregate(reps, counts, classed.br, classed.utility)
 	for k, gain := range gains {
 		if gain > 1e-18 {
 			t.Fatalf("class %d has deviation gain %g at equilibrium", k, gain)
@@ -88,21 +139,22 @@ func TestSolveNEClassedMatchesExact(t *testing.T) {
 }
 
 func TestSolveNEClassedHomogeneousBigClass(t *testing.T) {
-	// One class of 1000 identical players: the whole solve is the inner
-	// damped symmetric fixed point. The undamped symmetric map here has
-	// slope −g·(N−1) = −0.95, so this exercises the oscillation guard.
+	// One class of 1000 identical players, whose symmetric best-response
+	// map has slope −g·(N−1) = −0.95: iterating it oscillates, but the
+	// share root is the symmetric fixed point directly.
 	counts := []int{1000}
 	g := 0.95 / 999.0
 	game := toyClassedGame{a: []float64{20}, b: []float64{10}, g: g}
-	res := SolveNEAggregate([]numeric.Point2{{E: 1, C: 1}}, counts, game.br, NEOptions{MaxIter: 500, Tol: 1e-12})
+	res := SolveShares(game.shares(counts, math.Inf(1)), numeric.Point2{E: 1, C: 1}, NEOptions{})
 	if !res.Converged {
 		t.Fatalf("homogeneous classed solve did not converge: %+v", res)
 	}
 	// Symmetric fixed point: x = a − g·(N−1)·x  ⇒  x = a / (1 + g(N−1)).
+	rep := game.classedProfile(res)[0]
 	wantE := 20.0 / (1 + g*999)
 	wantC := 10.0 / (1 + g*999)
-	if math.Abs(res.Profile[0].E-wantE) > 1e-9 || math.Abs(res.Profile[0].C-wantC) > 1e-9 {
-		t.Fatalf("fixed point %v, want (%g, %g)", res.Profile[0], wantE, wantC)
+	if math.Abs(rep.E-wantE) > 1e-9 || math.Abs(rep.C-wantC) > 1e-9 {
+		t.Fatalf("fixed point %v, want (%g, %g)", rep, wantE, wantC)
 	}
 }
 
@@ -110,101 +162,57 @@ func TestSolveVariationalGNEClassedMatchesExact(t *testing.T) {
 	counts := []int{30, 10}
 	a := []float64{12, 18}
 	b := []float64{6, 6}
-	n := 40
-	g := 0.8 / float64(n-1)
-	brAtClassed := func(mu float64) AggregateBestResponse {
-		game := toyClassedGame{a: a, b: b, g: g}
-		return func(k int, own, others numeric.Point2) numeric.Point2 {
-			r := game.br(k, own, others)
-			r.E = math.Max(0, r.E-mu)
-			return r
-		}
-	}
-	sharedClassed := func(reps []numeric.Point2) float64 {
-		total := 0.0
-		for k, r := range reps {
-			total += float64(counts[k]) * r.E
-		}
-		return total
-	}
-	opts := NEOptions{MaxIter: 4000, Tol: 1e-12}
-	start := []numeric.Point2{{E: 1, C: 1}, {E: 1, C: 1}}
+	g := 0.8 / 39
 	capacity := 60.0 // binds: unconstrained total edge demand is far larger
-	classedRes, err := SolveVariationalGNEAggregate(start, counts, brAtClassed, sharedClassed, capacity, 1e-9, opts)
-	if err != nil {
-		t.Fatalf("classed VGNE: %v", err)
-	}
-	if math.Abs(classedRes.SharedValue-capacity) > 1e-6 {
-		t.Fatalf("classed VGNE shared value %g, capacity %g", classedRes.SharedValue, capacity)
-	}
-	if classedRes.Multiplier <= 0 {
-		t.Fatalf("expected binding constraint with positive multiplier, got %g", classedRes.Multiplier)
+	classed := toyClassedGame{a: a, b: b, g: g}
+	res := SolveShares(classed.shares(counts, capacity), numeric.Point2{}, NEOptions{})
+	if !res.Converged || res.Edge != capacity || res.Mu <= 0 {
+		t.Fatalf("classed share solve: want a converged, binding capacity %g with μ > 0, got %+v", capacity, res)
 	}
 
-	fullStart, ea, eb := expandReps(start, counts, a, b)
-	brAtFull := func(mu float64) AggregateBestResponse {
-		game := toyClassedGame{a: ea, b: eb, g: g}
-		return func(i int, own, others numeric.Point2) numeric.Point2 {
-			r := game.br(i, own, others)
-			r.E = math.Max(0, r.E-mu)
-			return r
-		}
+	// The exact game, one entry per player, clears at the same price.
+	_, ea, eb := expandReps(make([]numeric.Point2, len(counts)), counts, a, b)
+	exact := toyClassedGame{a: ea, b: eb, g: g}
+	full := SolveShares(exact.shares(nil, capacity), numeric.Point2{}, NEOptions{})
+	if !full.Converged || math.Abs(full.Mu-res.Mu) > 1e-9 || math.Abs(full.Total-res.Total) > 1e-9 {
+		t.Fatalf("exact %+v vs classed %+v", full, res)
 	}
-	sharedFull := func(prof []numeric.Point2) float64 {
-		total := 0.0
-		for _, p := range prof {
-			total += p.E
-		}
-		return total
-	}
-	fullRes, err := SolveVariationalGNEAggregate(fullStart, nil, brAtFull, sharedFull, capacity, 1e-9, opts)
-	if err != nil {
-		t.Fatalf("full VGNE: %v", err)
-	}
-	expanded, _, _ := expandReps(classedRes.Profile, counts, a, b)
-	for i := range expanded {
-		if d := expanded[i].Sub(fullRes.Profile[i]).Norm(); d > 1e-6 {
-			t.Fatalf("player %d: classed %v vs exact %v (dist %g)", i, expanded[i], fullRes.Profile[i], d)
+	expanded, _, _ := expandReps(classed.classedProfile(res), counts, a, b)
+	for i, x := range exact.classedProfile(full) {
+		if d := expanded[i].Sub(x).Norm(); d > 1e-9 {
+			t.Fatalf("player %d: classed %v vs exact %v (dist %g)", i, expanded[i], x, d)
 		}
 	}
 }
 
 func TestSolveNEClassedShapeMismatch(t *testing.T) {
-	res := SolveNEAggregate([]numeric.Point2{{E: 1}}, []int{1, 2}, func(int, numeric.Point2, numeric.Point2) numeric.Point2 {
-		return numeric.Point2{}
-	}, NEOptions{})
-	if res.Profile != nil || res.Converged {
-		t.Fatalf("mismatched shapes should return zero result, got %+v", res)
-	}
 	if DeviationsAggregate([]numeric.Point2{{}}, []int{1, 2}, nil, nil) != nil {
 		t.Fatal("mismatched DeviationsAggregate should return nil")
 	}
 }
 
 func TestSolveNEClassedSkipsEmptyClasses(t *testing.T) {
-	counts := []int{5, 0, 5}
-	a := []float64{10, 99, 10}
-	b := []float64{5, 99, 5}
-	game := toyClassedGame{a: a, b: b, g: 0.05}
-	start := []numeric.Point2{{E: 1, C: 1}, {E: 7, C: 7}, {E: 1, C: 1}}
-	res := SolveNEAggregate(start, counts, game.br, NEOptions{MaxIter: 1000, Tol: 1e-12})
-	if !res.Converged {
-		t.Fatalf("solve with empty class did not converge: %+v", res)
+	// A class with count 0 weighs nothing in the share sums: the root is
+	// the one without it.
+	with := toyClassedGame{a: []float64{10, 99, 10}, b: []float64{5, 99, 5}, g: 0.05}
+	without := toyClassedGame{a: []float64{10, 10}, b: []float64{5, 5}, g: 0.05}
+	res := SolveShares(with.shares([]int{5, 0, 5}, math.Inf(1)), numeric.Point2{}, NEOptions{})
+	ref := SolveShares(without.shares([]int{5, 5}, math.Inf(1)), numeric.Point2{}, NEOptions{})
+	if !res.Converged || math.Abs(res.Edge-ref.Edge) > 1e-9 || math.Abs(res.Total-ref.Total) > 1e-9 {
+		t.Fatalf("solve with an empty class %+v, without it %+v", res, ref)
 	}
-	// The empty class's representative must be left untouched.
-	if res.Profile[1] != (numeric.Point2{E: 7, C: 7}) {
-		t.Fatalf("empty class moved: %v", res.Profile[1])
-	}
-	// Classes 0 and 2 are identical, so they share a fixed point.
-	if d := res.Profile[0].Sub(res.Profile[2]).Norm(); d > 1e-9 {
-		t.Fatalf("identical classes diverged by %g", d)
+	// Classes 0 and 2 are identical, so they share a point.
+	reps := with.classedProfile(res)
+	if reps[0] != reps[2] {
+		t.Fatalf("identical classes diverged: %v vs %v", reps[0], reps[2])
 	}
 }
 
 // TestSolveNEAggregateUnitCountsMatchNil pins the exact game as the
-// unit-count case of the engine: explicit counts of 1 and nil counts
-// must give bit-identical iterates under both update schedules, and so
-// must the deviation gains.
+// unit-count case: the share solve over explicit counts of 1 and best-
+// response iteration over one entry per player (under both update
+// schedules) reach the same equilibrium, and the deviation gains with
+// unit and nil counts are bit-identical.
 func TestSolveNEAggregateUnitCountsMatchNil(t *testing.T) {
 	a := []float64{10, 14, 6, 8, 11}
 	b := []float64{5, 3, 9, 4, 7}
@@ -214,16 +222,20 @@ func TestSolveNEAggregateUnitCountsMatchNil(t *testing.T) {
 		start[k] = numeric.Point2{E: a[k] / 3, C: b[k] / 3}
 	}
 	ones := []int{1, 1, 1, 1, 1}
+	res := SolveShares(g.shares(ones, math.Inf(1)), numeric.Point2{}, NEOptions{})
+	if !res.Converged {
+		t.Fatalf("unit-count share solve did not converge: %+v", res)
+	}
+	unit := g.classedProfile(res)
 	for _, jacobi := range []bool{false, true} {
 		opts := NEOptions{MaxIter: 400, Tol: 1e-12, Jacobi: jacobi, Damping: 0.7}
-		unit := SolveNEAggregate(start, ones, g.br, opts)
-		exact := SolveNEAggregate(start, nil, g.br, opts)
-		if !exact.Converged || unit.Iterations != exact.Iterations || unit.MaxDelta != exact.MaxDelta {
-			t.Fatalf("jacobi=%v: unit counts %+v vs nil counts %+v", jacobi, unit, exact)
+		exact := SolveNEAggregate(start, g.br, opts)
+		if !exact.Converged {
+			t.Fatalf("jacobi=%v: best-response iteration did not converge: %+v", jacobi, exact)
 		}
 		for k := range exact.Profile {
-			if unit.Profile[k] != exact.Profile[k] {
-				t.Fatalf("jacobi=%v entry %d: unit counts %v vs nil counts %v", jacobi, k, unit.Profile[k], exact.Profile[k])
+			if d := unit[k].Sub(exact.Profile[k]).Norm(); d > 1e-10 {
+				t.Fatalf("jacobi=%v entry %d: share root %v vs iteration %v", jacobi, k, unit[k], exact.Profile[k])
 			}
 		}
 	}

@@ -29,7 +29,7 @@ func sweepRecorder() (*obs.Observer, func() ([]int, []float64)) {
 
 func TestSweepEventsObserveEverySweep(t *testing.T) {
 	ob, sweeps := sweepRecorder()
-	res := SolveNE([]numeric.Point2{{E: 0}, {E: 90}}, cournotBR(120, 30), NEOptions{Observer: ob})
+	res := SolveNEAggregate([]numeric.Point2{{E: 0}, {E: 90}}, cournotBR(120, 30), NEOptions{Observer: ob})
 	iters, deltas := sweeps()
 	if !res.Converged {
 		t.Fatal("did not converge")
@@ -53,7 +53,7 @@ func TestSweepEventsObserveEverySweep(t *testing.T) {
 // the rival's deviation, twice per sweep).
 func TestContractionRateCournot(t *testing.T) {
 	ob, sweeps := sweepRecorder()
-	SolveNE([]numeric.Point2{{E: 0}, {E: 90}}, cournotBR(120, 30), NEOptions{Tol: 1e-10, Observer: ob})
+	SolveNEAggregate([]numeric.Point2{{E: 0}, {E: 90}}, cournotBR(120, 30), NEOptions{Tol: 1e-10, Observer: ob})
 	_, deltas := sweeps()
 	rate := ContractionRate(deltas)
 	if math.IsNaN(rate) {
@@ -83,7 +83,7 @@ func TestContractionRateDegenerate(t *testing.T) {
 func TestJacobiVsGaussSeidelRates(t *testing.T) {
 	rate := func(jacobi bool) float64 {
 		ob, sweeps := sweepRecorder()
-		SolveNE([]numeric.Point2{{E: 0}, {E: 90}}, cournotBR(120, 30), NEOptions{
+		SolveNEAggregate([]numeric.Point2{{E: 0}, {E: 90}}, cournotBR(120, 30), NEOptions{
 			Tol:      1e-10,
 			Jacobi:   jacobi,
 			Observer: ob,
@@ -102,7 +102,7 @@ func TestJacobiVsGaussSeidelRates(t *testing.T) {
 }
 
 func TestJacobiConvergesToSameEquilibrium(t *testing.T) {
-	res := SolveNE([]numeric.Point2{{E: 1}, {E: 70}}, cournotBR(120, 30), NEOptions{Jacobi: true})
+	res := SolveNEAggregate([]numeric.Point2{{E: 1}, {E: 70}}, cournotBR(120, 30), NEOptions{Jacobi: true})
 	if !res.Converged {
 		t.Fatal("Jacobi iteration did not converge")
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestFictitiousPlayCournot(t *testing.T) {
-	res := SolveNEFictitious([]numeric.Point2{{E: 0}, {E: 90}}, cournotBR(120, 30), NEOptions{
+	res := SolveNEFictitiousAggregate([]numeric.Point2{{E: 0}, {E: 90}}, cournotBR(120, 30), NEOptions{
 		MaxIter: 100000,
 		Tol:     0.1,
 	})

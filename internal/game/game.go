@@ -1,8 +1,9 @@
 // Package game provides the generic game-theoretic solvers of the paper:
-// best-response iteration for Nash equilibrium problems (NEPs),
-// a shared-multiplier variational solver for jointly convex generalized
-// NEPs (GNEPs), and the asynchronous best-response iteration for the
-// two-leader price competition (Algorithms 1 and 2).
+// the share-function root of an aggregative follower game (with a
+// shared capacity priced by a common multiplier), best-response and
+// fictitious-play iteration for Nash equilibrium problems (NEPs), and
+// the asynchronous best-response iteration for the two-leader price
+// competition (Algorithms 1 and 2).
 //
 // The solvers are agnostic to the specific followers: a follower game is
 // described by a best-response map over stacked strategy vectors; the
@@ -12,7 +13,6 @@ package game
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -47,7 +47,9 @@ func sumPoints(ps []numeric.Point2) numeric.Point2 {
 	return t
 }
 
-// NEOptions tunes best-response iteration.
+// NEOptions tunes an equilibrium solve. MaxIter, Tol, Damping and
+// Jacobi apply only to best-response iteration (SolveNEAggregate and
+// fictitious play); SolveShares reads Observer and Ctx alone.
 type NEOptions struct {
 	MaxIter int     // outer sweeps over all players (default 500)
 	Tol     float64 // convergence threshold on the max strategy change (default 1e-8)
@@ -66,11 +68,11 @@ type NEOptions struct {
 	Jacobi bool
 	// Ctx, when non-nil, cancels the solve cooperatively: the iteration
 	// checks it at every SWEEP BOUNDARY only (one interface call per
-	// sweep, no per-player cost, no allocation — the hot path stays
-	// within its allocation budget) and abandons the solve when the
-	// context is done. An abandoned solve reports Canceled=true on its
-	// NEResult; solvers that return errors (the variational GNEP family
-	// and everything in internal/core) surface it as ErrCanceled.
+	// sweep or share pass, no per-player cost, no allocation — the hot
+	// path stays within its allocation budget) and abandons the solve
+	// when the context is done. An abandoned solve reports Canceled=true
+	// on its result; solvers that return errors (everything in
+	// internal/core) surface it as ErrCanceled.
 	Ctx context.Context
 }
 
@@ -113,54 +115,6 @@ type NEResult struct {
 	// iterate reached, NOT an equilibrium. Callers that return errors
 	// must surface ErrCanceled instead of using the profile.
 	Canceled bool
-}
-
-// SolveNE runs damped Gauss–Seidel best-response iteration from the given
-// starting profile: players update in index order, each against the
-// freshest strategies of the others. For games with a unique NE and
-// contractive best responses (the paper's Theorem 2 setting) the iteration
-// converges to the equilibrium. Aggregative games should prefer
-// SolveNEAggregate, whose sweeps cost O(N) instead of O(N²).
-func SolveNE(start []numeric.Point2, br BestResponse, opts NEOptions) NEResult {
-	opts = opts.withDefaults()
-	tel := newSolveTelemetry(opts, "game.solve_ne", "best_response", len(start))
-	prof := make([]numeric.Point2, len(start))
-	copy(prof, start)
-	res := NEResult{Profile: prof}
-	var frozen []numeric.Point2
-	if opts.Jacobi {
-		frozen = make([]numeric.Point2, len(prof))
-	}
-	for it := 0; it < opts.MaxIter; it++ {
-		if opts.canceled() {
-			res.Canceled = true
-			break
-		}
-		res.Iterations = it + 1
-		res.MaxDelta = 0
-		view := prof
-		if opts.Jacobi {
-			copy(frozen, prof)
-			view = frozen
-		}
-		for i := range prof {
-			next := br(i, view)
-			if opts.Damping < 1 {
-				next = prof[i].Scale(1 - opts.Damping).Add(next.Scale(opts.Damping))
-			}
-			if d := next.Sub(prof[i]).Norm(); d > res.MaxDelta {
-				res.MaxDelta = d
-			}
-			prof[i] = next
-		}
-		tel.sweep(res.Iterations, res.MaxDelta)
-		if res.MaxDelta < opts.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	tel.finish(res)
-	return res
 }
 
 // solveTelemetry bundles the observer state of one iterative solve so
@@ -337,141 +291,8 @@ func solveNEFictitious(start []numeric.Point2, br BestResponse, abr AggregateBes
 	return res
 }
 
-// ErrNoEquilibrium is returned when an iterative solver cannot locate an
-// equilibrium within its iteration budget.
-var ErrNoEquilibrium = errors.New("game: equilibrium search did not converge")
-
 // ErrCanceled is returned (wrapped) when a solve was abandoned because
 // its NEOptions.Ctx was canceled: cancellation is checked at sweep
 // boundaries only, so the solve stops within one sweep of the cancel
 // and the partial iterate is discarded. Test with errors.Is.
 var ErrCanceled = errors.New("game: solve canceled")
-
-// VGNEResult is the outcome of the variational GNEP solver.
-type VGNEResult struct {
-	NEResult
-	// Multiplier is the common shadow price of the shared constraint
-	// (zero when the constraint is slack at the solution).
-	Multiplier float64
-	// SharedValue is the constraint function's value at the solution.
-	SharedValue float64
-}
-
-// SolveVariationalGNE computes the variational equilibrium of a jointly
-// convex GNEP with a single scalar shared constraint g(x) ≤ capacity, by
-// pricing the constraint with a common multiplier μ: brAt(μ) must return
-// the best-response map of the μ-penalized NEP (for the mining game, the
-// map with effective edge price P_e + μ and no capacity coupling), and
-// shared must evaluate g at a profile (total edge demand).
-//
-// The solver exploits monotonicity of g in μ: if the μ = 0 equilibrium
-// satisfies the constraint it is returned; otherwise μ is bisected until
-// g(x(μ)) = capacity within capTol.
-func SolveVariationalGNE(
-	start []numeric.Point2,
-	brAt func(mu float64) BestResponse,
-	shared func([]numeric.Point2) float64,
-	capacity float64,
-	capTol float64,
-	opts NEOptions,
-) (VGNEResult, error) {
-	neAt := func(mu float64, from []numeric.Point2) NEResult {
-		return SolveNE(from, brAt(mu), opts)
-	}
-	return solveVariationalGNE(start, neAt, shared, capacity, capTol, opts)
-}
-
-// solveVariationalGNE is the shared multiplier search behind
-// SolveVariationalGNE and SolveVariationalGNEAggregate: neAt(μ, from) must solve the μ-penalized
-// NEP warm-started from the given profile.
-func solveVariationalGNE(
-	start []numeric.Point2,
-	neAt func(mu float64, from []numeric.Point2) NEResult,
-	shared func([]numeric.Point2) float64,
-	capacity float64,
-	capTol float64,
-	opts NEOptions,
-) (result VGNEResult, err error) {
-	if capTol <= 0 {
-		capTol = 1e-6
-	}
-	ob := opts.observer()
-	span := ob.StartSpan("game.solve_vgne", obs.Fields{"players": len(start), "capacity": capacity})
-	defer func() {
-		if span != nil {
-			span.End(obs.Fields{
-				"multiplier":   result.Multiplier,
-				"shared_value": result.SharedValue,
-				"converged":    result.Converged,
-				"failed":       err != nil,
-			})
-		}
-		// A canceled search is abandoned on purpose — not an anomaly.
-		if err != nil && !errors.Is(err, ErrCanceled) {
-			ob.ReportAnomaly("gne_no_equilibrium", obs.Fields{
-				"players": len(start), "capacity": capacity, "error": err.Error(),
-			})
-		}
-	}()
-	probes := ob.Counter("game.gne_multiplier_probes_total")
-	recording := ob.Recording()
-	solve := func(mu float64, from []numeric.Point2) NEResult {
-		probes.Inc()
-		res := neAt(mu, from)
-		if recording {
-			ob.Emit("game.gne_probe", obs.Fields{"mu": mu, "iterations": res.Iterations, "converged": res.Converged})
-		}
-		return res
-	}
-	base := solve(0, start)
-	if base.Canceled {
-		return VGNEResult{}, ErrCanceled
-	}
-	g := shared(base.Profile)
-	if g <= capacity+capTol {
-		return VGNEResult{NEResult: base, SharedValue: g}, nil
-	}
-	// Find an upper multiplier that throttles demand below capacity.
-	lo, hi := 0.0, 1.0
-	res := base
-	for i := 0; ; i++ {
-		if i >= 60 {
-			return VGNEResult{}, fmt.Errorf("shared constraint %g > capacity %g at any multiplier: %w", g, capacity, ErrNoEquilibrium)
-		}
-		res = solve(hi, res.Profile)
-		if res.Canceled {
-			return VGNEResult{}, ErrCanceled
-		}
-		g = shared(res.Profile)
-		if g <= capacity {
-			break
-		}
-		lo, hi = hi, hi*2
-	}
-	// Bisect μ to clear the market for the shared resource.
-	for i := 0; i < 200 && hi-lo > 1e-12*(1+hi); i++ {
-		mid := (lo + hi) / 2
-		res = solve(mid, res.Profile)
-		if res.Canceled {
-			return VGNEResult{}, ErrCanceled
-		}
-		g = shared(res.Profile)
-		if math.Abs(g-capacity) <= capTol {
-			return VGNEResult{NEResult: res, Multiplier: mid, SharedValue: g}, nil
-		}
-		if g > capacity {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	res = solve(hi, res.Profile)
-	if res.Canceled {
-		return VGNEResult{}, ErrCanceled
-	}
-	g = shared(res.Profile)
-	if g > capacity+capTol {
-		return VGNEResult{}, fmt.Errorf("bisection ended with g=%g > capacity %g: %w", g, capacity, ErrNoEquilibrium)
-	}
-	return VGNEResult{NEResult: res, Multiplier: hi, SharedValue: g}, nil
-}

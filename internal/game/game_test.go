@@ -10,25 +10,17 @@ import (
 
 // cournotBR is the textbook Cournot duopoly best response with inverse
 // demand P = a − Q and marginal cost c; the symmetric NE is (a−c)/3 each.
-func cournotBR(a, c float64) BestResponse {
-	return func(i int, prof []numeric.Point2) numeric.Point2 {
-		var rivals float64
-		for j, r := range prof {
-			if j != i {
-				rivals += r.E
-			}
-		}
-		q := (a - c - rivals) / 2
-		if q < 0 {
-			q = 0
-		}
-		return numeric.Point2{E: q}
+// A firm's profit and best response depend on its rivals only through
+// their total quantity.
+func cournotBR(a, c float64) AggregateBestResponse {
+	return func(_ int, _, others numeric.Point2) numeric.Point2 {
+		return numeric.Point2{E: math.Max(0, (a-c-others.E)/2)}
 	}
 }
 
 func TestSolveNECournot(t *testing.T) {
 	const a, c = 120.0, 30.0
-	res := SolveNE([]numeric.Point2{{E: 1}, {E: 50}}, cournotBR(a, c), NEOptions{})
+	res := SolveNEAggregate([]numeric.Point2{{E: 1}, {E: 50}}, cournotBR(a, c), NEOptions{})
 	if !res.Converged {
 		t.Fatalf("did not converge: %+v", res)
 	}
@@ -42,7 +34,7 @@ func TestSolveNECournot(t *testing.T) {
 
 func TestSolveNEDampingConverges(t *testing.T) {
 	// Same game, heavily damped: still converges, just more slowly.
-	res := SolveNE([]numeric.Point2{{E: 0}, {E: 0}}, cournotBR(120, 30), NEOptions{Damping: 0.3})
+	res := SolveNEAggregate([]numeric.Point2{{E: 0}, {E: 0}}, cournotBR(120, 30), NEOptions{Damping: 0.3})
 	if !res.Converged {
 		t.Fatalf("damped iteration did not converge: %+v", res)
 	}
@@ -52,7 +44,7 @@ func TestSolveNEDampingConverges(t *testing.T) {
 }
 
 func TestSolveNEIterationBudget(t *testing.T) {
-	res := SolveNE([]numeric.Point2{{E: 0}, {E: 100}}, cournotBR(120, 30), NEOptions{MaxIter: 1})
+	res := SolveNEAggregate([]numeric.Point2{{E: 0}, {E: 100}}, cournotBR(120, 30), NEOptions{MaxIter: 1})
 	if res.Converged {
 		t.Error("one sweep from a distant start must not report convergence")
 	}
@@ -63,19 +55,15 @@ func TestSolveNEIterationBudget(t *testing.T) {
 
 func TestSolveNEDoesNotMutateStart(t *testing.T) {
 	start := []numeric.Point2{{E: 5}, {E: 7}}
-	SolveNE(start, cournotBR(120, 30), NEOptions{})
+	SolveNEAggregate(start, cournotBR(120, 30), NEOptions{})
 	if start[0].E != 5 || start[1].E != 7 {
-		t.Error("SolveNE mutated the starting profile")
+		t.Error("SolveNEAggregate mutated the starting profile")
 	}
 }
 
 func TestDeviation(t *testing.T) {
 	const a, c = 120.0, 30.0
-	// The aggregate form of the Cournot duopoly: a firm's profit and best
-	// response depend on its rivals only through their total quantity.
-	br := func(_ int, _, others numeric.Point2) numeric.Point2 {
-		return numeric.Point2{E: math.Max(0, (a-c-others.E)/2)}
-	}
+	br := cournotBR(a, c)
 	utility := func(_ int, own, others numeric.Point2) float64 {
 		return (a - own.E - others.E - c) * own.E
 	}
@@ -86,7 +74,7 @@ func TestDeviation(t *testing.T) {
 		}
 		return w
 	}
-	ne := SolveNE([]numeric.Point2{{E: 10}, {E: 10}}, cournotBR(a, c), NEOptions{})
+	ne := SolveNEAggregate([]numeric.Point2{{E: 10}, {E: 10}}, cournotBR(a, c), NEOptions{})
 	if dev := worst(ne.Profile); dev > 1e-8 {
 		t.Errorf("deviation at NE = %g, want ≈0", dev)
 	}
@@ -102,16 +90,17 @@ func TestDeviation(t *testing.T) {
 func TestSolveNEMinerConnected(t *testing.T) {
 	p := miner.Params{Reward: 1000, Beta: 0.2, H: 0.7, PriceE: 8, PriceC: 4}
 	const n, budget = 5, 200.0
-	br := func(i int, prof []numeric.Point2) numeric.Point2 {
-		return miner.BestResponseConnected(p, budget, miner.Profile(prof).Env(i))
+	br := func(_ int, own, others numeric.Point2) numeric.Point2 {
+		env := miner.Env{EdgeOthers: math.Max(others.E, 0), CloudOthers: math.Max(others.C, 0)}
+		return miner.BestResponseConnected(p, budget, env, own)
 	}
 	start := make([]numeric.Point2, n)
 	for i := range start {
 		start[i] = numeric.Point2{E: 1 + float64(i), C: 2 * float64(i+1)}
 	}
-	// The projected-gradient best response carries ~1e-7 numeric noise,
-	// so ask for convergence just above that.
-	res := SolveNE(start, br, NEOptions{Tol: 1e-6})
+	// The KKT warm acceptance leaves ~1e-7 of slack in each response, so
+	// ask for convergence just above that.
+	res := SolveNEAggregate(start, br, NEOptions{Tol: 1e-6})
 	if !res.Converged {
 		t.Fatalf("miner NEP did not converge: %+v", res)
 	}
@@ -126,78 +115,68 @@ func TestSolveNEMinerConnected(t *testing.T) {
 	}
 }
 
-// TestSolveVariationalGNELinear uses a synthetic quadratic game with a
-// known multiplier: player i maximizes a_i·x − x²/2 − μ·x so its
-// μ-penalized best response is x_i = max(a_i − μ, 0), and clearing
-// Σx = capacity gives μ* = (Σa − capacity)/n while all responses stay
-// interior.
+// separableShares is the share system of players whose demands ignore
+// the totals: player i asks max(a_i − μ, 0) units of the capped good
+// (its edge and total request alike).
+func separableShares(as []float64, capacity float64) ShareSystem {
+	var sum, top float64
+	for _, a := range as {
+		sum += a
+		top = math.Max(top, a)
+	}
+	demand := func(mu, _, _ float64) (float64, float64) {
+		var d float64
+		for _, a := range as {
+			d += math.Max(a-mu, 0)
+		}
+		return d, d
+	}
+	return ShareSystem{
+		Sums: demand, Players: float64(len(as)), TotalMax: 2 * sum,
+		Capacity: capacity, MuMax: top, FlatEdge: true,
+	}
+}
+
+// TestSolveVariationalGNELinear uses a synthetic game with a known
+// multiplier: player i maximizes a_i·x − x²/2 − μ·x so its μ-penalized
+// demand is x_i = max(a_i − μ, 0), and clearing Σx = capacity gives
+// μ* = (Σa − capacity)/n while all demands stay interior.
 func TestSolveVariationalGNELinear(t *testing.T) {
-	as := []float64{10, 14, 18}
-	brAt := func(mu float64) BestResponse {
-		return func(i int, _ []numeric.Point2) numeric.Point2 {
-			return numeric.Point2{E: math.Max(as[i]-mu, 0)}
-		}
-	}
-	shared := func(prof []numeric.Point2) float64 {
-		var g float64
-		for _, r := range prof {
-			g += r.E
-		}
-		return g
-	}
 	const capacity = 24.0
-	res, err := SolveVariationalGNE(make([]numeric.Point2, 3), brAt, shared, capacity, 1e-9, NEOptions{})
-	if err != nil {
-		t.Fatalf("SolveVariationalGNE: %v", err)
+	res := SolveShares(separableShares([]float64{10, 14, 18}, capacity), numeric.Point2{}, NEOptions{})
+	if !res.Converged {
+		t.Fatalf("SolveShares did not converge: %+v", res)
 	}
 	wantMu := (10 + 14 + 18 - capacity) / 3.0
-	if math.Abs(res.Multiplier-wantMu) > 1e-5 {
-		t.Errorf("multiplier = %g, want %g", res.Multiplier, wantMu)
+	if math.Abs(res.Mu-wantMu) > 1e-9 {
+		t.Errorf("multiplier = %g, want %g", res.Mu, wantMu)
 	}
-	if math.Abs(res.SharedValue-capacity) > 1e-6 {
-		t.Errorf("shared value = %g, want capacity %g", res.SharedValue, capacity)
-	}
-	for i, r := range res.Profile {
-		if math.Abs(r.E-(as[i]-wantMu)) > 1e-5 {
-			t.Errorf("player %d: x = %g, want %g", i, r.E, as[i]-wantMu)
-		}
+	if res.Edge != capacity || math.Abs(res.Total-capacity) > 1e-9 {
+		t.Errorf("totals (E, S) = (%g, %g), want the capacity %g", res.Edge, res.Total, capacity)
 	}
 }
 
 func TestSolveVariationalGNESlackConstraint(t *testing.T) {
-	brAt := func(mu float64) BestResponse {
-		return func(int, []numeric.Point2) numeric.Point2 {
-			return numeric.Point2{E: math.Max(5-mu, 0)}
-		}
+	res := SolveShares(separableShares([]float64{5, 5}, 100), numeric.Point2{}, NEOptions{})
+	if !res.Converged {
+		t.Fatalf("SolveShares did not converge: %+v", res)
 	}
-	shared := func(prof []numeric.Point2) float64 {
-		var g float64
-		for _, r := range prof {
-			g += r.E
-		}
-		return g
+	if res.Mu != 0 {
+		t.Errorf("multiplier = %g, want 0 for slack constraint", res.Mu)
 	}
-	res, err := SolveVariationalGNE(make([]numeric.Point2, 2), brAt, shared, 100, 1e-9, NEOptions{})
-	if err != nil {
-		t.Fatalf("SolveVariationalGNE: %v", err)
-	}
-	if res.Multiplier != 0 {
-		t.Errorf("multiplier = %g, want 0 for slack constraint", res.Multiplier)
-	}
-	if math.Abs(res.SharedValue-10) > 1e-6 {
-		t.Errorf("shared value = %g, want 10", res.SharedValue)
+	if math.Abs(res.Edge-10) > 1e-9 {
+		t.Errorf("edge total = %g, want 10", res.Edge)
 	}
 }
 
 func TestSolveVariationalGNEInfeasible(t *testing.T) {
 	// Demand that ignores the multiplier can never be throttled.
-	brAt := func(float64) BestResponse {
-		return func(int, []numeric.Point2) numeric.Point2 { return numeric.Point2{E: 50} }
+	sys := ShareSystem{
+		Sums:    func(float64, float64, float64) (float64, float64) { return 100, 100 },
+		Players: 2, TotalMax: 400, Capacity: 10, MuMax: 50, FlatEdge: true,
 	}
-	shared := func(prof []numeric.Point2) float64 { return 100 }
-	_, err := SolveVariationalGNE(make([]numeric.Point2, 2), brAt, shared, 10, 1e-9, NEOptions{})
-	if err == nil {
-		t.Error("want error for unthrottlable demand")
+	if res := SolveShares(sys, numeric.Point2{}, NEOptions{}); res.Converged {
+		t.Errorf("unthrottlable demand reported converged: %+v", res)
 	}
 }
 

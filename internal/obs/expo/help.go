@@ -11,11 +11,10 @@ var DefaultHelp = map[string]string{
 	"core.clearing_price_solves_total": "Market-clearing edge-price computations in the standalone SP stage",
 	"core.warm_start_distance":         "RMS distance from the anchor profile to each probe's solved equilibrium",
 	// game: iterative equilibrium solvers.
-	"game.sweeps_total":                "Best-response sweeps across all solvers",
-	"game.sweep_delta":                 "Per-sweep largest strategy change (convergence residual)",
-	"game.contraction_rate":            "Estimated geometric convergence factor per solve",
-	"game.leader_rounds_total":         "Leader-stage asynchronous best-response rounds",
-	"game.gne_multiplier_probes_total": "Inner NEP solves during the GNEP shared-multiplier search",
+	"game.sweeps_total":        "Best-response sweeps and share-function passes across all solvers",
+	"game.sweep_delta":         "Per-sweep largest strategy change (convergence residual)",
+	"game.contraction_rate":    "Estimated geometric convergence factor per solve",
+	"game.leader_rounds_total": "Leader-stage asynchronous best-response rounds",
 	// miner: per-miner best responses.
 	"miner.best_response_calls_total": "Best-response oracle invocations",
 	"miner.kkt_warm_hits_total":       "Best responses answered by the KKT warm-start fast path",
@@ -27,9 +26,9 @@ var DefaultHelp = map[string]string{
 	"parallel.queue_wait_ms":   "Per-task queue wait before a worker picked it up",
 	"parallel.map.ms":          "parallel.Map call duration",
 	"core.stackelberg.ms":      "Full two-stage Stackelberg solve duration",
-	"game.solve_ne.ms":         "Best-response NE solve duration",
+	"game.solve_ne.ms":         "Follower NE solve duration (share root or best-response iteration)",
 	"game.solve_vgne.ms":       "Variational GNEP solve duration",
-	"game.solve_ne.iterations": "Sweeps per NE solve",
+	"game.solve_ne.iterations": "Sweeps or share passes per NE solve",
 	// sim / chain: event-driven mining simulator.
 	"sim.events_fired_total":       "Simulation events executed",
 	"sim.runs_total":               "Simulation engine runs",

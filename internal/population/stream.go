@@ -13,7 +13,7 @@ package population
 // The market is held in classed form throughout: arrivals and
 // departures mutate per-class COUNTS, and each period's equilibrium is
 // re-solved over the K class representatives warm-started from the
-// previous period — O(K) work and O(K) allocations per period, with no
+// previous period — O(K) work per pass and O(K) allocations per period, with no
 // full N-miner profile ever materialized (the re-materializing
 // alternative pays O(N) per period just to rebuild identical rows; see
 // results/meanfield_speedup.md for the measured before/after).
@@ -23,6 +23,7 @@ import (
 	"math"
 	"math/rand"
 
+	"minegame/internal/core"
 	"minegame/internal/game"
 	"minegame/internal/miner"
 	"minegame/internal/numeric"
@@ -249,16 +250,15 @@ type PeriodPoint struct {
 	Departed      int     // departures realized this period
 	EdgeDemand    float64 // equilibrium E = Σ count_k·e_k
 	CloudDemand   float64 // equilibrium C = Σ count_k·c_k
-	Iterations    int     // best-response sweeps the warm-started solve took
+	Iterations    int     // passes of the warm-started share-function solve
 	Converged     bool
 }
 
 // SolvePeriods advances the stream through the given number of pricing
 // periods, re-solving the connected-mode classed equilibrium after each
-// period's churn. The class representatives warm-start from the
-// previous period's equilibrium, so a small-churn period re-converges
-// in a few KKT-warm sweeps; the per-period cost is O(K) regardless of
-// N. The stream is left at its final state, so consecutive calls
+// period's churn with the share-function engine (core.SolveClassShares),
+// warm-started at the previous period's totals; the per-period cost is
+// O(K) passes regardless of N. The stream is left at its final state, so consecutive calls
 // continue the same trajectory.
 func (s *Stream) SolvePeriods(p miner.Params, periods int, opts game.NEOptions) ([]PeriodPoint, error) {
 	if err := p.Validate(); err != nil {
@@ -267,64 +267,33 @@ func (s *Stream) SolvePeriods(p miner.Params, periods int, opts game.NEOptions) 
 	if periods <= 0 {
 		return nil, fmt.Errorf("population stream: periods %d must be positive", periods)
 	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-6
-	}
-	// Seed each class's representative with the closed-form homogeneous
-	// equilibrium at its budget (the heuristic b/(4P) spread as fallback):
-	// the closed form starts inside the best responses' KKT acceptance
-	// region, where a far seed leaves the classed solver circling at the
-	// best responses' positional noise floor. Later periods warm-start
-	// from the previous period's equilibrium, which small churn keeps in
-	// that region.
+	// Each period's solve warm-starts the share root at the previous
+	// period's totals; the first starts from the closed-form homogeneous
+	// equilibrium at each class's budget (the heuristic b/(4P) spread as
+	// fallback).
 	reps := make([]numeric.Point2, len(s.classes))
+	budgets := make([]float64, len(s.classes))
 	for k, c := range s.classes {
+		budgets[k] = c.Budget
 		if sol, err := miner.HomogeneousConnected(p, s.N(), c.Budget); err == nil {
 			reps[k] = sol.Request
 		} else {
 			reps[k] = numeric.Point2{E: c.Budget / (4 * p.PriceE), C: c.Budget / (4 * p.PriceC)}
 		}
 	}
-	br := func(k int, own, others numeric.Point2) numeric.Point2 {
-		if others.E < 0 {
-			others.E = 0
-		}
-		if others.C < 0 {
-			others.C = 0
-		}
-		env := miner.Env{EdgeOthers: others.E, CloudOthers: others.C}
-		return miner.BestResponseConnected(p, s.classes[k].Budget, env, own)
-	}
 	points := make([]PeriodPoint, 0, periods)
 	for t := 1; t <= periods; t++ {
 		arrived, departed := s.Step()
 		counts := s.Counts()
-		// A warm start either re-converges within a few sweeps (small
-		// churn, still inside the best responses' acceptance region) or is
-		// stale enough that grinding on it wastes hundreds of sweeps — so
-		// the warm attempt gets a short leash and the fallback restarts
-		// from the closed form at the CURRENT population.
-		warm := opts
-		if warm.MaxIter <= 0 || warm.MaxIter > 10 {
-			warm.MaxIter = 10
+		next, res := core.SolveClassShares(p, budgets, counts, reps, opts)
+		if res.Canceled {
+			return nil, fmt.Errorf("population stream period %d: %w", t, game.ErrCanceled)
 		}
-		res := game.SolveNEAggregate(reps, counts, br, warm)
-		if !res.Converged {
-			fresh := make([]numeric.Point2, len(s.classes))
-			for k, c := range s.classes {
-				if sol, err := miner.HomogeneousConnected(p, s.N(), c.Budget); err == nil {
-					fresh[k] = sol.Request
-				} else {
-					fresh[k] = numeric.Point2{E: c.Budget / (4 * p.PriceE), C: c.Budget / (4 * p.PriceC)}
-				}
-			}
-			res = game.SolveNEAggregate(fresh, counts, br, opts)
-		}
-		reps = res.Profile
+		reps = next
 		pt := PeriodPoint{
 			Period: t, N: s.N(),
 			Arrived: arrived, Departed: departed,
-			Iterations: res.Iterations, Converged: res.Converged,
+			Iterations: res.Passes, Converged: res.Converged,
 		}
 		for k, r := range reps {
 			if counts[k] > 0 {

@@ -192,7 +192,7 @@ func naivePeriods(s *Stream, p miner.Params, periods int, opts game.NEOptions) [
 			}
 			return miner.BestResponseConnected(p, budgets[i], miner.Env{EdgeOthers: others.E, CloudOthers: others.C}, own)
 		}
-		res := game.SolveNEAggregate(prof, nil, br, opts)
+		res := game.SolveNEAggregate(prof, br, opts)
 		pt := PeriodPoint{Period: t, N: s.N(), Arrived: arrived, Departed: departed, Iterations: res.Iterations, Converged: res.Converged}
 		// Fold the solved profile back into representatives (first row of
 		// each class) for the next period's warm start.

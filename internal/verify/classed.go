@@ -64,7 +64,7 @@ func certifyClassed(cfg core.Config, cp miner.ClassedPopulation, p core.Prices, 
 var classedText = certText{
 	kind:        "miner_ne_classed",
 	budget:      "relative budget overspend max_k (spend_k - B_k)/(1 + B_k)",
-	deviation:   "worst per-class best-response gain relative to R (exact for all members)",
+	deviation:   "worst per-class best-response gain relative to the member's stake max(R·W_k, spend_k, R/N) (exact for all members)",
 	winprobFull: "Theorem 1: weighted fully satisfied winning probabilities must sum to 1",
 	utilities:   "reported vs recomputed per-class utilities",
 	winprobs:    "reported vs recomputed per-class winning probabilities",
@@ -126,7 +126,7 @@ func CertifyExpandedSample(cfg core.Config, cp miner.ClassedPopulation, p core.P
 	if stride < 1 {
 		stride = 1
 	}
-	var rowMismatch, nonneg, budget, eps float64
+	var rowMismatch, nonneg, budget, eps, worst float64
 	checked := 0
 	for i := 0; i < cp.N() && checked < sample; i += stride {
 		k := cp.ClassOf(i)
@@ -140,19 +140,20 @@ func CertifyExpandedSample(cfg core.Config, cp miner.ClassedPopulation, p core.P
 			budget = over
 		}
 		env := tot.Env(own)
-		var gain float64
+		var gain, w float64
 		if cfg.Mode == netmodel.Connected {
 			cur := miner.UtilityConnected(params, own, env)
 			dev := miner.BestResponseConnected(params, b, env)
 			gain = miner.UtilityConnected(params, dev, env) - cur
+			w = miner.WinProbConnected(params.Beta, params.H, own, env)
 		} else {
 			cur := miner.UtilityStandalone(params, own, env)
 			dev := miner.BestResponseStandalone(params, b, cfg.EdgeCapacity-env.EdgeOthers, env)
 			gain = miner.UtilityStandalone(params, dev, env) - cur
+			w = miner.WinProbFull(params.Beta, own, env)
 		}
-		if gain > eps {
-			eps = gain
-		}
+		eps = math.Max(eps, gain)
+		worst = math.Max(worst, gain/stake(cfg, w, params.Spend(own)))
 		checked++
 	}
 	cert.add("sample_rows_match", rowMismatch, 0,
@@ -161,8 +162,8 @@ func CertifyExpandedSample(cfg core.Config, cp miner.ClassedPopulation, p core.P
 	cert.add("budget", budget, opts.FeasTol, "relative budget overspend across the sample")
 	cert.Epsilon = eps
 	cert.EpsilonRel = eps / cfg.Reward
-	cert.add("deviation", cert.EpsilonRel, opts.GainTol,
-		fmt.Sprintf("worst best-response gain over %d sampled miners, relative to R", checked))
+	cert.add("deviation", worst, opts.GainTol,
+		fmt.Sprintf("worst best-response gain over %d sampled miners, relative to each one's stake max(R·W_i, spend_i, R/N)", checked))
 	opts.recordCert(cert)
 	return cert, nil
 }

@@ -180,24 +180,19 @@ func TestPropertyProfileAggregateSolverAgreement(t *testing.T) {
 
 			var profA, profB miner.Profile
 			if mode == netmodel.Connected {
-				// Profile-based reference vs aggregate-based hot path, both
+				// The share-function root vs best-response iteration, both
 				// from the same cold start.
-				br := func(i int, profile []numeric.Point2) numeric.Point2 {
-					var tot numeric.Point2
-					for _, r := range profile {
-						tot = tot.Add(r)
-					}
-					others := tot.Sub(profile[i])
-					return miner.BestResponseConnected(params, cfg.Budget(i),
-						miner.Env{EdgeOthers: others.E, CloudOthers: others.C}, profile[i])
-				}
 				brAgg := func(i int, own, others numeric.Point2) numeric.Point2 {
 					return miner.BestResponseConnected(params, cfg.Budget(i),
 						miner.Env{EdgeOthers: others.E, CloudOthers: others.C}, own)
 				}
 				start := cfg.ColdStart(p)
-				profA = game.SolveNE(start.Clone(), br, game.NEOptions{}).Profile
-				profB = game.SolveNEAggregate(start.Clone(), nil, brAgg, game.NEOptions{}).Profile
+				eq, err := core.SolveMinerEquilibriumFrom(cfg, p, game.NEOptions{}, start.Clone())
+				if err != nil {
+					t.Fatalf("seed %d: connected solve: %v", seed, err)
+				}
+				profA = eq.Requests
+				profB = game.SolveNEAggregate(start.Clone(), brAgg, game.NEOptions{}).Profile
 			} else {
 				// The capacity-projected NE solver vs the variational GNEP
 				// solver: when capacity does not bind they coincide, and when

@@ -31,9 +31,11 @@ import (
 // default tolerances certifies cleanly, while a strategy perturbation
 // visible at the third significant digit is flagged.
 type Options struct {
-	// GainTol bounds the per-miner best-response gain RELATIVE to the
-	// mining reward R: the profile is accepted as an ε-Nash equilibrium
-	// when max_i gain_i ≤ GainTol·R. Default 1e-4.
+	// GainTol bounds each miner's best-response gain RELATIVE to its
+	// stake max(R·W_i, spend_i, R/N) — its expected reward, its spend,
+	// or an even share of the reward, whichever is largest: the profile
+	// is accepted as an ε-Nash equilibrium when every gain_i ≤
+	// GainTol·max(R·W_i, spend_i, R/N). Default 1e-4.
 	GainTol float64
 	// FeasTol is the relative feasibility tolerance on the budget, the
 	// non-negativity and the shared-capacity constraints. Default 1e-6.
@@ -278,7 +280,7 @@ type certText struct {
 var exactText = certText{
 	kind:        "miner_ne",
 	budget:      "relative budget overspend max_i (spend_i - B_i)/(1 + B_i)",
-	deviation:   "worst unilateral best-response gain relative to R",
+	deviation:   "worst unilateral best-response gain relative to the miner's stake max(R·W_i, spend_i, R/N)",
 	winprobFull: "Theorem 1: fully satisfied winning probabilities must sum to 1",
 	utilities:   "reported vs recomputed miner utilities",
 	winprobs:    "reported vs recomputed winning probabilities",
@@ -337,18 +339,6 @@ func certifyMarket(cfg core.Config, p core.Prices, m market, eq *core.MinerEquil
 			fmt.Sprintf("relative shared-capacity overshoot, E=%g E_max=%g", tot.Edge, cfg.EdgeCapacity))
 	}
 
-	// ε-Nash: per-type best-response deviation gains, normalized by R.
-	var eps float64
-	for _, g := range m.gains {
-		if g > eps {
-			eps = g
-		}
-	}
-	cert.Gains = m.gains
-	cert.Epsilon = eps
-	cert.EpsilonRel = eps / cfg.Reward
-	cert.add("deviation", cert.EpsilonRel, opts.GainTol, m.text.deviation)
-
 	// Each type's utility and winning probability in the mode's form
 	// (Eq. 9 with the miner's own fork rate connected, Eq. 6 standalone).
 	us := make([]float64, len(m.reqs))
@@ -367,6 +357,19 @@ func certifyMarket(cfg core.Config, p core.Prices, m market, eq *core.MinerEquil
 			ws[k] = miner.WinProbFull(pk.Beta, r, env)
 		}
 	}
+
+	// ε-Nash: per-type best-response deviation gains, each bounded by
+	// its type's stake (GainTol); Epsilon and EpsilonRel report the
+	// largest gain in utility units and relative to R.
+	var eps, worst float64
+	for k, g := range m.gains {
+		eps = math.Max(eps, g)
+		worst = math.Max(worst, g/stake(cfg, ws[k], params.Spend(m.reqs[k])))
+	}
+	cert.Gains = m.gains
+	cert.Epsilon = eps
+	cert.EpsilonRel = eps / cfg.Reward
+	cert.add("deviation", worst, opts.GainTol, m.text.deviation)
 
 	// Theorem 1: the fully satisfied winning probabilities sum to one;
 	// in connected mode the expected mass is (1−β) + βh·1{E > 0}. The
@@ -430,6 +433,14 @@ func certifyMarket(cfg core.Config, p core.Prices, m market, eq *core.MinerEquil
 		}
 	}
 	return cert
+}
+
+// stake is the scale a miner's deviation gain is judged against: the
+// largest of its expected reward R·W, its spend and the even share R/N.
+// A bound relative to R alone would exceed a miner's whole expected
+// reward once N passes 1/GainTol.
+func stake(cfg core.Config, w, spend float64) float64 {
+	return math.Max(math.Max(cfg.Reward*w, spend), cfg.Reward/float64(cfg.N))
 }
 
 // sliceResidual returns the largest absolute difference between two

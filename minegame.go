@@ -74,13 +74,16 @@ type (
 	StackelbergResult = core.StackelbergResult
 	// ModeComparison contrasts the two ESP operation modes.
 	ModeComparison = core.ModeComparison
-	// NEOptions tunes best-response iteration.
+	// NEOptions tunes an equilibrium solve; MaxIter, Tol, Damping and
+	// Jacobi apply only to best-response iteration (SolveMinerGNE), not
+	// to the share-function root of SolveMinerEquilibrium.
 	NEOptions = game.NEOptions
 )
 
 // SolveMinerEquilibrium computes the miner-subgame equilibrium at fixed
 // prices: the unique NEP solution in connected mode (Theorem 2), the
-// variational GNEP solution in standalone mode (Theorem 5).
+// variational GNEP solution in standalone mode (Theorem 5), each as the
+// root of the share equations in the totals (E, S).
 func SolveMinerEquilibrium(cfg Config, p Prices, opts NEOptions) (MinerEquilibrium, error) {
 	return core.SolveMinerEquilibrium(cfg, p, opts)
 }
@@ -229,8 +232,8 @@ func SolvePopulationEquilibrium(p MinerParams, pmf MinerCountPMF, budget float64
 
 // Mean-field class compression (DESIGN.md §12): miners sharing a budget
 // are interchangeable in the aggregative subgame, so a population of N
-// miners collapses into K budget classes solved with multiplicities —
-// O(K) best responses per sweep — and million-miner markets clear in
+// miners collapses into K budget classes weighted by their counts —
+// O(K) work per pass of the share root — and million-miner markets clear in
 // the time the exact solver needs for a thousand miners.
 type (
 	// MinerClass is one (budget, count) group of identical miners.
@@ -271,7 +274,7 @@ func MinersFromClasses(classes []MinerClass) (ClassedPopulation, error) {
 }
 
 // SolveMinerEquilibriumClassed computes the miner-subgame equilibrium
-// over a classed population at fixed prices in O(K) per sweep; cfg.N
+// over a classed population at fixed prices in O(K) per pass; cfg.N
 // must equal cp.N().
 func SolveMinerEquilibriumClassed(cfg Config, cp ClassedPopulation, p Prices, opts NEOptions) (ClassedEquilibrium, error) {
 	return core.SolveMinerEquilibriumClassed(cfg, cp, p, opts)
