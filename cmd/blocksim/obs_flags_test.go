@@ -61,7 +61,7 @@ func TestMetricsFlagReportsRaceStats(t *testing.T) {
 		"mined 50 canonical blocks", // normal report intact
 		"== metrics ==",
 		"chain.blocks_mined_total",
-		"sim.queue_high_water",
+		"chain.max_rivals_per_round",
 		"chain.round_duration_s",
 	} {
 		if !strings.Contains(got, want) {

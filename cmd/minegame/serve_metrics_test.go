@@ -32,10 +32,12 @@ func TestServeMetricsScrapableDuringSolve(t *testing.T) {
 	addr := freePort(t)
 	var out bytes.Buffer
 	done := make(chan error, 1)
-	// -stage compare solves both ESP modes over the full price grid,
-	// keeping the endpoint up long enough to scrape mid-run.
+	// -stage compare over 5000 miners solves both ESP modes over the full
+	// price grid: hundreds of milliseconds, against the first sweep's
+	// metrics registering within a few, so the endpoint stays up long
+	// after it has something to expose.
 	go func() {
-		done <- run([]string{"-stage", "compare", "-parallel", "1", "-serve-metrics", addr}, &out)
+		done <- run([]string{"-stage", "compare", "-n", "5000", "-parallel", "1", "-serve-metrics", addr}, &out)
 	}()
 
 	var metricsBody, healthBody string
@@ -44,7 +46,7 @@ scrape:
 	for time.Now().Before(deadline) {
 		select {
 		case err := <-done:
-			t.Fatalf("solve finished before /metrics answered (run err %v)", err)
+			t.Fatalf("solve finished before /metrics exposed a metric family (run err %v)", err)
 		default:
 		}
 		resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
@@ -59,6 +61,11 @@ scrape:
 		}
 		if !strings.Contains(resp.Header.Get("Content-Type"), "openmetrics-text") {
 			t.Errorf("Content-Type = %q, want openmetrics-text", resp.Header.Get("Content-Type"))
+		}
+		if !strings.Contains(string(body), "# TYPE ") {
+			// Up, but the solve has not registered its first metric yet.
+			time.Sleep(2 * time.Millisecond)
+			continue
 		}
 		metricsBody = string(body)
 		h, err := http.Get(fmt.Sprintf("http://%s/healthz", addr))
@@ -86,8 +93,8 @@ scrape:
 	if !strings.Contains(healthBody, "ok") {
 		t.Errorf("/healthz body = %q, want ok", healthBody)
 	}
-	// A mid-run scrape races the solve, so assert only on families that
-	// exist from the first sweep onward.
+	// The scrape loop waits for the first family, so a mid-run body
+	// always carries one.
 	if !strings.Contains(metricsBody, "# TYPE ") {
 		t.Errorf("exposition has no TYPE lines:\n%s", metricsBody)
 	}

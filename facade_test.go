@@ -174,6 +174,11 @@ func TestFacadeGossip(t *testing.T) {
 	if d <= 0 {
 		t.Errorf("delay %g", d)
 	}
+	// Golden value: the overlay's draw order and the quantile mean are
+	// both pinned bit for bit.
+	if want := 2.1966480503860644; d != want { //lint:allow floateq golden value recorded from the seeded overlay
+		t.Errorf("delay %v, want golden %v", d, want)
+	}
 }
 
 func TestFacadeServingExports(t *testing.T) {

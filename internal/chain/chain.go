@@ -1,7 +1,8 @@
 // Package chain is the proof-of-work blockchain substrate of the mining
-// game. It provides a fork-aware ledger, an event-driven mining race
+// game. It provides a fork-aware ledger, the edge/cloud mining race
 // simulator, and the analytic collision/fork-rate models that link block
-// propagation delay to the game parameter β.
+// propagation delay to the game parameter β. Peer-graph propagation (the
+// gossip overlay and per-miner fork rates) lives in package chain/topo.
 //
 // The paper assumes the network's block production follows a Bitcoin-like
 // pattern: block inter-arrival times are exponential with mean Interval

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"minegame/internal/obs"
-	"minegame/internal/sim"
 )
 
 // Allocation is a miner's computing power split across the two providers,
@@ -86,35 +85,37 @@ func SimulateRound(cfg RaceConfig, rng *rand.Rand) (RoundResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return RoundResult{}, err
 	}
+	res, _, _ := playRound(cfg, 0, rng)
+	return res, nil
+}
+
+// playRound plays one race (see SimulateRound) on an absolute clock that
+// starts at start, so a chain of rounds keeps faithful solve and
+// finality instants. It returns the outcome (Duration measured from
+// start), the winning block, and the cloud blocks solved during the
+// round in solve order — the winner among them when it was solved in
+// the cloud. Cloud blocks share one delay, so the earliest-final pending
+// block is always the first.
+func playRound(cfg RaceConfig, start float64, rng *rand.Rand) (RoundResult, solvedBlock, []solvedBlock) {
 	_, total := cfg.totals()
-	var (
-		t       float64
-		pending []solvedBlock
-	)
-	earliestFinal := func() (int, float64) {
-		best, bestT := -1, 0.0
-		for i, b := range pending {
-			if best == -1 || b.finalAt < bestT {
-				best, bestT = i, b.finalAt
-			}
-		}
-		return best, bestT
-	}
+	t := start
+	var pending []solvedBlock
 	for {
 		next := t + rng.ExpFloat64()*cfg.Interval
-		if i, ft := earliestFinal(); i >= 0 && ft <= next {
+		if len(pending) > 0 && pending[0].finalAt <= next {
 			// A pending cloud block reaches consensus before the next solve.
-			win := pending[i]
+			win := pending[0]
 			return RoundResult{
 				WinnerID:     win.minerID,
-				WinnerOrigin: win.origin,
+				WinnerOrigin: OriginCloud,
 				Solved:       len(pending),
 				Forked:       len(pending) > 1,
-				Duration:     ft,
-			}, nil
+				Duration:     win.finalAt - start,
+			}, win, pending
 		}
 		t = next
 		minerID, origin := drawSolver(cfg.Allocations, total, rng)
+		b := solvedBlock{minerID: minerID, origin: origin, solvedAt: t, finalAt: t}
 		if origin == OriginEdge {
 			// Immediate consensus: beats every pending cloud block.
 			return RoundResult{
@@ -122,15 +123,11 @@ func SimulateRound(cfg RaceConfig, rng *rand.Rand) (RoundResult, error) {
 				WinnerOrigin: OriginEdge,
 				Solved:       len(pending) + 1,
 				Forked:       len(pending) > 0,
-				Duration:     t,
-			}, nil
+				Duration:     t - start,
+			}, b, pending
 		}
-		pending = append(pending, solvedBlock{
-			minerID:  minerID,
-			origin:   OriginCloud,
-			solvedAt: t,
-			finalAt:  t + cfg.CloudDelay,
-		})
+		b.finalAt = t + cfg.CloudDelay
+		pending = append(pending, b)
 	}
 }
 
@@ -205,8 +202,8 @@ func SimulateRounds(cfg RaceConfig, n int, rng *rand.Rand) (WinStats, error) {
 
 // record folds one round into the stats and, when the observer is
 // enabled, into the chain metrics; emitRound additionally streams a
-// per-round "chain.round" trace event (used by the event-driven Network,
-// where per-round telemetry matters for fork forensics).
+// per-round "chain.round" trace event (used by Network, where per-round
+// telemetry matters for fork forensics).
 func (s *WinStats) record(res RoundResult, ob *obs.Observer, emitRound bool) {
 	s.Rounds++
 	s.Wins[res.WinnerID]++
@@ -243,14 +240,15 @@ func (s *WinStats) record(res RoundResult, ob *obs.Observer, emitRound bool) {
 	}
 }
 
-// Network grows a fork-aware ledger using the discrete-event engine: each
-// round's solve and finality instants become events, discarded rivals are
-// recorded, and the canonical chain extends by one block per round.
+// Network grows a fork-aware ledger by replaying the round race back to
+// back: each round starts at the previous round's finality instant, its
+// winner extends the canonical chain, and its discarded rivals are
+// recorded beside it.
 type Network struct {
 	cfg    RaceConfig
 	ledger *Ledger
-	engine *sim.Engine
 	rng    *rand.Rand
+	now    float64
 }
 
 // NewNetwork creates a network simulation. It returns an error if the
@@ -259,121 +257,57 @@ func NewNetwork(cfg RaceConfig, rng *rand.Rand) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Network{
-		cfg:    cfg,
-		ledger: NewLedger(),
-		engine: sim.NewEngine(),
-		rng:    rng,
-	}, nil
+	return &Network{cfg: cfg, ledger: NewLedger(), rng: rng}, nil
 }
 
 // Ledger exposes the grown chain.
 func (n *Network) Ledger() *Ledger { return n.ledger }
 
-// Now returns the simulation clock.
-func (n *Network) Now() float64 { return n.engine.Now() }
+// Now returns the simulation clock: the last round's finality instant.
+func (n *Network) Now() float64 { return n.now }
 
-// Grow mines `blocks` canonical blocks, replaying each round race through
-// the event engine so solve and consensus instants are faithful, and
-// returns aggregate statistics. With an enabled observer each round also
-// feeds the chain metrics and emits a "chain.round" trace event.
+// Grow mines `blocks` canonical blocks, one round race each, and returns
+// aggregate statistics. With an enabled observer each round also feeds
+// the chain metrics and emits a "chain.round" trace event.
 func (n *Network) Grow(blocks int) (WinStats, error) {
 	ob := obs.Default()
 	span := ob.StartSpan("chain.grow", obs.Fields{"blocks": blocks})
 	stats := WinStats{Wins: make(map[int]int, len(n.cfg.Allocations))}
-	roundStart := n.engine.Now()
 	for i := 0; i < blocks; i++ {
-		res, err := n.growOne()
-		if err != nil {
+		res, win, pending := playRound(n.cfg, n.now, n.rng)
+		if err := n.appendRound(win, pending); err != nil {
 			span.End(obs.Fields{"failed": true})
 			return WinStats{}, fmt.Errorf("block %d: %w", i, err)
 		}
-		// The engine clock is cumulative across rounds; report the
-		// per-round consensus latency, not the absolute timestamp.
-		res.Duration -= roundStart
-		roundStart = n.engine.Now()
+		n.now = win.finalAt
 		stats.record(res, ob, true)
 	}
 	if ob.Enabled() {
 		ob.SetGauge("chain.height", float64(n.ledger.Height()))
-		ob.SetGauge("chain.virtual_time_s", n.engine.Now())
+		ob.SetGauge("chain.virtual_time_s", n.now)
 	}
 	span.End(obs.Fields{"forks": stats.Forks, "edge_wins": stats.EdgeWins, "cloud_wins": stats.CloudWins})
 	return stats, nil
 }
 
-// growOne plays a single round on the event engine and appends the
-// canonical winner (plus discarded rivals) to the ledger.
-func (n *Network) growOne() (RoundResult, error) {
-	_, total := n.cfg.totals()
+// appendRound extends the tip with the round's winner, then records every
+// other block solved in the round as a discarded rival, in solve order.
+func (n *Network) appendRound(win solvedBlock, pending []solvedBlock) error {
 	parent := n.ledger.Tip().ID
-	var (
-		winner   *solvedBlock
-		rivals   []solvedBlock
-		schedule func(e *sim.Engine)
-	)
-	roundOver := func() bool { return winner != nil }
-	finalize := func(b solvedBlock) {
-		winner = &b
-		n.engine.Stop()
+	if _, err := n.ledger.Append(parent, win.minerID, win.origin, win.solvedAt, win.finalAt); err != nil {
+		return err
 	}
-	schedule = func(e *sim.Engine) {
-		if roundOver() {
-			return
-		}
-		delay := n.rng.ExpFloat64() * n.cfg.Interval
-		e.Schedule(delay, func(e *sim.Engine) {
-			if roundOver() {
-				return
-			}
-			minerID, origin := drawSolver(n.cfg.Allocations, total, n.rng)
-			b := solvedBlock{minerID: minerID, origin: origin, solvedAt: e.Now(), finalAt: e.Now()}
-			if origin == OriginEdge {
-				finalize(b)
-				return
-			}
-			b.finalAt = e.Now() + n.cfg.CloudDelay
-			rivals = append(rivals, b)
-			e.Schedule(n.cfg.CloudDelay, func(e *sim.Engine) {
-				if roundOver() {
-					return
-				}
-				finalize(b)
-			})
-			schedule(e)
-		})
-	}
-	schedule(n.engine)
-	n.engine.RunAll()
-	if winner == nil {
-		return RoundResult{}, fmt.Errorf("round produced no winner")
-	}
-	wb, err := n.ledger.Append(parent, winner.minerID, winner.origin, winner.solvedAt, winner.finalAt)
-	if err != nil {
-		return RoundResult{}, err
-	}
-	solved := 1
-	forked := false
-	for _, r := range rivals {
-		if r == *winner {
+	for _, r := range pending {
+		if r == win {
 			continue
 		}
-		solved++
-		forked = true
 		rb, err := n.ledger.Append(parent, r.minerID, r.origin, r.solvedAt, r.finalAt)
 		if err != nil {
-			return RoundResult{}, err
+			return err
 		}
 		if !rb.Discarded {
 			n.ledger.MarkDiscarded(rb.ID)
 		}
-		_ = wb
 	}
-	return RoundResult{
-		WinnerID:     winner.minerID,
-		WinnerOrigin: winner.origin,
-		Solved:       solved,
-		Forked:       forked,
-		Duration:     winner.finalAt,
-	}, nil
+	return nil
 }

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"minegame/internal/sim"
@@ -182,5 +183,63 @@ func TestWinStatsEmpty(t *testing.T) {
 	var s WinStats
 	if s.WinProb(1) != 0 || s.ForkRate() != 0 {
 		t.Error("zero-round stats must report zero probabilities")
+	}
+}
+
+// TestGrowReplaysSimulateRounds: Network.Grow and a loop of SimulateRound
+// on the same seed play the same rounds — identical winners, origins and
+// solved counts per round, and per-round durations that agree up to the
+// rounding of the ledger's absolute clock.
+func TestGrowReplaysSimulateRounds(t *testing.T) {
+	const rounds = 3000
+	for _, delay := range []float64{0, 60, 600, 3000} {
+		cfg := testConfig()
+		cfg.CloudDelay = delay
+		rng := sim.NewRNG(23, "grow-replay")
+		want := make([]RoundResult, rounds)
+		for i := range want {
+			res, err := SimulateRound(cfg, rng)
+			if err != nil {
+				t.Fatalf("delay %g round %d: %v", delay, i, err)
+			}
+			want[i] = res
+		}
+		net, err := NewNetwork(cfg, sim.NewRNG(23, "grow-replay"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := net.Grow(rounds)
+		if err != nil {
+			t.Fatalf("delay %g: Grow: %v", delay, err)
+		}
+		replay, err := SimulateRounds(cfg, rounds, sim.NewRNG(23, "grow-replay"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stats, replay) {
+			t.Fatalf("delay %g: Grow stats %+v != SimulateRounds %+v", delay, stats, replay)
+		}
+		solved := make([]int, rounds)
+		canon := make([]*Block, rounds)
+		for _, b := range net.Ledger().Blocks() {
+			solved[b.Height-1]++
+			if !b.Discarded {
+				canon[b.Height-1] = b
+			}
+		}
+		prevFinal := 0.0
+		for i, w := range want {
+			c := canon[i]
+			if c == nil || c.MinerID != w.WinnerID || c.Origin != w.WinnerOrigin || solved[i] != w.Solved {
+				t.Fatalf("delay %g round %d: ledger %+v (%d solved) != round %+v", delay, i, c, solved[i], w)
+			}
+			if d := c.FinalAt - prevFinal; math.Abs(d-w.Duration) > 1e-9*math.Max(1, c.FinalAt) {
+				t.Fatalf("delay %g round %d: ledger duration %v != round %v", delay, i, d, w.Duration)
+			}
+			prevFinal = c.FinalAt
+		}
+		if net.Now() != prevFinal { //lint:allow floateq the clock is the last canonical block's finality instant
+			t.Errorf("delay %g: Now() = %v, last finality %v", delay, net.Now(), prevFinal)
+		}
 	}
 }

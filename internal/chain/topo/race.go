@@ -44,22 +44,15 @@ type Config struct {
 	// Quorum is the hashrate fraction a block's flood must cover to reach
 	// consensus, in (0, 1]. It defines the per-node finality delays δ_i.
 	Quorum float64
-	// MaxSolved caps the total blocks any replica may solve before the
-	// race is abandoned with an error — the guarantee that a pathological
-	// configuration (finality delays many orders of magnitude above the
-	// block interval, so races pile up blocks faster than they resolve)
-	// terminates instead of grinding forever. 0 picks 1000 per target
-	// block plus 1000 slack, far above any convergent race's needs.
-	MaxSolved int
 }
 
-// maxSolved resolves the replica block budget.
-func (c Config) maxSolved() int {
-	if c.MaxSolved > 0 {
-		return c.MaxSolved
-	}
-	return c.Blocks*1000 + 1000
-}
+// budget caps the blocks a replica may solve before the race is
+// abandoned with an error: 1000 per target block plus 1000 slack, far
+// above any convergent race's needs. It guarantees that a pathological
+// configuration (finality delays many orders of magnitude above the
+// block interval, so races pile up blocks faster than they resolve)
+// terminates instead of grinding forever.
+func (c Config) budget() int { return c.Blocks*1000 + 1000 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -71,9 +64,6 @@ func (c Config) Validate() error {
 	}
 	if c.Quorum <= 0 || c.Quorum > 1 || math.IsNaN(c.Quorum) {
 		return fmt.Errorf("topo: quorum %g outside (0, 1]", c.Quorum)
-	}
-	if c.MaxSolved < 0 {
-		return fmt.Errorf("topo: block budget %d must be non-negative", c.MaxSolved)
 	}
 	return nil
 }
@@ -198,12 +188,17 @@ type race struct {
 	c       counts
 }
 
-// Estimate runs one seeded race replica over the topology and returns
-// per-node fork rates and win probabilities. It errors on invalid
-// configuration or when the graph cannot reach the quorum from some node
-// (a disconnected topology has no consensus to race for).
+// Estimate runs one seeded race replica over the topology on the
+// caller's rng and returns per-node fork rates and win probabilities. It
+// errors on invalid configuration or when the graph cannot reach the
+// quorum from some node (a disconnected topology has no consensus to
+// race for).
 func Estimate(t *Topology, cfg Config, rng *rand.Rand) (Result, error) {
-	c, delays, err := estimateCounts(t, cfg, rng)
+	delays, err := finalityDelays(t, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	c, err := raceCounts(t, cfg, delays, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -218,14 +213,7 @@ func EstimateReplicated(t *Topology, cfg Config, seed int64, replicas int) (Resu
 	if replicas < 1 {
 		return Result{}, fmt.Errorf("topo: replicas %d must be at least 1", replicas)
 	}
-	// Validate once up front so every replica failure is the same failure.
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := t.Validate(); err != nil {
-		return Result{}, err
-	}
-	delays, err := t.FinalityDelays(cfg.Quorum)
+	delays, err := finalityDelays(t, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -234,9 +222,7 @@ func EstimateReplicated(t *Topology, cfg Config, seed int64, replicas int) (Resu
 		idx[i] = i
 	}
 	parts, err := parallel.Map(parallel.New(0), idx, func(_ int, rep int) (counts, error) {
-		rng := sim.NewRNG(seed, fmt.Sprintf("topo-replica-%d", rep))
-		c, _, err := estimateCounts(t, cfg, rng)
-		return c, err
+		return raceCounts(t, cfg, delays, sim.NewRNG(seed, fmt.Sprintf("topo-replica-%d", rep)))
 	})
 	if err != nil {
 		return Result{}, err
@@ -252,18 +238,21 @@ func newCounts(nodes int) counts {
 	return counts{miners: make([]minerCounts, nodes)}
 }
 
-// estimateCounts runs one replica and returns its raw tallies.
-func estimateCounts(t *Topology, cfg Config, rng *rand.Rand) (counts, []float64, error) {
+// finalityDelays validates the configuration and the topology once and
+// returns the per-node finality delays every replica races with.
+func finalityDelays(t *Topology, cfg Config) ([]float64, error) {
 	if err := cfg.Validate(); err != nil {
-		return counts{}, nil, err
+		return nil, err
 	}
 	if err := t.Validate(); err != nil {
-		return counts{}, nil, err
+		return nil, err
 	}
-	delays, err := t.FinalityDelays(cfg.Quorum)
-	if err != nil {
-		return counts{}, nil, err
-	}
+	return t.FinalityDelays(cfg.Quorum)
+}
+
+// raceCounts runs one replica with validated finality delays and returns
+// its raw tallies.
+func raceCounts(t *Topology, cfg Config, delays []float64, rng *rand.Rand) (counts, error) {
 	n := t.Nodes()
 	total := t.TotalHashrate()
 	r := &race{
@@ -278,7 +267,7 @@ func estimateCounts(t *Topology, cfg Config, rng *rand.Rand) (counts, []float64,
 		epoch:    make([]int, n),
 		seen:     make([]map[int]bool, n),
 		canonAt:  map[int]int{0: 0},
-		budget:   cfg.maxSolved(),
+		budget:   cfg.budget(),
 		c:        newCounts(n),
 	}
 	for i := 0; i < n; i++ {
@@ -290,12 +279,12 @@ func estimateCounts(t *Topology, cfg Config, rng *rand.Rand) (counts, []float64,
 	}
 	r.c.events = r.engine.RunAll()
 	if r.failed {
-		return counts{}, nil, fmt.Errorf("topo: race solved %d blocks without reaching height %d (finality delays dwarf the block interval; see Config.MaxSolved)", len(r.blocks)-1, cfg.Blocks)
+		return counts{}, fmt.Errorf("topo: race solved %d blocks without reaching height %d (finality delays dwarf the block interval; the budget is 1000 blocks per target block plus 1000)", len(r.blocks)-1, cfg.Blocks)
 	}
 	if !r.done {
-		return counts{}, nil, fmt.Errorf("topo: race drained at height %d before reaching %d", r.blocks[r.canonTip()].height, cfg.Blocks)
+		return counts{}, fmt.Errorf("topo: race drained at height %d before reaching %d", r.blocks[r.canonTip()].height, cfg.Blocks)
 	}
-	return r.c, delays, nil
+	return r.c, nil
 }
 
 // canonTip returns the highest canonical block's id (for diagnostics).
@@ -332,7 +321,7 @@ func (r *race) scheduleMine(n int) {
 func (r *race) solve(n int, now float64) {
 	if len(r.blocks) > r.budget {
 		// The race is producing blocks far faster than finality resolves
-		// them: abandon rather than grind unboundedly (see Config.MaxSolved).
+		// them: abandon rather than grind unboundedly (see Config.budget).
 		r.failed = true
 		r.engine.Stop()
 		return

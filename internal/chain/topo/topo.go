@@ -18,6 +18,10 @@
 // paper's model, which is the simulator's analytic anchor: the measured
 // β̂ of the delayed node must match chain.BetaEdge (pinned by the
 // cross-validation test).
+//
+// The package is also the repository's one peer-graph model: the random
+// gossip overlay behind the paper's propagation delays is the Gossip
+// shape, and its spread is PropagationDelay over the same floods.
 package topo
 
 import (
@@ -27,7 +31,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"minegame/internal/chain"
+	"minegame/internal/parallel"
 )
 
 // Location tags where a node's computing power physically sits. It is
@@ -71,7 +75,7 @@ type link struct {
 
 // Topology is a directed latency-weighted peer graph over mining nodes.
 // Construct with New and add links, or use one of the shape constructors
-// (TwoNode, Star, Ring, Line, ScaleFree).
+// (TwoNode, Star, Ring, Line, ScaleFree, Gossip).
 type Topology struct {
 	nodes []Node
 	adj   [][]link
@@ -149,8 +153,7 @@ func (t *Topology) TotalHashrate() float64 {
 
 // Distances returns the earliest relay arrival time from source to every
 // node (Dijkstra over link delays; the source's own entry is 0,
-// unreachable nodes are +Inf). It shares the chain package's
-// ArrivalQueue heap — the same frontier the gossip overlay floods with.
+// unreachable nodes are +Inf).
 func (t *Topology) Distances(source int) ([]float64, error) {
 	n := len(t.nodes)
 	if source < 0 || source >= n {
@@ -161,16 +164,16 @@ func (t *Topology) Distances(source int) ([]float64, error) {
 		dist[i] = math.Inf(1)
 	}
 	dist[source] = 0
-	pq := &chain.ArrivalQueue{{Node: source, Time: 0}}
+	pq := &arrivalQueue{{node: source, time: 0}}
 	for pq.Len() > 0 {
-		item := heap.Pop(pq).(chain.Arrival)
-		if item.Time > dist[item.Node] {
+		item := heap.Pop(pq).(arrival)
+		if item.time > dist[item.node] {
 			continue
 		}
-		for _, l := range t.adj[item.Node] {
-			if at := item.Time + l.delay; at < dist[l.to] {
+		for _, l := range t.adj[item.node] {
+			if at := item.time + l.delay; at < dist[l.to] {
 				dist[l.to] = at
-				heap.Push(pq, chain.Arrival{Node: l.to, Time: at})
+				heap.Push(pq, arrival{node: l.to, time: at})
 			}
 		}
 	}
@@ -192,25 +195,21 @@ func (t *Topology) FinalityDelay(i int, quorum float64) (float64, error) {
 		return 0, err
 	}
 	total := t.TotalHashrate()
-	type arrival struct {
-		at   float64
-		hash float64
-	}
 	arrivals := make([]arrival, 0, len(dist))
 	for j, at := range dist {
 		if !math.IsInf(at, 1) {
-			arrivals = append(arrivals, arrival{at: at, hash: t.nodes[j].Hashrate})
+			arrivals = append(arrivals, arrival{node: j, time: at})
 		}
 	}
-	sort.Slice(arrivals, func(a, b int) bool { return arrivals[a].at < arrivals[b].at })
+	sort.Slice(arrivals, func(a, b int) bool { return arrivals[a].time < arrivals[b].time })
 	need := quorum * total
 	var covered float64
 	for _, a := range arrivals {
-		covered += a.hash
+		covered += t.nodes[a.node].Hashrate
 		// covered accumulates the same hashrates that sum to total, so at
 		// quorum 1 the final arrival satisfies the >= with equal floats.
 		if covered >= need*(1-1e-12) {
-			return a.at, nil
+			return a.time, nil
 		}
 	}
 	return 0, fmt.Errorf("topo: node %d reaches only %.3f of the hashrate (quorum %.3f): graph disconnected", i, covered/total, quorum)
@@ -227,6 +226,39 @@ func (t *Topology) FinalityDelays(quorum float64) ([]float64, error) {
 		out[i] = d
 	}
 	return out, nil
+}
+
+// PropagationDelay estimates the time a block from a random source takes
+// to reach the given fraction of the network's hashrate — on the
+// unit-hashrate Gossip overlay, the fraction of its nodes (0.9 for the
+// 90th-percentile spread). It is the mean of FinalityDelay(source,
+// fraction) over samples sources. The sources are drawn from rng up
+// front (so the RNG consumption matches a sequential sweep), then the
+// per-source floods fan out over the process-default worker pool; the
+// in-order reduction keeps the estimate bit-identical at any worker
+// count.
+func (t *Topology) PropagationDelay(fraction float64, samples int, rng *rand.Rand) (float64, error) {
+	if samples <= 0 {
+		return 0, fmt.Errorf("topo: samples %d must be positive", samples)
+	}
+	if err := t.Validate(); err != nil {
+		return 0, err
+	}
+	sources := make([]int, samples)
+	for s := range sources {
+		sources[s] = rng.Intn(len(t.nodes))
+	}
+	spreads, err := parallel.Map(parallel.New(0), sources, func(_ int, source int) (float64, error) {
+		return t.FinalityDelay(source, fraction)
+	})
+	if err != nil {
+		return 0, err
+	}
+	var total float64
+	for _, spread := range spreads {
+		total += spread
+	}
+	return total / float64(samples), nil
 }
 
 // Proximity returns node i's distance-weighted proximity to the
@@ -317,6 +349,65 @@ func Line(nodes []Node, linkDelay float64) (*Topology, error) {
 	return t, nil
 }
 
+// GossipConfig parameterizes a random peer-to-peer overlay.
+type GossipConfig struct {
+	// Nodes is the network size (≥ 2).
+	Nodes int
+	// Degree is the number of additional random links per node beyond
+	// the connectivity ring (≥ 0).
+	Degree int
+	// MeanLatency is the mean per-link latency; individual link
+	// latencies are exponential with this mean.
+	MeanLatency float64
+}
+
+// Validate reports configuration errors.
+func (c GossipConfig) Validate() error {
+	if c.Nodes < 2 {
+		return fmt.Errorf("topo: gossip network needs at least 2 nodes, got %d", c.Nodes)
+	}
+	if c.Degree < 0 {
+		return fmt.Errorf("topo: gossip degree %d must be non-negative", c.Degree)
+	}
+	if c.MeanLatency <= 0 {
+		return fmt.Errorf("topo: mean latency %g must be positive", c.MeanLatency)
+	}
+	return nil
+}
+
+// Gossip builds the random overlay the paper's delays come from: Nodes
+// unit-hashrate nodes joined in a connectivity ring, then Degree random
+// chords per node that shrink the diameter like a small-world overlay
+// (a chord drawn onto its own node is skipped). Every link is symmetric
+// with an exponential latency of mean MeanLatency, drawn from rng in
+// link order, so a seeded stream reproduces the graph bit for bit.
+func Gossip(cfg GossipConfig, rng *rand.Rand) (*Topology, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	nodes := make([]Node, cfg.Nodes)
+	for i := range nodes {
+		nodes[i].Hashrate = 1
+	}
+	t := New(nodes)
+	addLink := func(a, b int) error { return t.AddLink(a, b, rng.ExpFloat64()*cfg.MeanLatency) }
+	for i := 0; i < cfg.Nodes; i++ {
+		if err := addLink(i, (i+1)%cfg.Nodes); err != nil {
+			return nil, err
+		}
+	}
+	for i := 0; i < cfg.Nodes; i++ {
+		for d := 0; d < cfg.Degree; d++ {
+			if j := rng.Intn(cfg.Nodes); j != i {
+				if err := addLink(i, j); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return t, nil
+}
+
 // ScaleFree grows a Barabási–Albert-style preferential-attachment graph:
 // each new node links to attach existing nodes chosen with probability
 // proportional to their current degree (plus one), with exponential link
@@ -377,4 +468,42 @@ func ScaleFree(nodes []Node, attach int, meanDelay float64, rng *rand.Rand) (*To
 		}
 	}
 	return t, nil
+}
+
+// arrival is one (node, time) entry of an arrivalQueue.
+type arrival struct {
+	node int
+	time float64
+}
+
+// arrivalQueue is a min-heap of block arrivals ordered by time — the
+// Dijkstra frontier of a flood. Use with container/heap.
+type arrivalQueue []arrival
+
+// Len implements heap.Interface.
+func (q arrivalQueue) Len() int { return len(q) }
+
+// Less implements heap.Interface: earlier arrival times pop first, with
+// the node index breaking exact-time ties so the pop order is
+// deterministic regardless of insertion history.
+func (q arrivalQueue) Less(i, j int) bool {
+	if q[i].time != q[j].time { //lint:allow floateq exact tie-break: equal times must fall through to the node comparison
+		return q[i].time < q[j].time
+	}
+	return q[i].node < q[j].node
+}
+
+// Swap implements heap.Interface.
+func (q arrivalQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+
+// Push implements heap.Interface.
+func (q *arrivalQueue) Push(x any) { *q = append(*q, x.(arrival)) }
+
+// Pop implements heap.Interface.
+func (q *arrivalQueue) Pop() any {
+	old := *q
+	n := len(old)
+	item := old[n-1]
+	*q = old[:n-1]
+	return item
 }

@@ -505,15 +505,7 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 		}
 		return (pc - c.CostC) * d.cloud
 	}
-	var (
-		pcStar, vc float64
-		err        error
-	)
-	if opts.Leader.CoarseGridN > 0 {
-		pcStar, vc, err = numeric.MaximizeGridTwoLevel(profitC, c.CostC+1e-6, opts.MaxPriceC, opts.Leader.CoarseGridN, opts.Leader.GridN, opts.MaxPriceC*1e-7, opts.Leader.Pool)
-	} else {
-		pcStar, vc, err = numeric.MaximizeGridPool(profitC, c.CostC+1e-6, opts.MaxPriceC, opts.Leader.GridN, opts.MaxPriceC*1e-7, opts.Leader.Pool)
-	}
+	pcStar, vc, err := numeric.MaximizeGridPool(profitC, c.CostC+1e-6, opts.MaxPriceC, opts.Leader.GridN, opts.MaxPriceC*1e-7, opts.Leader.Pool)
 	fail := func(err error) (game.LeadersResult, error) {
 		span.End(obs.Fields{"failed": true})
 		return game.LeadersResult{}, fmt.Errorf("standalone %sSP stage: %w", s.label, err)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -293,6 +294,36 @@ func TestFig9ReplicatedShapes(t *testing.T) {
 	for i := range fixed {
 		if math.Abs(rlFixed[i]-fixed[i]) > 0.6*fixed[i]+8 {
 			t.Errorf("row %d: mean RL %g far from model %g", i, rlFixed[i], fixed[i])
+		}
+	}
+}
+
+// TestGossipPropagationDelayGolden pins the gossip table's spread columns
+// bit for bit: the overlay's draw order (ring links, then chords) and the
+// per-source quantile mean both feed them, so any change to either moves
+// these values.
+func TestGossipPropagationDelayGolden(t *testing.T) {
+	for _, tc := range []struct {
+		cfg      Config
+		d50, d90 []float64
+	}{
+		{
+			cfg: Config{Seed: 1},
+			d50: []float64{904.7087761407244, 37.154572978418244, 20.925349717998323, 12.707569457299083, 6.241230912421075},
+			d90: []float64{1641.896893096391, 55.40278215463805, 30.006320926413434, 17.4089738909348, 8.587821266593439},
+		},
+		{
+			cfg: quickCfg(),
+			d50: []float64{872.5326998503233, 37.545975183902144, 22.934227348698343, 13.577613097906802, 7.267239993605972},
+			d90: []float64{1539.3256455591438, 54.142240404772046, 33.70887022651884, 21.272944674241757, 9.205979246388065},
+		},
+	} {
+		tab := mustRun(t, "gossip", tc.cfg).Tables[0]
+		for name, want := range map[string][]float64{"d50_s": tc.d50, "d90_s": tc.d90} {
+			got := column(t, tab, name)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d quick %v %s = %v, want %v", tc.cfg.Seed, tc.cfg.Quick, name, got, want)
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"minegame/internal/chain"
+	"minegame/internal/chain/topo"
 	"minegame/internal/core"
 	"minegame/internal/game"
 	"minegame/internal/sim"
@@ -29,7 +30,7 @@ func runGossip(cfg Config) (Result, error) {
 		samples    = 40
 	)
 	for _, degree := range []int{0, 1, 2, 4, 8} {
-		net, err := chain.NewGossipNetwork(chain.GossipConfig{
+		net, err := topo.Gossip(topo.GossipConfig{
 			Nodes:       nodes,
 			Degree:      degree,
 			MeanLatency: hopLatency,

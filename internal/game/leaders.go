@@ -27,14 +27,6 @@ type LeaderOptions struct {
 	PriceTol float64 // convergence threshold on price moves (default 1e-4)
 	GridN    int     // grid size for each 1-D profit maximization (default 40)
 	Damping  float64 // weight on the new price in (0, 1] (default 1)
-	// CoarseGridN, when positive, switches each 1-D profit maximization
-	// to the coarse-to-fine search of numeric.MaximizeGridTwoLevel: a
-	// coarse grid of CoarseGridN points locates the basin and a fine grid
-	// of GridN points over the flanking cells pins it down, cutting the
-	// number of profit-oracle probes per maximization. Zero keeps the
-	// single flat grid of GridN points. The coarse grid must still be
-	// fine enough to land in the global basin.
-	CoarseGridN int
 	// Observer receives leader-stage telemetry: a span per solve and a
 	// "game.leader_round" trace event per bargaining round. Nil falls
 	// back to obs.Default().
@@ -195,15 +187,7 @@ func maximizeLeader(l Leader, other float64, opts LeaderOptions) (float64, error
 		return 0, fmt.Errorf("invalid price bracket [%g, %g] against rival price %g", lo, hi, other)
 	}
 	f := func(p float64) float64 { return l.Profit(p, other) }
-	var (
-		price, profit float64
-		err           error
-	)
-	if opts.CoarseGridN > 0 {
-		price, profit, err = numeric.MaximizeGridTwoLevel(f, lo, hi, opts.CoarseGridN, opts.GridN, (hi-lo)*1e-7, opts.Pool)
-	} else {
-		price, profit, err = numeric.MaximizeGridPool(f, lo, hi, opts.GridN, (hi-lo)*1e-7, opts.Pool)
-	}
+	price, profit, err := numeric.MaximizeGridPool(f, lo, hi, opts.GridN, (hi-lo)*1e-7, opts.Pool)
 	if err != nil {
 		return 0, fmt.Errorf("price grid on [%g, %g]: %w", lo, hi, err)
 	}

@@ -61,28 +61,6 @@ func TestMaximizeGridEdgeCases(t *testing.T) {
 	})
 }
 
-func TestMaximizeGridTwoLevelEdgeCases(t *testing.T) {
-	f := func(x float64) float64 { return -(x - 3) * (x - 3) }
-	t.Run("degenerate grid sizes clamp", func(t *testing.T) {
-		x, _, err := MaximizeGridTwoLevel(f, 0, 10, 0, -1, 1e-9, nil)
-		if err != nil {
-			t.Fatalf("err = %v", err)
-		}
-		if math.Abs(x-3) > 1e-6 {
-			t.Errorf("argmax = %g, want 3", x)
-		}
-	})
-	t.Run("reversed bracket", func(t *testing.T) {
-		x, _, err := MaximizeGridTwoLevel(f, 10, 0, 8, 8, 1e-9, nil)
-		if err != nil {
-			t.Fatalf("err = %v", err)
-		}
-		if math.Abs(x-3) > 1e-6 {
-			t.Errorf("argmax = %g, want 3", x)
-		}
-	})
-}
-
 func TestBisectEdgeCases(t *testing.T) {
 	lin := func(x float64) float64 { return x - 1 }
 	t.Run("root at lower endpoint", func(t *testing.T) {

@@ -97,47 +97,6 @@ func MaximizeGridPool(f func(float64) float64, lo, hi float64, n int, tol float6
 	return x, fx, nil
 }
 
-// MaximizeGridTwoLevel is a coarse-to-fine variant of MaximizeGridPool:
-// a coarse grid of coarseN+1 points locates the basin of the maximum, a
-// fine grid of fineN+1 points over the two coarse cells flanking the best
-// coarse point pins it down, and golden-section search refines the rest
-// of the way. When every evaluation of f is expensive (a follower-game
-// solve behind a demand oracle), this reaches the resolution of a flat
-// coarseN·fineN/2-point grid while probing only coarseN+fineN+O(log)
-// points. The argmax scans and refinement are sequential with
-// lowest-index tie-breaking, so for a pure f the result is bit-identical
-// at every pool width; the coarse grid must be fine enough to land in
-// the global basin, exactly as MaximizeGridPool's single grid must.
-// As with MaximizeGridPool, the only possible error is a panic inside f
-// recovered by the worker pool.
-func MaximizeGridTwoLevel(f func(float64) float64, lo, hi float64, coarseN, fineN int, tol float64, pool *parallel.Pool) (x, fx float64, err error) {
-	if hi < lo {
-		lo, hi = hi, lo
-	}
-	if coarseN < 2 {
-		coarseN = 2
-	}
-	if fineN < 2 {
-		fineN = 2
-	}
-	step := (hi - lo) / float64(coarseN)
-	bestI, bestV, err := gridArgmax(f, lo, step, coarseN, pool)
-	if err != nil {
-		return 0, 0, err
-	}
-	a := lo + float64(max(bestI-1, 0))*step
-	b := lo + float64(min(bestI+1, coarseN))*step
-	x, fx, err = MaximizeGridPool(f, a, b, fineN, tol, pool)
-	if err != nil {
-		return 0, 0, err
-	}
-	if bestV > fx {
-		// Keep the raw coarse point when the refinement loses to it.
-		return lo + float64(bestI)*step, bestV, nil
-	}
-	return x, fx, nil
-}
-
 // gridArgmax evaluates f at lo + i·step for i in [0, n] (fanned out over
 // the pool when it has more than one worker) and returns the
 // lowest-index argmax with its value. The scan is sequential, so the

@@ -421,18 +421,18 @@ func PlotResultTable(w io.Writer, tab ResultTable) error {
 	return experiments.PlotTable(w, tab)
 }
 
-// Gossip topology substrate (package chain): peer-graph block
-// propagation, the mechanism behind the paper's Fig. 2 delays.
+// Gossip overlay (package chain/topo): peer-graph block propagation,
+// the mechanism behind the paper's Fig. 2 delays.
 type (
 	// GossipConfig parameterizes a random peer-to-peer overlay.
-	GossipConfig = chain.GossipConfig
-	// GossipNetwork is a latency-weighted peer graph.
-	GossipNetwork = chain.GossipNetwork
+	GossipConfig = topo.GossipConfig
+	// GossipNetwork is the overlay: a unit-hashrate peer graph.
+	GossipNetwork = Topology
 )
 
 // NewGossipNetwork builds a random overlay with the given seed.
 func NewGossipNetwork(cfg GossipConfig, seed int64) (*GossipNetwork, error) {
-	return chain.NewGossipNetwork(cfg, sim.NewRNG(seed, "minegame.Gossip"))
+	return topo.Gossip(cfg, sim.NewRNG(seed, "minegame.Gossip"))
 }
 
 // GossipRNG derives the random stream used for gossip delay sampling, so
