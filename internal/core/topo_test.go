@@ -92,12 +92,10 @@ func TestTopoHeterogeneousBetasShiftEquilibrium(t *testing.T) {
 	// Holding the uniform equilibrium profile fixed, a higher β_i strictly
 	// lowers W_i at the symmetric point: e_i/E equals (e_i+c_i)/S there,
 	// so ΔW = Δβ·(h·e_i/E − (e_i+c_i)/S) = Δβ·(h−1)·share < 0 for h < 1.
-	wsFixed, err := miner.WinProbsTopo(betas, cfg.SatisfyProb, eqU.Requests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wsFixed[4] >= eqU.WinProbs[4] {
-		t.Errorf("at the fixed uniform profile, raising beta left W_4 at %g (uniform %g)", wsFixed[4], eqU.WinProbs[4])
+	tot := eqU.Requests.Aggregate()
+	r4 := eqU.Requests[4]
+	if w4 := miner.WinProbConnected(betas[4], cfg.SatisfyProb, r4, tot.Env(r4)); w4 >= eqU.WinProbs[4] {
+		t.Errorf("at the fixed uniform profile, raising beta left W_4 at %g (uniform %g)", w4, eqU.WinProbs[4])
 	}
 	// At the re-solved equilibrium the comparative static is the edge
 	// tilt: only the fork term β·h·e/E rewards edge, so the high-β miner's

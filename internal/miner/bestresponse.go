@@ -88,10 +88,10 @@ func bestResponse(p Params, mu, budget, edgeCap float64, standalone bool, env En
 }
 
 const (
-	// quantum is the smallest request whose aggregate the utility
+	// Quantum is the smallest request whose aggregate the utility
 	// functions do not treat as empty (it exceeds tiny): the request of
 	// the e → 0⁺ and s → 0⁺ limit points of degenerate markets.
-	quantum = tiny * (1 + 1e-15)
+	Quantum = tiny * (1 + 1e-15)
 	// maxRequest caps each coordinate of a best response. It binds only
 	// when rewards near the largest float meet prices near the smallest,
 	// and keeps spends, aggregates and Eq. 6's products finite there.
@@ -145,7 +145,7 @@ type kktProblem struct {
 // the zero request and these candidates:
 //
 //   - S₋ᵢ > 0: the KKT point with E above tiny, where the bonus is worth
-//     (almost) all of β·h, so e ≥ quantum − E₋ᵢ (the e → 0⁺ limit); and
+//     (almost) all of β·h, so e ≥ Quantum − E₋ᵢ (the e → 0⁺ limit); and
 //     the one with E at or below tiny, without the bonus and with
 //     standalone mode's whole share.
 //   - S₋ᵢ ≤ tiny: the smallest counted all-edge and all-cloud requests,
@@ -161,7 +161,7 @@ func (q *kktProblem) degenerate(edgeCap float64) numeric.Point2 {
 			best, bestU = r, u
 		}
 	}
-	lo := quantum - q.eOth
+	lo := Quantum - q.eOth
 	edgeOK := lo <= edgeCap && q.pe*lo < q.budget
 	if q.sOth > 0 {
 		if edgeOK {
@@ -178,7 +178,7 @@ func (q *kktProblem) degenerate(edgeCap float64) numeric.Point2 {
 		if edgeOK {
 			consider(numeric.Point2{E: lo})
 		}
-		if c := quantum - q.sOth; q.pc*c < q.budget {
+		if c := Quantum - q.sOth; q.pc*c < q.budget {
 			consider(numeric.Point2{C: c})
 		}
 	}

@@ -57,37 +57,70 @@ func HomogeneousConnected(p Params, n int, budget float64) (HomogeneousSolution,
 		return HomogeneousSolution{}, fmt.Errorf("homogeneous connected: budget %g must be positive", budget)
 	}
 	nf := float64(n)
-	if p.PriceE > p.PriceC && MixedStrategyCondition(p) {
-		eInt := p.H * p.Beta * p.Reward * (nf - 1) / (nf * nf * (p.PriceE - p.PriceC))
-		sInt := (1 - p.Beta) * p.Reward * (nf - 1) / (nf * nf * p.PriceC)
+	var sol HomogeneousSolution
+	homogeneousConnected(&p, nf-1, nf*nf, budget, &sol)
+	return sol, nil
+}
+
+// HomogeneousConnectedExpected is HomogeneousConnected for a random
+// miner count N: every (n−1)/n² above becomes the expected rivalry
+// m = E[(N−1)/N²]. At own = peer the expected connected utility has the
+// gradient (hβR·m/e − (P_e − P_c), (1−β)R·m/s − P_c) in (e, s), which is
+// the fixed-n gradient with (n−1)/n² replaced by m, so the same three
+// faces (interior, budget, all-edge) solve it. m = 0 leaves no rival in
+// any round and returns the zero request.
+func HomogeneousConnectedExpected(p Params, m, budget float64) (HomogeneousSolution, error) {
+	if err := p.Validate(); err != nil {
+		return HomogeneousSolution{}, err
+	}
+	if !(m >= 0) || math.IsInf(m, 0) {
+		return HomogeneousSolution{}, fmt.Errorf("homogeneous connected: rivalry %g must be finite and non-negative", m)
+	}
+	if !(budget > 0) {
+		return HomogeneousSolution{}, fmt.Errorf("homogeneous connected: budget %g must be positive", budget)
+	}
+	var sol HomogeneousSolution
+	homogeneousConnected(&p, m, 1, budget, &sol)
+	return sol, nil
+}
+
+// homogeneousConnected is the body of both closed forms, with the
+// rivalry factor passed as num/den so the fixed-n form keeps its
+// rounding. It takes p and writes sol through pointers: passing them by
+// value made HomogeneousConnected, which the classed demand oracle
+// calls per class at every price probe, half again slower.
+func homogeneousConnected(p *Params, num, den, budget float64, sol *HomogeneousSolution) {
+	if p.PriceE > p.PriceC && MixedStrategyCondition(*p) {
+		eInt := p.H * p.Beta * p.Reward * num / (den * (p.PriceE - p.PriceC))
+		sInt := (1 - p.Beta) * p.Reward * num / (den * p.PriceC)
 		cInt := sInt - eInt
-		sol := HomogeneousSolution{
+		*sol = HomogeneousSolution{
 			Request: numeric.Point2{E: eInt, C: cInt},
 			Mixed:   eInt > 0 && cInt > 0,
 		}
 		if p.Spend(sol.Request) <= budget {
-			return sol, nil
+			return
 		}
 		denom := (1 - p.Beta + p.H*p.Beta) * (p.PriceE - p.PriceC)
 		e := budget * p.H * p.Beta / denom
 		c := budget * ((1-p.Beta)*(p.PriceE-p.PriceC) - p.H*p.Beta*p.PriceC) / (p.PriceC * denom)
-		return HomogeneousSolution{
+		*sol = HomogeneousSolution{
 			Request:       numeric.Point2{E: e, C: c},
 			Mixed:         e > 0 && c > 0,
 			BudgetBinding: true,
-		}, nil
+		}
+		return
 	}
 	// The mixed condition fails, which (given hβ ≥ 0) can only happen when
 	// the cloud is too expensive relative to the edge: the equilibrium is
 	// the pure all-edge contest with W_i = (1−β+βh)·e_i/E, whose symmetric
 	// interior is E = (1−β+βh)R(n−1)/(n·P_e).
-	e := (1 - p.Beta + p.H*p.Beta) * p.Reward * (nf - 1) / (nf * nf * p.PriceE)
-	sol := HomogeneousSolution{Request: numeric.Point2{E: e}}
+	e := (1 - p.Beta + p.H*p.Beta) * p.Reward * num / (den * p.PriceE)
+	*sol = HomogeneousSolution{Request: numeric.Point2{E: e}}
 	if p.PriceE*e > budget {
 		sol.Request.E = budget / p.PriceE
 		sol.BudgetBinding = true
 	}
-	return sol, nil
 }
 
 // HomogeneousStandalone returns the symmetric variational equilibrium of

@@ -45,25 +45,3 @@ func GradConnected(p Params, own numeric.Point2, env Env) numeric.Point2 {
 func UtilityStandalone(p Params, own numeric.Point2, env Env) float64 {
 	return p.Reward*WinProbFull(p.Beta, own, env) - p.Spend(own)
 }
-
-// UtilitiesConnected evaluates every miner's connected-mode utility,
-// summing the aggregates once so the whole profile costs O(N).
-func UtilitiesConnected(p Params, prof Profile) []float64 {
-	us := make([]float64, len(prof))
-	t := prof.Aggregate()
-	for i, r := range prof {
-		us[i] = UtilityConnected(p, r, t.Env(r))
-	}
-	return us
-}
-
-// UtilitiesStandalone evaluates every miner's standalone-mode utility,
-// summing the aggregates once so the whole profile costs O(N).
-func UtilitiesStandalone(p Params, prof Profile) []float64 {
-	us := make([]float64, len(prof))
-	t := prof.Aggregate()
-	for i, r := range prof {
-		us[i] = UtilityStandalone(p, r, t.Env(r))
-	}
-	return us
-}

@@ -26,14 +26,14 @@ func TestGradientsMatchFiniteDifferences(t *testing.T) {
 
 		fc := func(x numeric.Point2) float64 { return UtilityConnected(p, x, env) }
 		gotC := GradConnected(p, own, env)
-		wantC := numeric.Grad2FiniteDiff(fc, 1e-5)(own)
+		wantC := grad2FiniteDiff(fc, 1e-5)(own)
 		if !closePt(gotC, wantC, 1e-3) {
 			t.Fatalf("connected gradient mismatch at %+v: analytic %+v, fd %+v (params %+v env %+v)", own, gotC, wantC, p, env)
 		}
 
 		fs := func(x numeric.Point2) float64 { return UtilityStandalone(p, x, env) }
 		gotS := gradStandalone(p, own, env)
-		wantS := numeric.Grad2FiniteDiff(fs, 1e-5)(own)
+		wantS := grad2FiniteDiff(fs, 1e-5)(own)
 		if !closePt(gotS, wantS, 1e-3) {
 			t.Fatalf("standalone gradient mismatch at %+v: analytic %+v, fd %+v (params %+v env %+v)", own, gotS, wantS, p, env)
 		}
@@ -58,22 +58,6 @@ func TestUtilityKnownValue(t *testing.T) {
 	wantConnected := 1000*wConn - 32
 	if got := UtilityConnected(p, own, env); math.Abs(got-wantConnected) > 1e-9 {
 		t.Errorf("connected utility = %g, want %g", got, wantConnected)
-	}
-}
-
-func TestUtilitiesProfileWrappers(t *testing.T) {
-	p := testParams()
-	prof := Profile{{E: 2, C: 4}, {E: 6, C: 8}}
-	uc := UtilitiesConnected(p, prof)
-	us := UtilitiesStandalone(p, prof)
-	if len(uc) != 2 || len(us) != 2 {
-		t.Fatal("wrapper lengths")
-	}
-	if got := UtilityConnected(p, prof[0], prof.Env(0)); uc[0] != got {
-		t.Errorf("wrapper uc[0] = %g, want %g", uc[0], got)
-	}
-	if got := UtilityStandalone(p, prof[1], prof.Env(1)); us[1] != got {
-		t.Errorf("wrapper us[1] = %g, want %g", us[1], got)
 	}
 }
 

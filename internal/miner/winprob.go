@@ -134,14 +134,3 @@ func WinProbsFull(beta float64, p Profile) []float64 {
 	}
 	return ws
 }
-
-// WinProbsConnected evaluates Eq. 9 for every miner in the profile. The
-// aggregates are summed once, so the whole profile costs O(N).
-func WinProbsConnected(beta, h float64, p Profile) []float64 {
-	ws := make([]float64, len(p))
-	t := p.Aggregate()
-	for i, r := range p {
-		ws[i] = WinProbConnected(beta, h, r, t.Env(r))
-	}
-	return ws
-}

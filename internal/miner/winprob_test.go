@@ -182,3 +182,16 @@ func TestStandaloneIsConnectedAtH1(t *testing.T) {
 		t.Errorf("W_connected(h=1) at E = 0 is %g, want (1−β)s/S = 0.2", got)
 	}
 }
+
+// TestTopoBetaDirection: at a symmetric profile, e_i/E equals the total
+// share (e_i+c_i)/S, so raising miner i's fork rate moves W_i by
+// Δβ·(h−1)·share — strictly down whenever h < 1.
+func TestTopoBetaDirection(t *testing.T) {
+	r := randomProfile(rand.New(rand.NewSource(7)), 1)[0]
+	env := Env{EdgeOthers: 3 * r.E, CloudOthers: 3 * r.C}
+	low := WinProbConnected(0.1, 0.7, r, env)
+	high := WinProbConnected(0.5, 0.7, r, env)
+	if high >= low {
+		t.Errorf("raising beta at a symmetric profile with h<1 must lower W: %g >= %g", high, low)
+	}
+}

@@ -11,17 +11,18 @@
 //	W_i = (1−β)·s_i/S + β·(Σ_k h_k·e_i^k)/E,
 //
 // which reduces exactly to Eq. 9 at K = 1. Each miner maximizes
-// R·W_i − Σ_k P_k·e_i^k − P_c·c_i over its budget polytope; the
-// equilibrium is computed by damped best-response iteration with
-// multi-start projected gradient ascent (the fork-bonus term is
-// linear-fractional and only piecewise concave for K ≥ 2, so single-start
-// ascent is not sufficient).
+// R·W_i − Σ_k P_k·e_i^k − P_c·c_i over its budget polytope. That program
+// is not concave for K ≥ 2, but at a fixed own edge total it is linear
+// in how the total is split across ESPs, so every best response buys
+// edge from a single ESP, and on ESP k it is the single-ESP connected
+// program at (h_k, P_k). Solve builds on that corner argument.
 package multiesp
 
 import (
 	"fmt"
 	"math"
 
+	"minegame/internal/miner"
 	"minegame/internal/numeric"
 )
 
@@ -33,15 +34,12 @@ type ESP struct {
 
 // Config describes a multi-ESP mining game instance.
 type Config struct {
-	N       int     // miners
-	Budget  float64 // common budget (homogeneous population)
-	Reward  float64 // R
-	Beta    float64 // fork rate β
-	ESPs    []ESP   // K ≥ 1 edge providers
-	PriceC  float64 // CSP unit price
-	Damping float64 // best-response damping (default 0.5)
-	MaxIter int     // best-response sweeps (default 400)
-	Tol     float64 // convergence threshold (default 1e-6)
+	N      int     // miners
+	Budget float64 // common budget (homogeneous population)
+	Reward float64 // R
+	Beta   float64 // fork rate β
+	ESPs   []ESP   // K ≥ 1 edge providers
+	PriceC float64 // CSP unit price
 }
 
 // Validate reports configuration errors. Every scalar is checked in its
@@ -73,43 +71,20 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// dims returns the strategy dimension: K edge coordinates plus cloud.
-func (c Config) dims() int { return len(c.ESPs) + 1 }
+// params returns the single-ESP connected game on ESP k: the program
+// a miner solves when it buys edge from k alone.
+func (c Config) params(k int) miner.Params {
+	return miner.Params{Reward: c.Reward, Beta: c.Beta, H: c.ESPs[k].H, PriceE: c.ESPs[k].Price, PriceC: c.PriceC}
+}
 
 // prices returns the full price vector (P_1, …, P_K, P_c).
 func (c Config) prices() numeric.Vec {
-	p := make(numeric.Vec, c.dims())
+	p := make(numeric.Vec, len(c.ESPs)+1)
 	for k, e := range c.ESPs {
 		p[k] = e.Price
 	}
 	p[len(c.ESPs)] = c.PriceC
 	return p
-}
-
-// sumInto overwrites totals with the per-coordinate profile sums — the
-// O(N·D) pass the iterating solvers run once per sweep instead of once
-// per miner.
-func sumInto(totals numeric.Vec, profile []numeric.Vec) {
-	for d := range totals {
-		totals[d] = 0
-	}
-	for _, x := range profile {
-		for d := range totals {
-			totals[d] += x[d]
-		}
-	}
-}
-
-// othersInto fills dst with totals − own, clamping the tiny negative
-// residues incremental totals can carry so aggregates stay non-negative.
-func othersInto(dst, totals, own numeric.Vec) {
-	for d := range dst {
-		v := totals[d] - own[d]
-		if v < 0 {
-			v = 0
-		}
-		dst[d] = v
-	}
 }
 
 const tiny = 1e-12
@@ -142,167 +117,89 @@ func (c Config) Utility(own, others numeric.Vec) float64 {
 	return c.Reward*c.WinProb(own, others) - c.prices().Dot(own)
 }
 
-// grad is the analytic utility gradient:
-//
-//	∂U/∂e^k = R[(1−β)·S_{-i}/S² + β(h_k·E − Σ_j h_j e_i^j)/E²] − P_k
-//	∂U/∂c   = R[(1−β)·S_{-i}/S²] − P_c
-func (c Config) grad(own, others numeric.Vec) numeric.Vec {
-	K := len(c.ESPs)
-	var eOwn, eOth, bonus float64
-	for d := 0; d < K; d++ {
-		eOwn += own[d]
-		eOth += others[d]
-		bonus += c.ESPs[d].H * own[d]
-	}
-	sOth := others.Sum()
-	s := own.Sum() + sOth
-	if s <= tiny {
-		s = tiny
-	}
-	shared := c.Reward * (1 - c.Beta) * sOth / (s * s)
-	e := eOwn + eOth
-	if e <= tiny {
-		e = tiny
-	}
-	g := make(numeric.Vec, c.dims())
-	for d := 0; d < K; d++ {
-		g[d] = shared - c.ESPs[d].Price
-		if c.Beta > 0 {
-			g[d] += c.Reward * c.Beta * (c.ESPs[d].H*e - bonus) / (e * e)
-		}
-	}
-	g[K] = shared - c.PriceC
-	return g
-}
-
-// BestResponse maximizes a miner's utility against the aggregate others,
-// by multi-start projected gradient ascent over the budget polytope.
-// Hints (e.g. the current strategy) warm-start the search.
-func (c Config) BestResponse(others numeric.Vec, hints ...numeric.Vec) numeric.Vec {
-	pv := c.prices()
-	k := numeric.BudgetPolytope{Prices: pv, Budget: c.Budget}
-	// pv is hoisted so the objective does not re-build the price vector
-	// on every ascent evaluation.
-	f := func(x numeric.Vec) float64 { return c.Reward*c.WinProb(x, others) - pv.Dot(x) }
-	grad := func(x numeric.Vec) numeric.Vec { return c.grad(x, others) }
-
-	dims := c.dims()
-	starts := make([]numeric.Vec, 0, len(hints)+dims+2)
-	starts = append(starts, hints...)
-	center := make(numeric.Vec, dims)
-	for d, p := range pv {
-		center[d] = c.Budget / (2 * float64(dims) * p)
-	}
-	starts = append(starts, center)
-	for d, p := range pv {
-		corner := make(numeric.Vec, dims)
-		corner[d] = c.Budget / p
-		starts = append(starts, corner)
-	}
-	best := make(numeric.Vec, dims)
-	bestV := f(best)
-	for _, s := range starts {
-		res := numeric.ProjectedGradientAscentVec(f, grad, k, s, 400, 1e-11)
-		if res.Value > bestV {
-			best, bestV = res.X, res.Value
-		}
-	}
-	return best
-}
-
 // Equilibrium is a solved multi-ESP miner subgame.
 type Equilibrium struct {
 	Requests []numeric.Vec // per miner: (e^1, …, e^K, c)
 	// Demands aggregates per coordinate: K edge demands then cloud.
-	Demands    numeric.Vec
-	Utilities  []float64
-	WinProbs   []float64
-	Iterations int
-	Converged  bool
+	Demands   numeric.Vec
+	Utilities []float64
+	WinProbs  []float64
+	// Converged reports that no miner gains by a best response on any
+	// ESP; it is false only when no single-ESP candidate passes.
+	Converged bool
 }
 
-// Solve computes the miner equilibrium by damped Gauss–Seidel
-// best-response iteration.
+// Solve returns a symmetric pure equilibrium of the homogeneous
+// subgame. By the corner argument, each ESP k gives a candidate: every
+// miner plays miner.HomogeneousConnected on (h_k, P_k). The candidate is
+// an equilibrium when no miner.BestResponseConnected on any ESP's
+// (h, P) against the other N−1 miners gains. A marginal test such as
+// Rβh_k/E − P_k ≥ Rβh_j/E − P_j is not enough: it checks small moves,
+// and a full switch of the edge spend to another ESP can still gain.
+//
+// Where several candidates pass, the one with the highest per-miner
+// utility wins, ties going to the lowest index; where none does, the
+// one with the smallest gain is returned with Converged false.
 func Solve(cfg Config) (Equilibrium, error) {
 	if err := cfg.Validate(); err != nil {
 		return Equilibrium{}, err
 	}
-	damping := cfg.Damping
-	if damping <= 0 || damping > 1 {
-		damping = 0.5
-	}
-	maxIter := cfg.MaxIter
-	if maxIter <= 0 {
-		maxIter = 400
-	}
-	tol := cfg.Tol
-	if tol <= 0 {
-		tol = 1e-6
-	}
-	dims := cfg.dims()
-	profile := make([]numeric.Vec, cfg.N)
-	for i := range profile {
-		profile[i] = make(numeric.Vec, dims)
-		for d, p := range cfg.prices() {
-			profile[i][d] = cfg.Budget / (4 * float64(dims) * p)
+	var best candidate
+	found := false
+	rivals := float64(cfg.N - 1)
+	for k := range cfg.ESPs {
+		pk := cfg.params(k)
+		sol, err := miner.HomogeneousConnected(pk, cfg.N, cfg.Budget)
+		if err != nil {
+			return Equilibrium{}, fmt.Errorf("multiesp: ESP %d: %w", k, err)
+		}
+		x := sol.Request
+		env := miner.Env{EdgeOthers: rivals * x.E, CloudOthers: rivals * x.C}
+		c := candidate{k: k, x: x, u: miner.UtilityConnected(pk, x, env), w: miner.WinProbConnected(pk.Beta, pk.H, x, env)}
+		for j := range cfg.ESPs {
+			pj := cfg.params(j)
+			br := miner.BestResponseConnected(pj, cfg.Budget, env)
+			c.gain = math.Max(c.gain, miner.UtilityConnected(pj, br, env)-c.u)
+		}
+		holds := c.gain <= 1e-9*cfg.Reward
+		switch {
+		case holds && (!found || c.u > best.u):
+			best, found = c, true
+		case !found && (k == 0 || c.gain < best.gain):
+			best = c
 		}
 	}
-	eq := Equilibrium{}
-	// Running totals make each sweep O(N·D): the per-miner environment is
-	// totals − own, delta-updated as miners move and re-summed exactly at
-	// every sweep boundary to bound floating-point drift.
-	totals := make(numeric.Vec, dims)
-	sumInto(totals, profile)
-	others := make(numeric.Vec, dims)
-	for it := 0; it < maxIter; it++ {
-		eq.Iterations = it + 1
-		maxDelta := 0.0
-		for i := range profile {
-			othersInto(others, totals, profile[i])
-			next := cfg.BestResponse(others, profile[i])
-			blended := profile[i].Scale(1 - damping).Add(next.Scale(damping))
-			if d := blended.Sub(profile[i]).Norm(); d > maxDelta {
-				maxDelta = d
-			}
-			for d := range totals {
-				totals[d] += blended[d] - profile[i][d]
-			}
-			profile[i] = blended
-		}
-		sumInto(totals, profile)
-		if maxDelta < tol {
-			eq.Converged = true
-			break
-		}
-	}
-	eq.Requests = profile
-	eq.Demands = make(numeric.Vec, dims)
-	eq.Utilities = make([]float64, cfg.N)
-	eq.WinProbs = make([]float64, cfg.N)
-	sumInto(eq.Demands, profile)
-	for i, x := range profile {
-		othersInto(others, eq.Demands, x)
-		eq.Utilities[i] = cfg.Utility(x, others)
-		eq.WinProbs[i] = cfg.WinProb(x, others)
-	}
-	return eq, nil
+	return best.equilibrium(cfg, found), nil
 }
 
-// Deviation returns the largest unilateral best-response gain at the
-// profile — the equilibrium-quality certificate.
-func Deviation(cfg Config, profile []numeric.Vec) float64 {
-	dims := cfg.dims()
-	totals := make(numeric.Vec, dims)
-	sumInto(totals, profile)
-	others := make(numeric.Vec, dims)
-	var worst float64
-	for i := range profile {
-		othersInto(others, totals, profile[i])
-		current := cfg.Utility(profile[i], others)
-		dev := cfg.BestResponse(others, profile[i])
-		if gain := cfg.Utility(dev, others) - current; gain > worst {
-			worst = gain
-		}
+// candidate is the profile where every miner plays x on ESP k, with its
+// per-miner utility u and win probability w, and the largest gain a
+// best response on any ESP finds against it.
+type candidate struct {
+	k    int
+	x    numeric.Point2
+	u, w float64
+	gain float64
+}
+
+// equilibrium spreads the candidate over the N miners and K+1
+// coordinates.
+func (c candidate) equilibrium(cfg Config, converged bool) Equilibrium {
+	K := len(cfg.ESPs)
+	eq := Equilibrium{
+		Requests:  make([]numeric.Vec, cfg.N),
+		Demands:   make(numeric.Vec, K+1),
+		Utilities: make([]float64, cfg.N),
+		WinProbs:  make([]float64, cfg.N),
+		Converged: converged,
 	}
-	return worst
+	for i := range eq.Requests {
+		r := make(numeric.Vec, K+1)
+		r[c.k], r[K] = c.x.E, c.x.C
+		eq.Requests[i] = r
+		eq.Utilities[i], eq.WinProbs[i] = c.u, c.w
+	}
+	n := float64(cfg.N)
+	eq.Demands[c.k], eq.Demands[K] = n*c.x.E, n*c.x.C
+	return eq
 }

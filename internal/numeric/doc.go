@@ -1,7 +1,6 @@
 // Package numeric provides the small numerical toolkit the mining game
 // needs: scalar optimization and root finding, projections onto the
-// miners' constraint polytopes, projected-gradient ascent, finite
-// difference utilities, Gaussian distributions (continuous and
+// miners' constraint polytopes, Gaussian distributions (continuous and
 // discretized), and summary statistics.
 //
 // Everything is deterministic given the caller-supplied inputs; functions

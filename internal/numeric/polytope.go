@@ -82,79 +82,3 @@ func (k RequestPolytope) Project(p Point2) Point2 {
 	}
 	return Point2{E: e, C: c}
 }
-
-// ProjectedGradientResult reports the outcome of ProjectedGradientAscent.
-type ProjectedGradientResult struct {
-	X          Point2  // final iterate
-	Value      float64 // objective at X
-	Iterations int     // gradient steps taken
-	Converged  bool    // true when the projected step shrank below tol
-}
-
-// ProjectedGradientAscent maximizes f over the polytope k starting from
-// x0, using gradient ascent with backtracking line search and projection.
-// grad must return ∂f/∂e and ∂f/∂c at the given point. maxIter bounds the
-// number of outer steps and tol is the convergence threshold on the
-// projected step length.
-func ProjectedGradientAscent(
-	f func(Point2) float64,
-	grad func(Point2) Point2,
-	k RequestPolytope,
-	x0 Point2,
-	maxIter int,
-	tol float64,
-) ProjectedGradientResult {
-	if maxIter <= 0 {
-		maxIter = 500
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	x := k.Project(x0)
-	fx := f(x)
-	step := 1.0
-	for it := 0; it < maxIter; it++ {
-		g := grad(x)
-		if gn := g.Norm(); gn > 0 && !math.IsInf(gn, 0) {
-			// Normalize the step to the scale of the region so the first
-			// trial is neither microscopic nor wildly out of bounds.
-			step = math.Max(step, tol)
-		}
-		moved := false
-		for trial := 0; trial < 60; trial++ {
-			cand := k.Project(x.Add(g.Scale(step)))
-			fc := f(cand)
-			if fc > fx+1e-15 {
-				delta := cand.Sub(x).Norm()
-				x, fx = cand, fc
-				moved = true
-				step *= 1.6
-				if delta < tol {
-					return ProjectedGradientResult{X: x, Value: fx, Iterations: it + 1, Converged: true}
-				}
-				break
-			}
-			step /= 2
-			if step < 1e-16 {
-				break
-			}
-		}
-		if !moved {
-			return ProjectedGradientResult{X: x, Value: fx, Iterations: it, Converged: true}
-		}
-	}
-	return ProjectedGradientResult{X: x, Value: fx, Iterations: maxIter, Converged: false}
-}
-
-// Grad2FiniteDiff returns a central finite-difference gradient of f.
-func Grad2FiniteDiff(f func(Point2) float64, h float64) func(Point2) Point2 {
-	if h <= 0 {
-		h = 1e-6
-	}
-	return func(p Point2) Point2 {
-		return Point2{
-			E: (f(Point2{E: p.E + h, C: p.C}) - f(Point2{E: p.E - h, C: p.C})) / (2 * h),
-			C: (f(Point2{E: p.E, C: p.C + h}) - f(Point2{E: p.E, C: p.C - h})) / (2 * h),
-		}
-	}
-}

@@ -123,40 +123,6 @@ func TestProjectProperties(t *testing.T) {
 	}
 }
 
-func TestProjectedGradientAscentConcaveQuadratic(t *testing.T) {
-	// Maximize -(e-1)^2 - (c-2)^2 over a generous region: optimum (1,2).
-	k := RequestPolytope{PriceE: 1, PriceC: 1, Budget: 100, EdgeCap: math.Inf(1)}
-	f := func(p Point2) float64 { return -(p.E-1)*(p.E-1) - (p.C-2)*(p.C-2) }
-	grad := func(p Point2) Point2 { return Point2{E: -2 * (p.E - 1), C: -2 * (p.C - 2)} }
-	res := ProjectedGradientAscent(f, grad, k, Point2{E: 50, C: 50}, 1000, 1e-12)
-	if math.Abs(res.X.E-1) > 1e-5 || math.Abs(res.X.C-2) > 1e-5 {
-		t.Errorf("optimum = %+v, want (1, 2)", res.X)
-	}
-	if !res.Converged {
-		t.Error("did not converge")
-	}
-}
-
-func TestProjectedGradientAscentActiveBudget(t *testing.T) {
-	// Unconstrained optimum (5,5) lies outside budget e+c<=4; the
-	// constrained optimum is on the budget line at (2,2).
-	k := RequestPolytope{PriceE: 1, PriceC: 1, Budget: 4, EdgeCap: math.Inf(1)}
-	f := func(p Point2) float64 { return -(p.E-5)*(p.E-5) - (p.C-5)*(p.C-5) }
-	res := ProjectedGradientAscent(f, Grad2FiniteDiff(f, 1e-6), k, Point2{}, 2000, 1e-12)
-	if math.Abs(res.X.E-2) > 1e-4 || math.Abs(res.X.C-2) > 1e-4 {
-		t.Errorf("optimum = %+v, want (2, 2)", res.X)
-	}
-}
-
-func TestGrad2FiniteDiff(t *testing.T) {
-	f := func(p Point2) float64 { return 3*p.E*p.E + 2*p.E*p.C - p.C }
-	g := Grad2FiniteDiff(f, 1e-6)(Point2{E: 1, C: 2})
-	// ∂f/∂e = 6e + 2c = 10; ∂f/∂c = 2e − 1 = 1.
-	if math.Abs(g.E-10) > 1e-4 || math.Abs(g.C-1) > 1e-4 {
-		t.Errorf("gradient = %+v, want (10, 1)", g)
-	}
-}
-
 func TestPoint2Arithmetic(t *testing.T) {
 	p := Point2{E: 3, C: 4}
 	if got := p.Norm(); got != 5 {

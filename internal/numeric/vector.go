@@ -1,44 +1,8 @@
 package numeric
 
-import "math"
-
 // Vec is a dense float64 vector, used by the multi-provider extension
 // where a miner's strategy has more than two components.
 type Vec []float64
-
-// Clone returns a copy of v.
-func (v Vec) Clone() Vec {
-	out := make(Vec, len(v))
-	copy(out, v)
-	return out
-}
-
-// Add returns v + w (lengths must match).
-func (v Vec) Add(w Vec) Vec {
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
-}
-
-// Sub returns v − w.
-func (v Vec) Sub(w Vec) Vec {
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
-// Scale returns s·v.
-func (v Vec) Scale(s float64) Vec {
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = s * v[i]
-	}
-	return out
-}
 
 // Dot returns v·w.
 func (v Vec) Dot(w Vec) float64 {
@@ -47,158 +11,4 @@ func (v Vec) Dot(w Vec) float64 {
 		s += v[i] * w[i]
 	}
 	return s
-}
-
-// Sum returns Σv.
-func (v Vec) Sum() float64 {
-	var s float64
-	for i := range v {
-		s += v[i]
-	}
-	return s
-}
-
-// Norm returns ‖v‖₂.
-func (v Vec) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// BudgetPolytope is the K-dimensional generalization of RequestPolytope:
-//
-//	x_i ≥ 0,  x_i ≤ Caps[i],  Prices·x ≤ Budget.
-//
-// Caps may be nil (no upper bounds) or contain +Inf entries.
-type BudgetPolytope struct {
-	Prices Vec
-	Budget float64
-	Caps   Vec // optional per-coordinate upper bounds
-}
-
-func (k BudgetPolytope) cap(i int) float64 {
-	if k.Caps == nil {
-		return math.Inf(1)
-	}
-	return k.Caps[i]
-}
-
-// Contains reports feasibility within tolerance tol.
-func (k BudgetPolytope) Contains(x Vec, tol float64) bool {
-	var spend float64
-	for i, v := range x {
-		if v < -tol || v > k.cap(i)+tol {
-			return false
-		}
-		spend += k.Prices[i] * v
-	}
-	return spend <= k.Budget+tol*(k.Prices.Sum()+1)
-}
-
-// Project returns the Euclidean projection of y onto the polytope. The
-// KKT conditions give x(λ) = clamp(y − λ·Prices, 0, Caps) for a budget
-// multiplier λ ≥ 0; the spend Prices·x(λ) is non-increasing in λ, so λ
-// is found by bisection (λ = 0 when the clamped point is affordable).
-func (k BudgetPolytope) Project(y Vec) Vec {
-	at := func(lambda float64) (Vec, float64) {
-		x := make(Vec, len(y))
-		var spend float64
-		for i := range y {
-			x[i] = Clamp(y[i]-lambda*k.Prices[i], 0, k.cap(i))
-			spend += k.Prices[i] * x[i]
-		}
-		return x, spend
-	}
-	x, spend := at(0)
-	if spend <= k.Budget {
-		return x
-	}
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 100; i++ {
-		if _, s := at(hi); s <= k.Budget {
-			break
-		}
-		lo, hi = hi, hi*2
-	}
-	for i := 0; i < 200 && hi-lo > 1e-14*(1+hi); i++ {
-		mid := (lo + hi) / 2
-		if _, s := at(mid); s > k.Budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	x, _ = at(hi)
-	return x
-}
-
-// ProjectedGradientAscentVec maximizes f over the polytope from x0 with
-// backtracking line search, the K-dimensional analogue of
-// ProjectedGradientAscent.
-func ProjectedGradientAscentVec(
-	f func(Vec) float64,
-	grad func(Vec) Vec,
-	k BudgetPolytope,
-	x0 Vec,
-	maxIter int,
-	tol float64,
-) ProjectedGradientResultVec {
-	if maxIter <= 0 {
-		maxIter = 500
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	x := k.Project(x0)
-	fx := f(x)
-	step := 1.0
-	for it := 0; it < maxIter; it++ {
-		g := grad(x)
-		step = math.Max(step, tol)
-		moved := false
-		for trial := 0; trial < 60; trial++ {
-			cand := k.Project(x.Add(g.Scale(step)))
-			fc := f(cand)
-			if fc > fx+1e-15 {
-				delta := cand.Sub(x).Norm()
-				x, fx = cand, fc
-				moved = true
-				step *= 1.6
-				if delta < tol {
-					return ProjectedGradientResultVec{X: x, Value: fx, Iterations: it + 1, Converged: true}
-				}
-				break
-			}
-			step /= 2
-			if step < 1e-16 {
-				break
-			}
-		}
-		if !moved {
-			return ProjectedGradientResultVec{X: x, Value: fx, Iterations: it, Converged: true}
-		}
-	}
-	return ProjectedGradientResultVec{X: x, Value: fx, Iterations: maxIter, Converged: false}
-}
-
-// ProjectedGradientResultVec reports ProjectedGradientAscentVec's outcome.
-type ProjectedGradientResultVec struct {
-	X          Vec
-	Value      float64
-	Iterations int
-	Converged  bool
-}
-
-// GradVecFiniteDiff returns a central finite-difference gradient of f.
-func GradVecFiniteDiff(f func(Vec) float64, h float64) func(Vec) Vec {
-	if h <= 0 {
-		h = 1e-6
-	}
-	return func(x Vec) Vec {
-		g := make(Vec, len(x))
-		for i := range x {
-			xp := x.Clone()
-			xm := x.Clone()
-			xp[i] += h
-			xm[i] -= h
-			g[i] = (f(xp) - f(xm)) / (2 * h)
-		}
-		return g
-	}
 }

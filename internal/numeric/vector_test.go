@@ -1,168 +1,11 @@
 package numeric
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestVecArithmetic(t *testing.T) {
 	v := Vec{1, 2, 3}
 	w := Vec{4, 5, 6}
-	if got := v.Add(w); got[0] != 5 || got[1] != 7 || got[2] != 9 {
-		t.Errorf("Add = %v", got)
-	}
-	if got := w.Sub(v); got[0] != 3 || got[1] != 3 || got[2] != 3 {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := v.Scale(2); got[2] != 6 {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := v.Dot(w); got != 32 {
 		t.Errorf("Dot = %g", got)
-	}
-	if got := v.Sum(); got != 6 {
-		t.Errorf("Sum = %g", got)
-	}
-	if got := (Vec{3, 4}).Norm(); got != 5 {
-		t.Errorf("Norm = %g", got)
-	}
-	c := v.Clone()
-	c[0] = 99
-	if v[0] != 1 {
-		t.Error("Clone shares storage")
-	}
-}
-
-func TestBudgetPolytopeContains(t *testing.T) {
-	k := BudgetPolytope{Prices: Vec{2, 3, 1}, Budget: 12, Caps: Vec{4, math.Inf(1), 5}}
-	tests := []struct {
-		x    Vec
-		want bool
-	}{
-		{Vec{1, 1, 1}, true},
-		{Vec{0, 4, 0}, true},
-		{Vec{0, 4.1, 0}, false},  // budget
-		{Vec{-0.1, 0, 0}, false}, // sign
-		{Vec{4.5, 0, 0}, false},  // cap
-		{Vec{4, 0, 4}, true},     // exactly on budget
-		{Vec{0, 0, 5.01}, false}, // cap on third
-	}
-	for _, tt := range tests {
-		if got := k.Contains(tt.x, 1e-9); got != tt.want {
-			t.Errorf("Contains(%v) = %v, want %v", tt.x, got, tt.want)
-		}
-	}
-}
-
-// TestBudgetPolytopeProjectOptimality checks, against a brute-force grid,
-// that Project returns the nearest feasible point.
-func TestBudgetPolytopeProjectOptimality(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	property := func() bool {
-		k := BudgetPolytope{
-			Prices: Vec{0.5 + 2*rng.Float64(), 0.5 + 2*rng.Float64(), 0.5 + 2*rng.Float64()},
-			Budget: 2 + 10*rng.Float64(),
-		}
-		if rng.Intn(2) == 0 {
-			k.Caps = Vec{0.5 + 3*rng.Float64(), math.Inf(1), 0.5 + 3*rng.Float64()}
-		}
-		y := Vec{-4 + 12*rng.Float64(), -4 + 12*rng.Float64(), -4 + 12*rng.Float64()}
-		p := k.Project(y)
-		if !k.Contains(p, 1e-8) {
-			t.Logf("projection %v infeasible for %+v", p, k)
-			return false
-		}
-		if k.Project(p).Sub(p).Norm() > 1e-8 {
-			t.Logf("projection not idempotent")
-			return false
-		}
-		best := p.Sub(y).Norm()
-		const steps = 16
-		for a := 0; a <= steps; a++ {
-			for b := 0; b <= steps; b++ {
-				for c := 0; c <= steps; c++ {
-					q := Vec{
-						math.Min(k.cap(0), k.Budget/k.Prices[0]) * float64(a) / steps,
-						math.Min(k.cap(1), k.Budget/k.Prices[1]) * float64(b) / steps,
-						math.Min(k.cap(2), k.Budget/k.Prices[2]) * float64(c) / steps,
-					}
-					if !k.Contains(q, 1e-12) {
-						continue
-					}
-					if q.Sub(y).Norm() < best-1e-5 {
-						t.Logf("grid point %v closer to %v than projection %v", q, y, p)
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestBudgetPolytopeProjectMatches2D cross-checks the K-dim projection
-// against the specialized 2-D one.
-func TestBudgetPolytopeProjectMatches2D(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 300; trial++ {
-		k2 := RequestPolytope{
-			PriceE:  0.5 + 2*rng.Float64(),
-			PriceC:  0.5 + 2*rng.Float64(),
-			Budget:  1 + 10*rng.Float64(),
-			EdgeCap: math.Inf(1),
-		}
-		kv := BudgetPolytope{Prices: Vec{k2.PriceE, k2.PriceC}, Budget: k2.Budget}
-		p := Point2{E: -5 + 15*rng.Float64(), C: -5 + 15*rng.Float64()}
-		want := k2.Project(p)
-		got := kv.Project(Vec{p.E, p.C})
-		if math.Abs(got[0]-want.E) > 1e-8 || math.Abs(got[1]-want.C) > 1e-8 {
-			t.Fatalf("K-dim projection %v != 2-D %+v for input %+v", got, want, p)
-		}
-	}
-}
-
-func TestProjectedGradientAscentVecQuadratic(t *testing.T) {
-	// Maximize -(x-1)² - (y-2)² - (z-3)² over a generous region.
-	k := BudgetPolytope{Prices: Vec{1, 1, 1}, Budget: 100}
-	target := Vec{1, 2, 3}
-	f := func(x Vec) float64 {
-		d := x.Sub(target)
-		return -d.Dot(d)
-	}
-	grad := func(x Vec) Vec { return target.Sub(x).Scale(2) }
-	res := ProjectedGradientAscentVec(f, grad, k, Vec{50, 0, 0}, 1000, 1e-12)
-	if res.X.Sub(target).Norm() > 1e-5 {
-		t.Errorf("optimum %v, want %v", res.X, target)
-	}
-}
-
-func TestProjectedGradientAscentVecActiveBudget(t *testing.T) {
-	// Unconstrained optimum (5,5,5) outside x+y+z ≤ 6: optimum (2,2,2).
-	k := BudgetPolytope{Prices: Vec{1, 1, 1}, Budget: 6}
-	target := Vec{5, 5, 5}
-	f := func(x Vec) float64 {
-		d := x.Sub(target)
-		return -d.Dot(d)
-	}
-	res := ProjectedGradientAscentVec(f, GradVecFiniteDiff(f, 1e-6), k, Vec{0, 0, 0}, 2000, 1e-12)
-	want := Vec{2, 2, 2}
-	if res.X.Sub(want).Norm() > 1e-4 {
-		t.Errorf("optimum %v, want %v", res.X, want)
-	}
-}
-
-func TestGradVecFiniteDiff(t *testing.T) {
-	f := func(x Vec) float64 { return 3*x[0]*x[0] + 2*x[0]*x[1] - x[1] + x[2]*x[2]*x[2] }
-	g := GradVecFiniteDiff(f, 1e-5)(Vec{1, 2, 2})
-	want := Vec{10, 1, 12}
-	for i := range want {
-		if math.Abs(g[i]-want[i]) > 1e-4 {
-			t.Errorf("g[%d] = %g, want %g", i, g[i], want[i])
-		}
 	}
 }

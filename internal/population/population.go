@@ -2,8 +2,8 @@
 // (§V): the miner count N is a random variable N ~ 𝒩(μ, σ²), discretized
 // as P(k) = Φ(k) − Φ(k−1) and truncated to k ≥ 1. Homogeneous miners
 // maximize their EXPECTED utility over the realized population
-// (Problem 1d), and the package solves the symmetric equilibrium by
-// damped fixed-point iteration on the common strategy.
+// (Problem 1d). The symmetric equilibrium has closed forms: see
+// SymmetricEquilibrium.
 //
 // The expected utility follows the law of total expectation the paper
 // invokes (its Eq. 26 prints the h = 0.5 special case, with an evident
@@ -136,74 +136,6 @@ func ExpectedUtilityForm(p miner.Params, pmf numeric.DiscretePMF, own, peer nume
 	return p.Reward*(p.H*wFull+(1-p.H)*wDeg) - p.Spend(own)
 }
 
-// ExpectedGrad is the gradient of ExpectedUtility in the focal miner's
-// own request (transfer degraded form).
-func ExpectedGrad(p miner.Params, pmf numeric.DiscretePMF, own, peer numeric.Point2) numeric.Point2 {
-	return ExpectedGradForm(p, pmf, own, peer, DegradedTransfer)
-}
-
-// ExpectedGradForm is ExpectedGrad with an explicit degraded form.
-func ExpectedGradForm(p miner.Params, pmf numeric.DiscretePMF, own, peer numeric.Point2, form Degraded) numeric.Point2 {
-	var g numeric.Point2
-	for i, prob := range pmf.P {
-		if prob == 0 {
-			continue
-		}
-		k := pmf.Lo + i
-		env := miner.Env{
-			EdgeOthers:  float64(k-1) * peer.E,
-			CloudOthers: float64(k-1) * peer.C,
-		}
-		gf := miner.WinProbFullGrad(p.Beta, own, env)
-		var gd numeric.Point2
-		if form == DegradedReject {
-			gd = miner.WinProbRejectedGrad(p.Beta, own, env)
-		} else {
-			gd = miner.WinProbTransferredGrad(p.Beta, own, env)
-		}
-		g.E += prob * (p.H*gf.E + (1-p.H)*gd.E)
-		g.C += prob * (p.H*gf.C + (1-p.H)*gd.C)
-	}
-	return numeric.Point2{
-		E: p.Reward*g.E - p.PriceE,
-		C: p.Reward*g.C - p.PriceC,
-	}
-}
-
-// BestResponse maximizes the expected utility over the budget polytope
-// (transfer degraded form).
-func BestResponse(p miner.Params, pmf numeric.DiscretePMF, budget float64, peer numeric.Point2, hints ...numeric.Point2) numeric.Point2 {
-	return BestResponseForm(p, pmf, budget, peer, DegradedTransfer, hints...)
-}
-
-// BestResponseForm is BestResponse with an explicit degraded form.
-func BestResponseForm(p miner.Params, pmf numeric.DiscretePMF, budget float64, peer numeric.Point2, form Degraded, hints ...numeric.Point2) numeric.Point2 {
-	k := numeric.RequestPolytope{
-		PriceE:  p.PriceE,
-		PriceC:  p.PriceC,
-		Budget:  budget,
-		EdgeCap: math.Inf(1),
-	}
-	f := func(x numeric.Point2) float64 { return ExpectedUtilityForm(p, pmf, x, peer, form) }
-	grad := func(x numeric.Point2) numeric.Point2 { return ExpectedGradForm(p, pmf, x, peer, form) }
-	starts := append([]numeric.Point2{}, hints...)
-	starts = append(starts,
-		peer,
-		numeric.Point2{E: budget / (4 * p.PriceE), C: budget / (4 * p.PriceC)},
-		numeric.Point2{E: budget / p.PriceE, C: 0},
-		numeric.Point2{E: 0, C: budget / p.PriceC},
-	)
-	best := numeric.Point2{}
-	bestV := f(best)
-	for _, s := range starts {
-		res := numeric.ProjectedGradientAscent(f, grad, k, s, 400, 1e-11)
-		if res.Value > bestV {
-			best, bestV = res.X, res.Value
-		}
-	}
-	return best
-}
-
 // Equilibrium is a symmetric equilibrium of the dynamic-population game.
 type Equilibrium struct {
 	Request numeric.Point2 // the common strategy (e*, c*)
@@ -212,71 +144,187 @@ type Equilibrium struct {
 	// ExpectedCloudDemand is E[N]·c*.
 	ExpectedCloudDemand float64
 	Utility             float64 // symmetric expected utility
-	Iterations          int
-	Converged           bool
+	// Converged is false only when the common request is positive but
+	// too small for the win probabilities to count (rewards far below
+	// prices): there the closed form is not an equilibrium of the
+	// utility as evaluated.
+	Converged bool
 }
 
-// SolveOptions tunes the fixed-point iteration.
+// SolveOptions selects the expected utility's degraded branch.
 type SolveOptions struct {
-	MaxIter int     // default 2000
-	Tol     float64 // strategy-change threshold, default 1e-6
-	Damping float64 // weight on the new strategy, default 0.25
 	// Form selects the degraded branch of the expected utility; the zero
 	// value means DegradedTransfer (the paper's Eq. 26 printing).
 	Form Degraded
 }
 
-func (o SolveOptions) withDefaults() SolveOptions {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 2000
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-6
-	}
-	if o.Damping <= 0 || o.Damping > 1 {
-		// The symmetric best-response map oscillates (its slope at the
-		// fixed point is strongly negative for contest games), so heavy
-		// damping is needed for a contraction.
-		o.Damping = 0.25
-	}
-	return o
-}
-
-// SymmetricEquilibrium solves the homogeneous dynamic-population game: it
-// iterates peer ← (1−d)·peer + d·BestResponse(peer) until the common
-// strategy is a fixed point of the best-response map.
+// SymmetricEquilibrium solves the homogeneous dynamic-population game in
+// closed form. With every peer on the common strategy x, the focal
+// miner's expected-utility gradient at own = x is the fixed-n gradient
+// with (n−1)/n² replaced by the expected rivalry m = Σ_k P(k)(k−1)/k²:
+//
+//   - the transfer form (Eq. 7) is miner.HomogeneousConnectedExpected;
+//   - the reject form (Eq. 8) keeps the e-equation, which gives e(c) in
+//     closed form, so each face is a 1-D root (rejectForm).
+//
+// When P(1) > 0 the rounds without a rival make the utility jump where
+// the request starts to count, so the answer is at least the smallest
+// counted request. At m = 0 (all mass at N = 1) that is all there is:
+// the lone miner's supremum is approached as its request shrinks.
 func SymmetricEquilibrium(p miner.Params, pmf numeric.DiscretePMF, budget float64, opts SolveOptions) (Equilibrium, error) {
 	if err := p.Validate(); err != nil {
 		return Equilibrium{}, err
 	}
-	if budget <= 0 {
-		return Equilibrium{}, fmt.Errorf("population: budget %g must be positive", budget)
+	if !(budget > 0) || math.IsInf(budget, 0) {
+		return Equilibrium{}, fmt.Errorf("population: budget %g must be positive and finite", budget)
 	}
 	if len(pmf.P) == 0 {
 		return Equilibrium{}, fmt.Errorf("population: empty miner-count distribution")
 	}
-	opts = opts.withDefaults()
-	peer := numeric.Point2{E: budget / (4 * p.PriceE), C: budget / (4 * p.PriceC)}
-	eq := Equilibrium{}
+	if pmf.Lo < 1 {
+		return Equilibrium{}, fmt.Errorf("population: miner counts start at %d, must be at least 1", pmf.Lo)
+	}
 	form := opts.Form
 	if form == 0 {
 		form = DegradedTransfer
 	}
-	for it := 0; it < opts.MaxIter; it++ {
-		eq.Iterations = it + 1
-		next := BestResponseForm(p, pmf, budget, peer, form, peer)
-		blended := peer.Scale(1 - opts.Damping).Add(next.Scale(opts.Damping))
-		delta := blended.Sub(peer).Norm()
-		peer = blended
-		if delta < opts.Tol {
-			eq.Converged = true
-			break
+	var x numeric.Point2
+	if m := rivalry(pmf); form == DegradedReject {
+		x = rejectForm(p, pmf, m, budget)
+	} else {
+		sol, err := miner.HomogeneousConnectedExpected(p, m, budget)
+		if err != nil {
+			return Equilibrium{}, err
+		}
+		x = sol.Request
+	}
+	if pmf.Prob(1) > 0 {
+		// A round with no rival pays out for any request the win
+		// probabilities count, and in the reject form its degraded
+		// branch for any counted cloud request: below miner.Quantum the
+		// closed form's point is the s → 0⁺ (c → 0⁺) limit point.
+		need := miner.Quantum - x.E
+		if form == DegradedReject {
+			need = miner.Quantum
+		}
+		if x.C < need && p.PriceC*need < budget {
+			x.C = need
+			x.E = math.Min(x.E, (budget-p.PriceC*x.C)/p.PriceE)
 		}
 	}
-	eq.Request = peer
 	mean := pmf.Mean()
-	eq.ExpectedEdgeDemand = mean * peer.E
-	eq.ExpectedCloudDemand = mean * peer.C
-	eq.Utility = ExpectedUtilityForm(p, pmf, peer, peer, form)
-	return eq, nil
+	s := x.E + x.C
+	return Equilibrium{
+		Request:             x,
+		ExpectedEdgeDemand:  mean * x.E,
+		ExpectedCloudDemand: mean * x.C,
+		Utility:             ExpectedUtilityForm(p, pmf, x, x, form),
+		Converged:           !(s > 0 && s < miner.Quantum),
+	}, nil
+}
+
+// rivalry is m = E[(N−1)/N²], the expected-utility stand-in for the
+// fixed-n factor (n−1)/n² of Corollary 1.
+func rivalry(pmf numeric.DiscretePMF) float64 {
+	var m float64
+	for i, prob := range pmf.P {
+		k := float64(pmf.Lo + i)
+		m += prob * (k - 1) / (k * k)
+	}
+	return m
+}
+
+// rejectForm solves the reject form's symmetric KKT system (the
+// gradient is rejectGradient's). G_e falls in e, so G_e = 0 fixes e(c)
+// as the positive root of P_e·e² + (P_e·c − A)·e − Aβc = 0 with
+// A = R·h·m, and the unbudgeted point is the c = 0 face when
+// G_c(e(0), 0) ≤ 0 and otherwise the root of G_c(e(c), c) by Brent. If
+// that point overspends, the budget face solves G_e/P_e = G_c/P_c along
+// P_e·e + P_c·c = B the same way.
+func rejectForm(p miner.Params, pmf numeric.DiscretePMF, m, budget float64) numeric.Point2 {
+	cMax := budget / p.PriceC
+	a := p.Reward * p.H * m
+	if !(a > 0) {
+		// The edge never serves (h = 0): only the cloud term is left,
+		// and at e = 0 it is G_c = (1−β)R·m/c − P_c.
+		return numeric.Point2{C: math.Min((1-p.Beta)*p.Reward*m/p.PriceC, cMax)}
+	}
+	gradient := rejectGradient(p, pmf, m)
+	edge := func(c float64) float64 {
+		b := p.PriceE*c - a
+		disc := math.Sqrt(b*b + 4*p.PriceE*a*p.Beta*c)
+		if b <= 0 {
+			return (disc - b) / (2 * p.PriceE)
+		}
+		return 2 * a * p.Beta * c / (b + disc)
+	}
+	cloudSlope := func(c float64) float64 {
+		_, gc := gradient(edge(c), c)
+		return gc
+	}
+	x := numeric.Point2{E: edge(0)}
+	if cloudSlope(0) > 0 {
+		if !(cloudSlope(cMax) < 0) {
+			return rejectBudget(p, budget, gradient)
+		}
+		c := root(cloudSlope, 0, cMax)
+		x = numeric.Point2{E: edge(c), C: c}
+	}
+	if p.Spend(x) > budget {
+		return rejectBudget(p, budget, gradient)
+	}
+	return x
+}
+
+// rejectGradient returns the reject form's own-gradient at
+// own = peer = (e, c). With s = e + c, A = R·h·m and
+// D = Σ_k P(k)(k−1)s/(c+(k−1)s)²,
+//
+//	G_e = A[(1−β)/s + β/e] − P_e
+//	G_c = A(1−β)/s + R(1−h)(1−β)·D − P_c.
+func rejectGradient(p miner.Params, pmf numeric.DiscretePMF, m float64) func(e, c float64) (ge, gc float64) {
+	a := p.Reward * p.H * m
+	return func(e, c float64) (ge, gc float64) {
+		s := e + c
+		var d float64
+		for i, prob := range pmf.P {
+			if k := float64(pmf.Lo + i); k > 1 {
+				u := c + (k-1)*s
+				d += prob * (k - 1) * s / (u * u)
+			}
+		}
+		ge = a*((1-p.Beta)/s+p.Beta/e) - p.PriceE
+		gc = a*(1-p.Beta)/s + p.Reward*(1-p.H)*(1-p.Beta)*d - p.PriceC
+		return ge, gc
+	}
+}
+
+// rejectBudget solves the reject form on the budget line: e ∈ [0, B/P_e]
+// with c = (B − P_e·e)/P_c, and the multiplier λ = G_e/P_e = G_c/P_c.
+// G_e grows without bound as e → 0 when β > 0, so the search starts
+// just above it.
+func rejectBudget(p miner.Params, budget float64, gradient func(e, c float64) (float64, float64)) numeric.Point2 {
+	eMax := budget / p.PriceE
+	along := func(e float64) float64 {
+		ge, gc := gradient(e, math.Max((budget-p.PriceE*e)/p.PriceC, 0))
+		return ge/p.PriceE - gc/p.PriceC
+	}
+	if along(eMax) >= 0 {
+		return numeric.Point2{E: eMax}
+	}
+	lo := eMax * 1e-15
+	if !(along(lo) > 0) {
+		return numeric.Point2{C: budget / p.PriceC}
+	}
+	e := root(along, lo, eMax)
+	return numeric.Point2{E: e, C: math.Max((budget-p.PriceE*e)/p.PriceC, 0)}
+}
+
+// root is numeric.BrentRoot on a bracket the callers have checked.
+func root(f func(float64) float64, lo, hi float64) float64 {
+	x, err := numeric.BrentRoot(f, lo, hi, 1e-15*hi)
+	if err != nil {
+		return hi
+	}
+	return x
 }

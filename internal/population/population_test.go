@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"minegame/internal/core"
+	"minegame/internal/game"
 	"minegame/internal/miner"
+	"minegame/internal/netmodel"
 	"minegame/internal/numeric"
 )
 
@@ -66,41 +69,111 @@ func TestExpectedUtilityDegenerateEqualsConnected(t *testing.T) {
 	}
 }
 
+// grad2 is a central finite-difference gradient of f in the own request.
+func grad2(f func(numeric.Point2) float64, x numeric.Point2) numeric.Point2 {
+	const h = 1e-5
+	return numeric.Point2{
+		E: (f(numeric.Point2{E: x.E + h, C: x.C}) - f(numeric.Point2{E: x.E - h, C: x.C})) / (2 * h),
+		C: (f(numeric.Point2{E: x.E, C: x.C + h}) - f(numeric.Point2{E: x.E, C: x.C - h})) / (2 * h),
+	}
+}
+
+// TestExpectedGradMatchesFiniteDifferences checks the identity the
+// transfer-form closed form rests on: at own = peer = (e, c) the
+// expected-utility gradient in (e, c) is
+// (R[(1−β)m/s + hβm/e] − P_e, R(1−β)m/s − P_c) with m = E[(N−1)/N²].
 func TestExpectedGradMatchesFiniteDifferences(t *testing.T) {
 	p := testParams()
-	m := Model{Mu: 6, Sigma: 2}
-	pmf, err := m.PMF()
+	pmf, err := Model{Mu: 6, Sigma: 2}.PMF()
 	if err != nil {
 		t.Fatalf("PMF: %v", err)
 	}
-	peer := numeric.Point2{E: 4, C: 18}
-	for _, own := range []numeric.Point2{{E: 3, C: 12}, {E: 7, C: 2}, {E: 1, C: 30}} {
-		got := ExpectedGrad(p, pmf, own, peer)
-		fd := numeric.Grad2FiniteDiff(func(x numeric.Point2) float64 {
-			return ExpectedUtility(p, pmf, x, peer)
-		}, 1e-5)(own)
-		if !numeric.AlmostEqual(got.E, fd.E, 1e-4) || !numeric.AlmostEqual(got.C, fd.C, 1e-4) {
-			t.Errorf("own %+v: grad %+v, fd %+v", own, got, fd)
+	m := rivalry(pmf)
+	for _, x := range []numeric.Point2{{E: 3, C: 12}, {E: 7, C: 2}, {E: 1, C: 30}} {
+		s := x.E + x.C
+		want := numeric.Point2{
+			E: p.Reward*((1-p.Beta)*m/s+p.H*p.Beta*m/x.E) - p.PriceE,
+			C: p.Reward*(1-p.Beta)*m/s - p.PriceC,
+		}
+		fd := grad2(func(r numeric.Point2) float64 { return ExpectedUtility(p, pmf, r, x) }, x)
+		if !numeric.AlmostEqual(want.E, fd.E, 1e-4) || !numeric.AlmostEqual(want.C, fd.C, 1e-4) {
+			t.Errorf("own = peer = %+v: formula %+v, fd %+v", x, want, fd)
 		}
 	}
 }
 
+// TestSymmetricEquilibriumDegenerateMatchesClosedForm pins the fixed
+// population to the connected-mode game: at Degenerate(n) the symmetric
+// equilibrium is miner.HomogeneousConnected, and the share engine's
+// core.SolveMinerEquilibrium lands on the same point, on interior,
+// budget-bound and all-edge price pairs.
 func TestSymmetricEquilibriumDegenerateMatchesClosedForm(t *testing.T) {
+	cases := []struct {
+		name           string
+		pe, pc, budget float64
+	}{
+		{"interior", 8, 4, 200},
+		{"budget-bound", 8, 4, 10},
+		{"all-edge", 3, 4, 200},
+	}
+	for _, tc := range cases {
+		for _, n := range []int{2, 5, 10, 100} {
+			p := testParams()
+			p.PriceE, p.PriceC = tc.pe, tc.pc
+			eq, err := SymmetricEquilibrium(p, Degenerate(n), tc.budget, SolveOptions{})
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", tc.name, n, err)
+			}
+			if !eq.Converged {
+				t.Fatalf("%s n=%d: not converged: %+v", tc.name, n, eq)
+			}
+			want, err := miner.HomogeneousConnected(p, n, tc.budget)
+			if err != nil {
+				t.Fatalf("%s n=%d: closed form: %v", tc.name, n, err)
+			}
+			cfg := core.Config{
+				N: n, Budgets: []float64{tc.budget}, Reward: p.Reward, Beta: p.Beta,
+				SatisfyProb: p.H, Mode: netmodel.Connected, EdgeCapacity: math.Inf(1),
+			}
+			engine, err := core.SolveMinerEquilibrium(cfg, core.Prices{Edge: tc.pe, Cloud: tc.pc}, game.NEOptions{})
+			if err != nil {
+				t.Fatalf("%s n=%d: share engine: %v", tc.name, n, err)
+			}
+			for _, ref := range []struct {
+				name string
+				x    numeric.Point2
+			}{{"closed form", want.Request}, {"share engine", engine.Requests[0]}} {
+				if !close12(eq.Request.E, ref.x.E) || !close12(eq.Request.C, ref.x.C) {
+					t.Errorf("%s n=%d: %+v != %s %+v", tc.name, n, eq.Request, ref.name, ref.x)
+				}
+			}
+		}
+	}
+}
+
+// close12 reports agreement to 1e-12, relative above magnitude 1.
+func close12(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-12*math.Max(1, math.Abs(b))
+}
+
+// TestLoneMinerPopulation: with all mass at N = 1 (m = 0) no rival ever
+// shows up, so the supremum R·(h + (1−h)(1−β)) is approached as the
+// request shrinks; the answer is the smallest counted request, finite,
+// and converged.
+func TestLoneMinerPopulation(t *testing.T) {
 	p := testParams()
-	const n, budget = 5, 200.0
-	eq, err := SymmetricEquilibrium(p, Degenerate(n), budget, SolveOptions{})
-	if err != nil {
-		t.Fatalf("SymmetricEquilibrium: %v", err)
-	}
-	if !eq.Converged {
-		t.Fatalf("not converged: %+v", eq)
-	}
-	want, err := miner.HomogeneousConnected(p, n, budget)
-	if err != nil {
-		t.Fatalf("closed form: %v", err)
-	}
-	if math.Abs(eq.Request.E-want.Request.E) > 1e-3 || math.Abs(eq.Request.C-want.Request.C) > 1e-3 {
-		t.Errorf("degenerate dynamic equilibrium %+v != connected closed form %+v", eq.Request, want.Request)
+	sup := p.Reward * (p.H + (1-p.H)*(1-p.Beta))
+	for _, form := range []Degraded{DegradedTransfer, DegradedReject} {
+		eq, err := SymmetricEquilibrium(p, Degenerate(1), 200, SolveOptions{Form: form})
+		if err != nil {
+			t.Fatalf("form %d: %v", form, err)
+		}
+		if !eq.Converged || math.IsNaN(eq.Utility) || eq.Request.E+eq.Request.C > 2*miner.Quantum {
+			t.Fatalf("form %d: %+v", form, eq)
+		}
+		if math.Abs(eq.Utility-sup) > 1e-9*sup {
+			t.Errorf("form %d: utility %g, want the supremum %g", form, eq.Utility, sup)
+		}
 	}
 }
 
@@ -171,6 +244,9 @@ func TestSymmetricEquilibriumErrors(t *testing.T) {
 	if _, err := SymmetricEquilibrium(p, numeric.DiscretePMF{}, 100, SolveOptions{}); err == nil {
 		t.Error("want error for empty PMF")
 	}
+	if _, err := SymmetricEquilibrium(p, numeric.DiscretePMF{Lo: 0, P: []float64{1}}, 100, SolveOptions{}); err == nil {
+		t.Error("want error for a miner count of zero")
+	}
 	bad := p
 	bad.Reward = 0
 	if _, err := SymmetricEquilibrium(bad, Degenerate(5), 100, SolveOptions{}); err == nil {
@@ -208,20 +284,83 @@ func TestDegradedRejectFormIsHarsherOnEdge(t *testing.T) {
 	}
 }
 
+// TestExpectedGradRejectFormMatchesFiniteDifferences checks
+// rejectGradient, the reject form's own-gradient at own = peer, against
+// finite differences of the expected utility.
 func TestExpectedGradRejectFormMatchesFiniteDifferences(t *testing.T) {
 	p := testParams()
 	pmf, err := Model{Mu: 6, Sigma: 2}.PMF()
 	if err != nil {
 		t.Fatalf("PMF: %v", err)
 	}
-	peer := numeric.Point2{E: 4, C: 18}
-	for _, own := range []numeric.Point2{{E: 3, C: 12}, {E: 7, C: 2}} {
-		got := ExpectedGradForm(p, pmf, own, peer, DegradedReject)
-		fd := numeric.Grad2FiniteDiff(func(x numeric.Point2) float64 {
-			return ExpectedUtilityForm(p, pmf, x, peer, DegradedReject)
-		}, 1e-5)(own)
-		if !numeric.AlmostEqual(got.E, fd.E, 1e-4) || !numeric.AlmostEqual(got.C, fd.C, 1e-4) {
-			t.Errorf("own %+v: grad %+v, fd %+v", own, got, fd)
+	grad := rejectGradient(p, pmf, rivalry(pmf))
+	for _, x := range []numeric.Point2{{E: 3, C: 12}, {E: 7, C: 2}, {E: 0.5, C: 20}} {
+		ge, gc := grad(x.E, x.C)
+		fd := grad2(func(r numeric.Point2) float64 { return ExpectedUtilityForm(p, pmf, r, x, DegradedReject) }, x)
+		if !numeric.AlmostEqual(ge, fd.E, 1e-4) || !numeric.AlmostEqual(gc, fd.C, 1e-4) {
+			t.Errorf("own = peer = %+v: gradient (%g, %g), fd %+v", x, ge, gc, fd)
+		}
+	}
+}
+
+// dampedReject is the fixed-point iteration the closed forms replaced,
+// peer ← 0.75·peer + 0.25·BR(peer), with the best response found by
+// nested golden-section search over the budget polygon.
+func dampedReject(p miner.Params, pmf numeric.DiscretePMF, budget float64) numeric.Point2 {
+	peer := numeric.Point2{E: budget / (4 * p.PriceE), C: budget / (4 * p.PriceC)}
+	for it := 0; it < 2000; it++ {
+		f := func(r numeric.Point2) float64 { return ExpectedUtilityForm(p, pmf, r, peer, DegradedReject) }
+		inner := func(e float64) (float64, float64) {
+			return numeric.MaximizeGolden(func(c float64) float64 {
+				return f(numeric.Point2{E: e, C: c})
+			}, 0, math.Max((budget-p.PriceE*e)/p.PriceC, 0), 1e-12)
+		}
+		e, _ := numeric.MaximizeGolden(func(e float64) float64 { _, v := inner(e); return v }, 0, budget/p.PriceE, 1e-12)
+		c, _ := inner(e)
+		next := peer.Scale(0.75).Add(numeric.Point2{E: e, C: c}.Scale(0.25))
+		done := next.Sub(peer).Norm() < 1e-8
+		peer = next
+		if done {
+			break
+		}
+	}
+	return peer
+}
+
+// TestRejectFormMatchesDampedIteration checks each face of the reject
+// form's closed form against the damped iteration.
+func TestRejectFormMatchesDampedIteration(t *testing.T) {
+	pmf, err := Model{Mu: 10, Sigma: 2}.PMF()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name      string
+		edit      func(*miner.Params)
+		budget    float64
+		wantC0    bool // the c = 0 face (c → 0⁺ when P(1) > 0)
+		wantSpent bool // the budget face
+	}{
+		{"interior", func(*miner.Params) {}, 200, false, false},
+		{"budget face", func(*miner.Params) {}, 40, false, true},
+		{"c = 0 face", func(p *miner.Params) { p.PriceC = 40; p.H = 0.95 }, 200, true, false},
+		{"budget corner c = 0", func(p *miner.Params) { p.PriceC = 40; p.H = 0.95 }, 5, true, true},
+		{"h = 0", func(p *miner.Params) { p.H = 0 }, 200, false, false},
+	}
+	for _, tc := range cases {
+		p := testParams()
+		tc.edit(&p)
+		eq, err := SymmetricEquilibrium(p, pmf, tc.budget, SolveOptions{Form: DegradedReject})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		x := eq.Request
+		if (x.C <= miner.Quantum) != tc.wantC0 || (math.Abs(p.Spend(x)-tc.budget) < 1e-9*tc.budget) != tc.wantSpent {
+			t.Errorf("%s: %+v (spend %g of %g) is not on the expected face", tc.name, x, p.Spend(x), tc.budget)
+		}
+		ref := dampedReject(p, pmf, tc.budget)
+		if math.Abs(x.E-ref.E) > 1e-6*math.Max(1, ref.E) || math.Abs(x.C-ref.C) > 1e-6*math.Max(1, ref.C) {
+			t.Errorf("%s: closed form %+v, damped iteration %+v", tc.name, x, ref)
 		}
 	}
 }

@@ -1,7 +1,9 @@
-// Package sim provides a deterministic discrete-event simulation engine:
-// a virtual clock, an event queue ordered by (time, insertion sequence),
-// and seeded random number streams. The blockchain substrate and the
-// reinforcement-learning environments are built on it.
+// Package sim provides a deterministic discrete-event simulation engine,
+// a virtual clock and an event queue ordered by (time, insertion
+// sequence), and seeded random number streams (NewRNG). The engine's
+// only user is the topology race in internal/chain/topo (race.go); the
+// other chain simulators and the reinforcement-learning environments
+// are plain loops over seeded streams such as NewRNG's.
 package sim
 
 import (

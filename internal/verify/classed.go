@@ -153,7 +153,7 @@ func CertifyExpandedSample(cfg core.Config, cp miner.ClassedPopulation, p core.P
 			w = miner.WinProbFull(params.Beta, own, env)
 		}
 		eps = math.Max(eps, gain)
-		worst = math.Max(worst, gain/stake(cfg, w, params.Spend(own)))
+		worst = math.Max(worst, gain/stake(cfg.Reward, cfg.N, w, params.Spend(own)))
 		checked++
 	}
 	cert.add("sample_rows_match", rowMismatch, 0,

@@ -9,7 +9,9 @@ package verify
 //     return finite numbers;
 //  3. certified equilibria on the sane domain — when the input lies in
 //     the model's documented operating range and the solver reports
-//     convergence, the independent certificate must pass.
+//     convergence, the independent certificate must pass. The
+//     closed-form extension followers must certify on every valid
+//     input they report converged.
 //
 // The committed seed corpora under testdata/fuzz/ include the minimized
 // regressions that motivated the affirmative-range validation fixes
@@ -23,6 +25,8 @@ import (
 
 	"minegame/internal/core"
 	"minegame/internal/game"
+	"minegame/internal/miner"
+	"minegame/internal/multiesp"
 	"minegame/internal/netmodel"
 	"minegame/internal/population"
 )
@@ -255,6 +259,112 @@ func FuzzPopulationPMF(f *testing.F) {
 			if math.Abs(cm-1) > 1e-9 {
 				t.Fatalf("PMFCeil mass = %.15f, want 1 (model %+v)", cm, m)
 			}
+		}
+	})
+}
+
+// FuzzPopulationEquilibrium drives the closed-form dynamic-population
+// solver, in both degraded forms, over Gaussian miner counts truncated
+// at N ≤ 50. Valid input must solve without error to finite numbers
+// that certify unless the result reports Converged: false.
+func FuzzPopulationEquilibrium(f *testing.F) {
+	// reject, μ, σ, R, β, h, P_e, P_c, budget
+	f.Add(false, 10.0, 2.0, 1000.0, 0.2, 0.7, 8.0, 4.0, 200.0) // fig9a at P_e = 8
+	f.Add(false, 10.0, 1.0, 1000.0, 0.2, 0.7, 6.0, 4.0, 200.0) // fig9b, σ = 1
+	f.Add(false, 10.0, 3.0, 1000.0, 0.2, 0.7, 12.0, 4.0, 200.0)
+	f.Add(false, 10.5, 2.0, 1000.0, 0.2, 0.7, 8.0, 4.0, 200.0) // abldisc's ceiling mean
+	f.Add(false, 10.0, 2.0, 1000.0, 0.2, 0.7, 8.0, 4.0, 10.0)  // budget binds
+	f.Add(false, 10.0, 2.0, 1000.0, 0.2, 0.7, 3.0, 4.0, 200.0) // P_e < P_c: all edge
+	f.Add(true, 10.0, 2.0, 1000.0, 0.2, 0.7, 8.0, 4.0, 200.0)  // reject form, interior
+	f.Add(true, 10.0, 2.0, 1000.0, 0.2, 0.95, 8.0, 40.0, 5.0)  // reject form, c = 0 on the budget
+	f.Add(false, 1.0, 1e-3, 1000.0, 0.2, 0.7, 8.0, 4.0, 200.0) // m = 0: a lone miner
+	f.Add(true, 1.0, 1e-3, 1000.0, 0.2, 0.7, 8.0, 4.0, 200.0)
+	f.Add(false, 10.0, 2.0, 1000.0, 0.0, 0.7, 8.0, 4.0, 200.0) // β = 0
+	f.Add(true, 10.0, 2.0, 1000.0, 0.2, 0.0, 8.0, 4.0, 200.0)  // h = 0
+	f.Fuzz(func(t *testing.T, reject bool, mu, sigma, reward, beta, h, pe, pc, budget float64) {
+		pmf, err := population.Model{Mu: mu, Sigma: sigma, MaxN: 50}.PMF()
+		if err != nil {
+			return
+		}
+		p := miner.Params{Reward: reward, Beta: beta, H: h, PriceE: pe, PriceC: pc}
+		opts := population.SolveOptions{Form: population.DegradedTransfer}
+		if reject {
+			opts.Form = population.DegradedReject
+		}
+		eq, err := population.SymmetricEquilibrium(p, pmf, budget, opts)
+		if err != nil {
+			if p.Validate() == nil && budget > 0 && !math.IsInf(budget, 0) {
+				t.Fatalf("valid input rejected: %v", err)
+			}
+			return
+		}
+		for _, v := range []float64{eq.Request.E, eq.Request.C, eq.ExpectedEdgeDemand, eq.ExpectedCloudDemand, eq.Utility} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("non-finite result %+v", eq)
+			}
+		}
+		if !eq.Converged {
+			return
+		}
+		cert, err := CertifyPopulation(p, pmf, budget, opts.Form, eq, Options{})
+		if err != nil {
+			t.Fatalf("certify: %v", err)
+		}
+		if !cert.OK {
+			t.Fatalf("converged equilibrium %+v failed certification: %v", eq, cert.Err())
+		}
+	})
+}
+
+// FuzzMultiESP drives the multi-ESP solver with K ≤ 4 providers and
+// N ≤ 50 miners. Valid input must solve without error to finite
+// numbers that certify unless the result reports Converged: false.
+func FuzzMultiESP(f *testing.F) {
+	// n, K, R, β, P_c, budget, then (P_k, h_k) for k = 1..4
+	f.Add(5, 2, 1000.0, 0.2, 4.0, 200.0, 9.0, 0.9, 6.0, 0.4, 0.0, 0.0, 0.0, 0.0)  // the experiment's market
+	f.Add(5, 2, 1000.0, 0.2, 4.0, 200.0, 9.0, 0.9, 5.6, 0.4, 0.0, 0.0, 0.0, 0.0)  // budget ESP only
+	f.Add(5, 2, 1000.0, 0.2, 4.0, 200.0, 9.0, 0.9, 5.8, 0.4, 0.0, 0.0, 0.0, 0.0)  // both pure profiles hold
+	f.Add(5, 2, 1000.0, 0.2, 4.0, 200.0, 9.0, 0.9, 5.9, 0.4, 0.0, 0.0, 0.0, 0.0)  // premium wins the tie-break
+	f.Add(5, 1, 1000.0, 0.2, 4.0, 200.0, 8.0, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  // K = 1
+	f.Add(50, 4, 1000.0, 0.5, 4.0, 20.0, 9.0, 0.9, 6.0, 0.4, 7.0, 0.7, 4.5, 0.2)  // K = 4, budget binds
+	f.Add(10, 2, 1000.0, 0.0, 4.0, 200.0, 9.0, 0.9, 6.0, 0.4, 0.0, 0.0, 0.0, 0.0) // β = 0
+	f.Add(10, 2, 1000.0, 0.2, 4.0, 200.0, 9.0, 0.0, 6.0, 0.0, 0.0, 0.0, 0.0, 0.0) // h = 0
+	f.Add(10, 3, 1000.0, 0.2, 4.0, 200.0, 7.0, 0.5, 7.0, 0.5, 3.0, 0.9, 0.0, 0.0) // a tie and P_k < P_c
+	f.Fuzz(func(t *testing.T, n, k int, reward, beta, pc, budget, p1, h1, p2, h2, p3, h3, p4, h4 float64) {
+		if n > 50 {
+			n = 2 + n%49
+		}
+		if k < 1 || k > 4 {
+			k = 1 + (k%4+4)%4
+		}
+		offers := []multiesp.ESP{{Price: p1, H: h1}, {Price: p2, H: h2}, {Price: p3, H: h3}, {Price: p4, H: h4}}
+		cfg := multiesp.Config{N: n, Budget: budget, Reward: reward, Beta: beta, ESPs: offers[:k], PriceC: pc}
+		eq, err := multiesp.Solve(cfg)
+		if err != nil {
+			if cfg.Validate() == nil {
+				t.Fatalf("valid input rejected: %v", err)
+			}
+			return
+		}
+		for i, x := range eq.Requests {
+			for d, v := range x {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Fatalf("miner %d coordinate %d = %g", i, d, v)
+				}
+			}
+			if math.IsNaN(eq.Utilities[i]) || math.IsInf(eq.Utilities[i], 0) || math.IsNaN(eq.WinProbs[i]) {
+				t.Fatalf("miner %d: utility %g, win probability %g", i, eq.Utilities[i], eq.WinProbs[i])
+			}
+		}
+		if !eq.Converged {
+			return
+		}
+		cert, err := CertifyMultiESP(cfg, eq, Options{})
+		if err != nil {
+			t.Fatalf("certify: %v", err)
+		}
+		if !cert.OK {
+			t.Fatalf("converged equilibrium failed certification (%+v): %v", cfg, cert.Err())
 		}
 	})
 }

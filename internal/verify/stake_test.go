@@ -8,8 +8,10 @@ import (
 	"minegame/internal/core"
 	"minegame/internal/game"
 	"minegame/internal/miner"
+	"minegame/internal/multiesp"
 	"minegame/internal/netmodel"
 	"minegame/internal/numeric"
+	"minegame/internal/population"
 )
 
 // deviationCheck returns the certificate's deviation check.
@@ -117,5 +119,78 @@ func TestStakeScaledCertificateFailsClassed(t *testing.T) {
 		if ck := deviationCheck(t, cert); ck.OK {
 			t.Errorf("%s: stake-scaled deviation check accepted a class losing %g·R: %+v", cert.Kind, cert.EpsilonRel, ck)
 		}
+	}
+}
+
+// TestStakeScaledCertificateFailsPopulation moves the common strategy of
+// a μ = 200 population 1% off the symmetric equilibrium: a deviating
+// miner then gains far less than GainTol·R but more than GainTol times
+// its stake, about R/200. The certificate must reject it and accept the
+// equilibrium, here the interior closed form
+// e = hβR·m/(P_e − P_c), s = (1−β)R·m/P_c with m = E[(N−1)/N²].
+func TestStakeScaledCertificateFailsPopulation(t *testing.T) {
+	p := miner.Params{Reward: 1000, Beta: 0.2, H: 0.7, PriceE: 8, PriceC: 4}
+	pmf, err := population.Model{Mu: 200, Sigma: 10}.PMF()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m float64
+	for i, prob := range pmf.P {
+		k := float64(pmf.Lo + i)
+		m += prob * (k - 1) / (k * k)
+	}
+	e := p.H * p.Beta * p.Reward * m / (p.PriceE - p.PriceC)
+	summary := func(x numeric.Point2) population.Equilibrium {
+		return population.Equilibrium{
+			Request:             x,
+			ExpectedEdgeDemand:  pmf.Mean() * x.E,
+			ExpectedCloudDemand: pmf.Mean() * x.C,
+			Utility:             population.ExpectedUtility(p, pmf, x, x),
+		}
+	}
+	root := numeric.Point2{E: e, C: (1-p.Beta)*p.Reward*m/p.PriceC - e}
+	cert, err := CertifyPopulation(p, pmf, 200, 0, summary(root), Options{})
+	if err != nil || !cert.OK {
+		t.Fatalf("the equilibrium must certify: %v %v", err, cert.Err())
+	}
+	cert, err = CertifyPopulation(p, pmf, 200, 0, summary(numeric.Point2{E: 1.01 * root.E, C: 1.01 * root.C}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cert.EpsilonRel >= 1e-4 {
+		t.Fatalf("perturbation gain %g·R is not below the old GainTol·R bound; pick a smaller one", cert.EpsilonRel)
+	}
+	if ck := deviationCheck(t, cert); ck.OK {
+		t.Errorf("stake-scaled deviation check accepted a gain of %g·R: %+v", cert.EpsilonRel, ck)
+	}
+}
+
+// TestStakeScaledCertificateFailsMultiESP scales one of 50 miners'
+// requests by 0.9 in a two-ESP market: its best response then gains far
+// less than GainTol·R but more than GainTol times its stake, about R/50.
+func TestStakeScaledCertificateFailsMultiESP(t *testing.T) {
+	cfg := multiesp.Config{
+		N: 50, Budget: 200, Reward: 1000, Beta: 0.2,
+		ESPs:   []multiesp.ESP{{Price: 9, H: 0.9}, {Price: 6, H: 0.4}},
+		PriceC: 4,
+	}
+	eq, err := multiesp.Solve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := CertifyMultiESP(cfg, eq, Options{})
+	if err != nil || !cert.OK {
+		t.Fatalf("solution must certify: %v %v", err, cert.Err())
+	}
+	perturbMultiESP(cfg, &eq, 0.9)
+	cert, err = CertifyMultiESP(cfg, eq, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cert.EpsilonRel >= 1e-4 {
+		t.Fatalf("perturbation gain %g·R is not below the old GainTol·R bound; pick a smaller one", cert.EpsilonRel)
+	}
+	if ck := deviationCheck(t, cert); ck.OK {
+		t.Errorf("stake-scaled deviation check accepted a gain of %g·R: %+v", cert.EpsilonRel, ck)
 	}
 }

@@ -364,7 +364,7 @@ func certifyMarket(cfg core.Config, p core.Prices, m market, eq *core.MinerEquil
 	var eps, worst float64
 	for k, g := range m.gains {
 		eps = math.Max(eps, g)
-		worst = math.Max(worst, g/stake(cfg, ws[k], params.Spend(m.reqs[k])))
+		worst = math.Max(worst, g/stake(cfg.Reward, cfg.N, ws[k], params.Spend(m.reqs[k])))
 	}
 	cert.Gains = m.gains
 	cert.Epsilon = eps
@@ -439,8 +439,8 @@ func certifyMarket(cfg core.Config, p core.Prices, m market, eq *core.MinerEquil
 // largest of its expected reward R·W, its spend and the even share R/N.
 // A bound relative to R alone would exceed a miner's whole expected
 // reward once N passes 1/GainTol.
-func stake(cfg core.Config, w, spend float64) float64 {
-	return math.Max(math.Max(cfg.Reward*w, spend), cfg.Reward/float64(cfg.N))
+func stake(reward float64, n int, w, spend float64) float64 {
+	return math.Max(math.Max(reward*w, spend), reward/float64(n))
 }
 
 // sliceResidual returns the largest absolute difference between two

@@ -33,6 +33,18 @@ func standaloneConfig() core.Config {
 	return cfg
 }
 
+// connectedSummary returns every miner's connected-mode utility and win
+// probability (Eq. 9) at the profile.
+func connectedSummary(p miner.Params, prof miner.Profile) (us, ws []float64) {
+	tot := prof.Aggregate()
+	for _, r := range prof {
+		env := tot.Env(r)
+		us = append(us, miner.UtilityConnected(p, r, env))
+		ws = append(ws, miner.WinProbConnected(p.Beta, p.H, r, env))
+	}
+	return us, ws
+}
+
 func checkByName(t *testing.T, cert Certificate, name string) Check {
 	t.Helper()
 	for _, c := range cert.Checks {
@@ -114,8 +126,7 @@ func TestCertifyFlagsPerturbedEquilibrium(t *testing.T) {
 	eq.Requests[0].C *= 1.3
 	tot := eq.Requests.Aggregate()
 	eq.EdgeDemand, eq.CloudDemand, eq.TotalDemand = tot.Edge, tot.Cloud, tot.Edge+tot.Cloud
-	eq.Utilities = miner.UtilitiesConnected(params, eq.Requests)
-	eq.WinProbs = miner.WinProbsConnected(cfg.Beta, cfg.SatisfyProb, eq.Requests)
+	eq.Utilities, eq.WinProbs = connectedSummary(params, eq.Requests)
 
 	cert, err := Certify(cfg, p, eq, Options{})
 	if err != nil {
@@ -419,7 +430,29 @@ func TestCertifyMultiESP(t *testing.T) {
 	}
 
 	// Perturb one miner and recompute the summary: deviation must flag it.
-	eq.Requests[0] = eq.Requests[0].Scale(0.3)
+	perturbMultiESP(cfg, &eq, 0.3)
+	cert, err = CertifyMultiESP(cfg, eq, Options{})
+	if err != nil {
+		t.Fatalf("certify perturbed: %v", err)
+	}
+	if cert.OK {
+		t.Fatal("perturbed multiesp profile certified as OK")
+	}
+	if c := checkByName(t, cert, "deviation"); c.OK {
+		t.Error("deviation check passed on perturbed multiesp profile")
+	}
+
+	if _, err := CertifyMultiESP(cfg, multiesp.Equilibrium{}, Options{}); err == nil {
+		t.Error("want error for empty equilibrium")
+	}
+}
+
+// perturbMultiESP scales miner 0's request by f and recomputes the
+// summary, so only the deviation check can object.
+func perturbMultiESP(cfg multiesp.Config, eq *multiesp.Equilibrium, f float64) {
+	for d := range eq.Requests[0] {
+		eq.Requests[0][d] *= f
+	}
 	dims := len(cfg.ESPs) + 1
 	demands := make(numeric.Vec, dims)
 	for _, x := range eq.Requests {
@@ -435,20 +468,6 @@ func TestCertifyMultiESP(t *testing.T) {
 		}
 		eq.Utilities[i] = cfg.Utility(x, others)
 		eq.WinProbs[i] = cfg.WinProb(x, others)
-	}
-	cert, err = CertifyMultiESP(cfg, eq, Options{})
-	if err != nil {
-		t.Fatalf("certify perturbed: %v", err)
-	}
-	if cert.OK {
-		t.Fatal("perturbed multiesp profile certified as OK")
-	}
-	if c := checkByName(t, cert, "deviation"); c.OK {
-		t.Error("deviation check passed on perturbed multiesp profile")
-	}
-
-	if _, err := CertifyMultiESP(cfg, multiesp.Equilibrium{}, Options{}); err == nil {
-		t.Error("want error for empty equilibrium")
 	}
 }
 
@@ -494,6 +513,50 @@ func TestCertifyPopulation(t *testing.T) {
 	}
 	if _, err := CertifyPopulation(params, pmf, math.NaN(), 0, eq, Options{}); err == nil {
 		t.Error("want error for NaN budget")
+	}
+}
+
+// TestCertifyPopulationLoneMiner: with all mass at N = 1 (m = 0) the
+// answer is the smallest counted request, and it certifies in both
+// degraded forms.
+func TestCertifyPopulationLoneMiner(t *testing.T) {
+	params := miner.Params{Reward: 1000, Beta: 0.2, H: 0.7, PriceE: 8, PriceC: 4}
+	for _, form := range []population.Degraded{population.DegradedTransfer, population.DegradedReject} {
+		eq, err := population.SymmetricEquilibrium(params, population.Degenerate(1), 200, population.SolveOptions{Form: form})
+		if err != nil {
+			t.Fatalf("form %d: %v", form, err)
+		}
+		cert, err := CertifyPopulation(params, population.Degenerate(1), 200, form, eq, Options{})
+		if err != nil || !eq.Converged || !cert.OK {
+			t.Errorf("form %d: %+v: %v %v", form, eq, err, cert.Err())
+		}
+	}
+}
+
+// TestCertifyMultiESPPureCandidates certifies the solver's pick across
+// the band where both pure profiles hold: the budget ESP at P₂ = 5.6,
+// the premium one at 5.8 and 5.9.
+func TestCertifyMultiESPPureCandidates(t *testing.T) {
+	for _, tc := range []struct {
+		p2   float64
+		want int
+	}{{5.6, 1}, {5.8, 0}, {5.9, 0}} {
+		cfg := multiesp.Config{
+			N: 5, Budget: 200, Reward: 1000, Beta: 0.2,
+			ESPs:   []multiesp.ESP{{Price: 9, H: 0.9}, {Price: tc.p2, H: 0.4}},
+			PriceC: 4,
+		}
+		eq, err := multiesp.Solve(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eq.Demands[tc.want] <= 0 || eq.Demands[1-tc.want] != 0 {
+			t.Errorf("P₂ = %g: demands %v, want all edge on ESP %d", tc.p2, eq.Demands, tc.want)
+		}
+		cert, err := CertifyMultiESP(cfg, eq, Options{})
+		if err != nil || !cert.OK {
+			t.Errorf("P₂ = %g: %v %v", tc.p2, err, cert.Err())
+		}
 	}
 }
 

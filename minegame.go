@@ -213,7 +213,8 @@ type (
 	PopulationModel = population.Model
 	// PopulationEquilibrium is a symmetric dynamic-population equilibrium.
 	PopulationEquilibrium = population.Equilibrium
-	// PopulationOptions tunes the fixed-point solver.
+	// PopulationOptions selects the expected utility's degraded form
+	// (transfer, Eq. 7, by default; or reject, Eq. 8).
 	PopulationOptions = population.SolveOptions
 	// MinerCountPMF is a discrete miner-count distribution; build one
 	// with PopulationModel.PMF or FixedPopulation.
