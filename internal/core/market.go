@@ -155,20 +155,15 @@ func (m *market) shares(params miner.Params, capacity float64, start numeric.Poi
 		FlatEdge: true,
 	}
 	// The interior root: Σ_k n_k(1 − E/σ₁²) = 1 and Σ_k n_k(1 − S/σ₂²)
-	// = 1 with σ₁² = b/(P_e − P_c) and σ₂² = a/P_c (Eqs. 14–15). Without
-	// per-type fork rates every type has the same a and b.
+	// = 1 with σ₁² = b/(P_e − P_c) and σ₂² = a/P_c (Eqs. 14–15). One loop
+	// over the types serves every market, so a market with per-type fork
+	// rates all equal to β gets the same guess, bit for bit, as the market
+	// without them.
 	var invE, invS, maxA, maxB float64
 	d := params.PriceE - params.PriceC
-	types, weight := m.k, 1.0
-	if m.betas == nil {
-		types, weight = 1, sys.Players
-	}
-	for k := 0; k < types; k++ {
+	for k := 0; k < m.k; k++ {
 		pk := m.params(params, k)
-		n := weight
-		if m.betas != nil {
-			n = m.count(k)
-		}
+		n := m.count(k)
 		a, b := (1-pk.Beta)*pk.Reward, pk.H*pk.Beta*pk.Reward
 		if b > 0 {
 			sys.FlatEdge = false

@@ -102,9 +102,7 @@ func (o StackelbergOptions) withDefaults(cfg Config) StackelbergOptions {
 	if o.StartC <= 0 {
 		o.StartC = 2*cfg.CostC + 1
 	}
-	if o.Leader.GridN <= 0 {
-		o.Leader.GridN = 60
-	}
+	o.Leader = o.Leader.WithDefaults()
 	if o.Leader.Pool == nil {
 		o.Leader.Pool = parallel.New(o.Workers).WithObserver(o.Observer)
 	}
@@ -266,7 +264,7 @@ type leaderStage struct {
 	closedForm bool
 	// warmStart seeds numeric solves from neighbouring equilibria: every
 	// probe from one anchor solve at the start prices, every
-	// clearing-price bisection point from the previous point's profile.
+	// clearing-price root-search point from the previous point's profile.
 	// Without it each solve seeds at its own prices.
 	warmStart bool
 	// uniformBudget is the one budget of a single-budget population,
@@ -430,8 +428,8 @@ func (s leaderStage) end(span *obs.Span, prices Prices, profitE, profitC float64
 // market-clearing edge price, and the CSP maximizes its profit along
 // that clearing curve. With single-budget sufficient-budget miners the
 // clearing price has a closed form (miner.ClearingPriceEdge); otherwise
-// it is found by bisecting the capacity-unconstrained edge demand, which
-// is decreasing in P_e.
+// it is the root of the capacity-unconstrained edge demand, which is
+// decreasing in P_e, less the capacity (numeric.BrentRoot).
 func (s leaderStage) bargain() (game.LeadersResult, error) {
 	c, opts := s.cfg, s.opts
 	ob := opts.observer()
@@ -440,7 +438,7 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 	// clearing returns the market-clearing edge price at pc and, on the
 	// numeric path, the unconstrained follower profile at that price —
 	// a warm start for the constrained solve the caller runs next. Each
-	// call is self-contained (a chained bisection passes warm starts
+	// call is self-contained (the chained root search passes warm starts
 	// through a call-local profile), so its result depends only on pc and
 	// the surrounding grid stays worker-count independent.
 	clearing := func(pc float64) (float64, miner.Profile, bool) {
@@ -462,7 +460,7 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 				}
 			}
 		}
-		// Numeric fallback: bisect the unconstrained edge demand.
+		// Numeric fallback: the root of the unconstrained edge demand.
 		unconstrained := c
 		unconstrained.EdgeCapacity = math.Inf(1)
 		var last miner.Profile
@@ -486,7 +484,7 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 		if demandAt(hi) >= c.EdgeCapacity {
 			return hi, last, true
 		}
-		pe, err := numeric.Bisect(func(pe float64) float64 {
+		pe, err := numeric.BrentRoot(func(pe float64) float64 {
 			return demandAt(pe) - c.EdgeCapacity
 		}, lo, hi, 1e-6*(1+hi))
 		if err != nil {

@@ -35,8 +35,9 @@ func topoMiners(n int) []topo.Node {
 	return nodes
 }
 
-func runTopo(cfg Config) (Result, error) {
-	scenarios := []topoScenario{
+// topoScenarios are the three topologies of the topo experiment.
+func topoScenarios() []topoScenario {
+	return []topoScenario{
 		{name: "uniform ring", id: 0, build: func(int64) (*topo.Topology, error) {
 			return topo.Ring(topoMiners(defaultN), 30)
 		}},
@@ -53,7 +54,28 @@ func runTopo(cfg Config) (Result, error) {
 			return topo.ScaleFree(topoMiners(defaultN), 2, 45, sim.NewRNG(seed, "topo-scale-free"))
 		}},
 	}
+}
 
+// betas runs the scenario's race replicas and returns the measured
+// per-miner fork rates.
+func (sc topoScenario) betas(cfg Config) ([]float64, error) {
+	tp, err := sc.build(cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("topo %s: %w", sc.name, err)
+	}
+	race := topo.Config{
+		Interval: blockInterval,
+		Blocks:   cfg.rounds(1200),
+		Quorum:   0.6,
+	}
+	est, err := topo.EstimateReplicated(tp, race, cfg.Seed, cfg.rounds(8))
+	if err != nil {
+		return nil, fmt.Errorf("topo %s race: %w", sc.name, err)
+	}
+	return est.Betas(), nil
+}
+
+func runTopo(cfg Config) (Result, error) {
 	t := Table{
 		ID:    "topo",
 		Title: "peer-graph position → per-miner fork rate β_i → equilibrium prices",
@@ -62,21 +84,11 @@ func runTopo(cfg Config) (Result, error) {
 			"price_e", "price_c", "dprice_vs_scalar",
 		},
 	}
-	race := topo.Config{
-		Interval: blockInterval,
-		Blocks:   cfg.rounds(1200),
-		Quorum:   0.6,
-	}
-	for _, sc := range scenarios {
-		tp, err := sc.build(cfg.Seed)
+	for _, sc := range topoScenarios() {
+		betas, err := sc.betas(cfg)
 		if err != nil {
-			return Result{}, fmt.Errorf("topo %s: %w", sc.name, err)
+			return Result{}, err
 		}
-		est, err := topo.EstimateReplicated(tp, race, cfg.Seed, cfg.rounds(8))
-		if err != nil {
-			return Result{}, fmt.Errorf("topo %s race: %w", sc.name, err)
-		}
-		betas := est.Betas()
 		bMin, bMax := betas[0], betas[0]
 		for _, b := range betas {
 			if b < bMin {

@@ -25,7 +25,7 @@ type Leader struct {
 type LeaderOptions struct {
 	MaxIter  int     // best-response rounds (default 60)
 	PriceTol float64 // convergence threshold on price moves (default 1e-4)
-	GridN    int     // grid size for each 1-D profit maximization (default 40)
+	GridN    int     // scan intervals of each 1-D profit maximization (default 16)
 	Damping  float64 // weight on the new price in (0, 1] (default 1)
 	// Observer receives leader-stage telemetry: a span per solve and a
 	// "game.leader_round" trace event per bargaining round. Nil falls
@@ -39,7 +39,8 @@ type LeaderOptions struct {
 	Pool *parallel.Pool
 }
 
-func (o LeaderOptions) withDefaults() LeaderOptions {
+// WithDefaults returns the options with every unset knob at its default.
+func (o LeaderOptions) WithDefaults() LeaderOptions {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 60
 	}
@@ -47,7 +48,7 @@ func (o LeaderOptions) withDefaults() LeaderOptions {
 		o.PriceTol = 1e-4
 	}
 	if o.GridN <= 0 {
-		o.GridN = 40
+		o.GridN = 16
 	}
 	if o.Damping <= 0 || o.Damping > 1 {
 		o.Damping = 1
@@ -76,11 +77,12 @@ type LeadersResult struct {
 // price-setting leaders from the given starting prices: in each round
 // leader A maximizes its profit against B's current price, then B against
 // A's fresh price, until neither moves by more than PriceTol. The profit
-// maximizations use a coarse grid followed by golden-section refinement,
-// so mild non-unimodality (from the follower equilibrium switching
-// regimes) is tolerated.
+// maximizations scan a coarse grid, rescan the cells around its best
+// point and refine the best local maxima with Brent's method
+// (numeric.MaximizeGridPool), so mild non-unimodality (from the follower
+// equilibrium switching regimes) is tolerated.
 func SolveLeaders(a, b Leader, startA, startB float64, opts LeaderOptions) (LeadersResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	ob := opts.observer()
 	span := ob.StartSpan("game.solve_leaders", obs.Fields{"leader_a": a.Name, "leader_b": b.Name})
 	rounds := ob.Counter("game.leader_rounds_total")
@@ -135,7 +137,7 @@ func SolveLeaders(a, b Leader, startA, startB float64, opts LeaderOptions) (Lead
 // A's Bracket is called with other = NaN (A moves first, before any rival
 // price exists); implementations must return a full bracket in that case.
 func SolveLeaderFollower(a, b Leader, opts LeaderOptions) (LeadersResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	ob := opts.observer()
 	span := ob.StartSpan("game.solve_leader_follower", obs.Fields{"leader_a": a.Name, "leader_b": b.Name})
 	loA, hiA := a.Bracket(math.NaN())

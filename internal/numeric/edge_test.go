@@ -55,8 +55,8 @@ func TestMaximizeGridEdgeCases(t *testing.T) {
 	})
 	t.Run("flat objective ties break to the low end", func(t *testing.T) {
 		x, _ := MaximizeGrid(func(float64) float64 { return 1 }, 0, 10, 5, 1e-9)
-		if x > 2+1e-9 {
-			t.Errorf("argmax = %g, want within the first grid cell", x)
+		if x != 0 {
+			t.Errorf("argmax = %g, want the low end 0", x)
 		}
 	})
 }

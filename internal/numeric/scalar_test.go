@@ -172,14 +172,19 @@ func TestMaximizeGridPoolMatchesSequentialBitwise(t *testing.T) {
 		}
 		return math.Sin(3*x) + 0.4*math.Cos(11*x) - 0.01*(x-5)*(x-5)
 	}
-	wantX, wantV := MaximizeGrid(f, 0, 10, 137, 1e-10)
-	for _, workers := range []int{1, 2, 3, 16} {
-		x, v, err := MaximizeGridPool(f, 0, 10, 137, 1e-10, parallel.New(workers))
-		if err != nil {
-			t.Fatalf("workers=%d: unexpected error: %v", workers, err)
+	for _, n := range []int{2, 16, 137} {
+		wantX, wantV := MaximizeGrid(f, 0, 10, n, 1e-10)
+		if wantV < scanMax(f, 0, 10, n) {
+			t.Errorf("n=%d: value %v below the best scan point", n, wantV)
 		}
-		if x != wantX || v != wantV {
-			t.Errorf("workers=%d: (%v, %v), want bit-identical (%v, %v)", workers, x, v, wantX, wantV)
+		for _, workers := range []int{1, 2, 3, 4, 16} {
+			x, v, err := MaximizeGridPool(f, 0, 10, n, 1e-10, parallel.New(workers))
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: unexpected error: %v", n, workers, err)
+			}
+			if x != wantX || v != wantV {
+				t.Errorf("n=%d workers=%d: (%v, %v), want bit-identical (%v, %v)", n, workers, x, v, wantX, wantV)
+			}
 		}
 	}
 }

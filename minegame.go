@@ -214,11 +214,24 @@ type (
 	// PopulationEquilibrium is a symmetric dynamic-population equilibrium.
 	PopulationEquilibrium = population.Equilibrium
 	// PopulationOptions selects the expected utility's degraded form
-	// (transfer, Eq. 7, by default; or reject, Eq. 8).
+	// (DegradedTransfer, Eq. 7, by default; or DegradedReject, Eq. 8).
 	PopulationOptions = population.SolveOptions
 	// MinerCountPMF is a discrete miner-count distribution; build one
 	// with PopulationModel.PMF or FixedPopulation.
 	MinerCountPMF = numeric.DiscretePMF
+)
+
+// Degraded selects the expected utility's branch for the (1−h) share of
+// rounds the ESP cannot serve (PopulationOptions.Form).
+type Degraded = population.Degraded
+
+const (
+	// DegradedTransfer moves the edge request to the cloud (Eq. 7, the
+	// form the paper's Eq. 26 prints); it is the zero-value default.
+	DegradedTransfer = population.DegradedTransfer
+	// DegradedReject drops the edge request and its computing power from
+	// the network (Eq. 8, §V's stated mode).
+	DegradedReject = population.DegradedReject
 )
 
 // FixedPopulation is the point miner-count distribution (the fixed-N

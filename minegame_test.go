@@ -108,6 +108,35 @@ func TestFacadePopulationUncertainty(t *testing.T) {
 	}
 }
 
+// TestFacadePopulationRejectForm: the reject form (Eq. 8) is reachable
+// through the exported constants, the transfer constant is the default,
+// and the two forms give different equilibria.
+func TestFacadePopulationRejectForm(t *testing.T) {
+	p := minegame.MinerParams{Reward: 1000, Beta: 0.2, H: 0.7, PriceE: 8, PriceC: 4}
+	pmf, err := minegame.PopulationModel{Mu: 10, Sigma: 2}.PMF()
+	if err != nil {
+		t.Fatalf("PMF: %v", err)
+	}
+	solve := func(form minegame.Degraded) minegame.PopulationEquilibrium {
+		t.Helper()
+		eq, err := minegame.SolvePopulationEquilibrium(p, pmf, 200, minegame.PopulationOptions{Form: form})
+		if err != nil {
+			t.Fatalf("form %d: %v", form, err)
+		}
+		if !eq.Converged {
+			t.Fatalf("form %d did not converge", form)
+		}
+		return eq
+	}
+	def, transfer, reject := solve(0), solve(minegame.DegradedTransfer), solve(minegame.DegradedReject)
+	if def != transfer {
+		t.Errorf("default form %+v differs from DegradedTransfer %+v", def, transfer)
+	}
+	if reject.Request == transfer.Request {
+		t.Errorf("reject and transfer forms gave the same request %+v", reject.Request)
+	}
+}
+
 func TestFacadeExperimentRegistry(t *testing.T) {
 	if len(minegame.Experiments()) < 12 {
 		t.Fatalf("registry lists %d experiments", len(minegame.Experiments()))
