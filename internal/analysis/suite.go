@@ -21,8 +21,8 @@ func DefaultSuite() []*Analyzer {
 // the module-relative package prefixes it does not examine (the prefix
 // covers subpackages).
 //
-//   - determinism skips the observability, parallel, simulation, and
-//     serving layers, which legitimately read the wall clock (telemetry
+//   - determinism skips the observability, parallel, and serving
+//     layers, which legitimately read the wall clock (telemetry
 //     timestamps; request-latency percentiles in internal/serve and its
 //     loadgen subpackage) — their output never feeds solver results:
 //     everything a solver computes flows through internal/core, which
@@ -45,7 +45,7 @@ func DefaultSuite() []*Analyzer {
 //     so hot-path chains stop at that boundary.
 func DefaultPackageSkips() map[string][]string {
 	return map[string][]string{
-		"determinism": {"internal/obs", "internal/parallel", "internal/sim", "internal/serve"},
+		"determinism": {"internal/obs", "internal/parallel", "internal/serve"},
 		"concurrency": {"internal/parallel", "internal/obs", "internal/population", "internal/serve"},
 		"hotalloc":    {"internal/obs", "internal/parallel"},
 	}

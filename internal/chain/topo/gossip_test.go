@@ -1,11 +1,7 @@
 package topo
 
 import (
-	"container/heap"
 	"math"
-	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 
 	"minegame/internal/parallel"
@@ -121,58 +117,6 @@ func TestGossipErrors(t *testing.T) {
 	}
 	if g.Nodes() != 10 {
 		t.Errorf("Nodes = %d", g.Nodes())
-	}
-}
-
-// TestArrivalQueueOrdering: pops come out in nondecreasing time with the
-// node index breaking exact ties, regardless of push order. The queue is
-// the Dijkstra frontier behind Distances, FinalityDelay and
-// PropagationDelay, so this ordering is what makes those deterministic.
-func TestArrivalQueueOrdering(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(40)
-		items := make([]arrival, n)
-		for i := range items {
-			// Coarse times force plenty of exact ties.
-			items[i] = arrival{node: rng.Intn(8), time: float64(rng.Intn(4))}
-		}
-
-		pq := &arrivalQueue{}
-		heap.Init(pq)
-		for _, it := range items {
-			heap.Push(pq, it)
-		}
-		got := make([]arrival, 0, n)
-		for pq.Len() > 0 {
-			got = append(got, heap.Pop(pq).(arrival))
-		}
-
-		want := append([]arrival(nil), items...)
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].time != want[j].time { //lint:allow floateq exact tie-break mirror of arrivalQueue.Less
-				return want[i].time < want[j].time
-			}
-			return want[i].node < want[j].node
-		})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: pop order %v, want sorted %v", trial, got, want)
-		}
-
-		// Deterministic irrespective of insertion history: pushing a
-		// shuffled permutation pops the identical sequence.
-		rng.Shuffle(n, func(i, j int) { items[i], items[j] = items[j], items[i] })
-		pq2 := &arrivalQueue{}
-		for _, it := range items {
-			heap.Push(pq2, it)
-		}
-		got2 := make([]arrival, 0, n)
-		for pq2.Len() > 0 {
-			got2 = append(got2, heap.Pop(pq2).(arrival))
-		}
-		if !reflect.DeepEqual(got, got2) {
-			t.Fatalf("trial %d: pop order depends on insertion order:\n %v\n %v", trial, got, got2)
-		}
 	}
 }
 

@@ -8,7 +8,8 @@ package topo
 // parent is canonical. Nodes reorg onto the branch whose first divergent
 // block is earliest-final, so mining behavior and canonicity agree.
 //
-// Three event kinds drive the race, all on one sim.Engine queue:
+// Three event kinds drive the race, all value entries of one sim.Queue
+// keyed by insertion sequence:
 //
 //	mine(n)      — node n solves a block on its current tip. Tip changes
 //	               invalidate the pending event via a per-node epoch
@@ -16,14 +17,14 @@ package topo
 //	               solve time is memoryless, so resampling is exact).
 //	arrive(n, b) — block b reaches node n over a link: mark seen, relay
 //	               to every neighbor, adopt if b's branch beats the tip.
-//	final(b)     — block b's consensus instant: decide canonical/orphan
+//	decide(b)    — block b's consensus instant: decide canonical/orphan
 //	               and credit or charge its miner.
 //
-// Finality events fire in time order with deterministic tie-breaking
-// (the engine orders equal times by insertion sequence, and insertion
-// order follows solve order), and a child's finality never precedes its
-// parent's, so canonicity is decided exactly once per block with the
-// parent's verdict already known.
+// Decide events fire in time order with deterministic tie-breaking
+// (equal times pop in insertion order, and insertion order follows
+// solve order), and a child's finality never precedes its parent's, so
+// canonicity is decided exactly once per block with the parent's
+// verdict already known.
 
 import (
 	"fmt"
@@ -106,7 +107,8 @@ type Result struct {
 	Canonical int
 	// Decided is the total number of decided blocks (canonical + orphans).
 	Decided int
-	// Events is the number of simulator events executed.
+	// Events is the number of race events popped, stale mine events
+	// included.
 	Events int
 	// Replicas is how many independent replicas the counts pool.
 	Replicas int
@@ -168,21 +170,31 @@ type block struct {
 	canonical bool
 }
 
+// The race's event kinds (see the file comment).
+const (
+	mineEvent = iota
+	arriveEvent
+	decideEvent
+)
+
 // race is the mutable state of one replica.
 type race struct {
 	topo     *Topology
 	cfg      Config
 	delays   []float64
 	interval []float64 // per-node mean solve time (0 ⇒ node does not mine)
-	engine   *sim.Engine
 	rng      *rand.Rand
+
+	queue sim.Queue
+	now   float64 // the popped event's time
+	seq   int     // insertion sequence: the queue's tie-break key
 
 	blocks  []block
 	tip     []int
 	epoch   []int
-	seen    []map[int]bool
-	canonAt map[int]int // height → canonical block id
-	budget  int         // max blocks to solve before abandoning the race
+	seen    []bool // block id*nodes + node → the node has the block
+	canonAt []int  // height → canonical block id
+	budget  int    // max blocks to solve before abandoning the race
 	done    bool
 	failed  bool
 	c       counts
@@ -260,13 +272,12 @@ func raceCounts(t *Topology, cfg Config, delays []float64, rng *rand.Rand) (coun
 		cfg:      cfg,
 		delays:   delays,
 		interval: make([]float64, n),
-		engine:   sim.NewEngine(),
 		rng:      rng,
 		blocks:   []block{{parent: -1, height: 0, miner: -1, canonical: true}},
 		tip:      make([]int, n),
 		epoch:    make([]int, n),
-		seen:     make([]map[int]bool, n),
-		canonAt:  map[int]int{0: 0},
+		seen:     make([]bool, n),
+		canonAt:  []int{0},
 		budget:   cfg.budget(),
 		c:        newCounts(n),
 	}
@@ -274,29 +285,38 @@ func raceCounts(t *Topology, cfg Config, delays []float64, rng *rand.Rand) (coun
 		if h := t.Node(i).Hashrate; h > 0 {
 			r.interval[i] = cfg.Interval * total / h
 		}
-		r.seen[i] = map[int]bool{0: true}
+		r.seen[i] = true
 		r.scheduleMine(i)
 	}
-	r.c.events = r.engine.RunAll()
+	for len(r.queue) > 0 && !r.failed {
+		ev := r.queue.Pop()
+		r.now = ev.Time
+		r.c.events++
+		switch ev.Kind {
+		case mineEvent:
+			if !r.done && r.epoch[ev.Node] == ev.Arg {
+				r.solve(ev.Node)
+			}
+		case arriveEvent:
+			r.arrive(ev.Node, ev.Arg)
+		case decideEvent:
+			r.decide(ev.Arg)
+		}
+	}
 	if r.failed {
 		return counts{}, fmt.Errorf("topo: race solved %d blocks without reaching height %d (finality delays dwarf the block interval; the budget is 1000 blocks per target block plus 1000)", len(r.blocks)-1, cfg.Blocks)
 	}
 	if !r.done {
-		return counts{}, fmt.Errorf("topo: race drained at height %d before reaching %d", r.blocks[r.canonTip()].height, cfg.Blocks)
+		return counts{}, fmt.Errorf("topo: race drained at height %d before reaching %d", len(r.canonAt)-1, cfg.Blocks)
 	}
 	return r.c, nil
 }
 
-// canonTip returns the highest canonical block's id (for diagnostics).
-func (r *race) canonTip() int {
-	best := 0
-	for h := 1; ; h++ {
-		id, ok := r.canonAt[h]
-		if !ok {
-			return best
-		}
-		best = id
-	}
+// schedule queues an event at absolute time at, keyed by insertion
+// sequence so equal times pop in the order they were scheduled.
+func (r *race) schedule(at float64, kind uint8, node, arg int) {
+	r.seq++
+	r.queue.Push(sim.Event{Time: at, Key: r.seq, Kind: kind, Node: node, Arg: arg})
 }
 
 // scheduleMine arms node n's next solve. The event carries the node's
@@ -306,29 +326,21 @@ func (r *race) scheduleMine(n int) {
 	if r.done || r.interval[n] == 0 {
 		return
 	}
-	ep := r.epoch[n]
-	delay := r.rng.ExpFloat64() * r.interval[n]
-	r.engine.Schedule(delay, func(e *sim.Engine) {
-		if r.done || r.epoch[n] != ep {
-			return
-		}
-		r.solve(n, e.Now())
-	})
+	r.schedule(r.now+r.rng.ExpFloat64()*r.interval[n], mineEvent, n, r.epoch[n])
 }
 
 // solve creates node n's block on its tip, schedules the block's
-// finality instant, floods it, and moves the node onto it.
-func (r *race) solve(n int, now float64) {
+// decide event, floods it, and moves the node onto it.
+func (r *race) solve(n int) {
 	if len(r.blocks) > r.budget {
 		// The race is producing blocks far faster than finality resolves
 		// them: abandon rather than grind unboundedly (see Config.budget).
 		r.failed = true
-		r.engine.Stop()
 		return
 	}
 	parent := r.tip[n]
 	id := len(r.blocks)
-	final := now + r.delays[n]
+	final := r.now + r.delays[n]
 	if pf := r.blocks[parent].finalAt; pf > final {
 		// A block cannot reach consensus before its parent has.
 		final = pf
@@ -337,11 +349,15 @@ func (r *race) solve(n int, now float64) {
 		parent:   parent,
 		height:   r.blocks[parent].height + 1,
 		miner:    n,
-		solvedAt: now,
+		solvedAt: r.now,
 		finalAt:  final,
 	})
-	r.engine.ScheduleAt(final, func(*sim.Engine) { r.decide(id) })
-	r.seen[n][id] = true
+	r.schedule(final, decideEvent, n, id)
+	nodes := len(r.tip)
+	for range nodes {
+		r.seen = append(r.seen, false) // a loop: append(s, make(…)...) allocates under -race
+	}
+	r.seen[id*nodes+n] = true
 	r.relay(n, id)
 	r.setTip(n, id)
 }
@@ -349,18 +365,18 @@ func (r *race) solve(n int, now float64) {
 // relay forwards block id over every outgoing link of node n.
 func (r *race) relay(n, id int) {
 	for _, l := range r.topo.adj[n] {
-		to, delay := l.to, l.delay
-		r.engine.Schedule(delay, func(e *sim.Engine) { r.arrive(to, id) })
+		r.schedule(r.now+l.delay, arriveEvent, l.to, id)
 	}
 }
 
 // arrive delivers block id to node n: first receipt relays onward and
 // the node adopts the block's branch when it beats the current tip.
 func (r *race) arrive(n, id int) {
-	if r.seen[n][id] {
+	at := id*len(r.tip) + n
+	if r.seen[at] {
 		return
 	}
-	r.seen[n][id] = true
+	r.seen[at] = true
 	r.relay(n, id)
 	if r.better(id, r.tip[n]) {
 		r.setTip(n, id)
@@ -389,9 +405,11 @@ func (r *race) decide(id int) {
 	if parentCanonical {
 		m.eligible++
 	}
-	if _, taken := r.canonAt[b.height]; parentCanonical && !taken {
+	// A canonical parent at height h−1 means canonAt covers 0…h−1, so
+	// height h is free exactly when canonAt has length h.
+	if parentCanonical && b.height == len(r.canonAt) {
 		b.canonical = true
-		r.canonAt[b.height] = id
+		r.canonAt = append(r.canonAt, id)
 		m.credited++
 		r.c.canonical++
 		if b.height >= r.cfg.Blocks {

@@ -2,6 +2,8 @@ package topo
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -294,6 +296,65 @@ func TestDegenerateUniformDelaysSymmetric(t *testing.T) {
 			t.Errorf("symmetric ring: node 0 beta %.4f±%.4f vs node %d beta %.4f±%.4f",
 				a.Beta, a.BetaErr, i, b.Beta, b.BetaErr)
 		}
+	}
+}
+
+// TestRaceGolden pins the race's full output — every tally, rate and
+// event count — on a star, a scale-free graph and a zero-delay ring at
+// three quorums. Any change to event order, tie-breaking or stale-event
+// counting moves the digest.
+func TestRaceGolden(t *testing.T) {
+	star, err := Star(nodesN(8, 1), []float64{5, 10, 15, 20, 25, 30, 35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := ScaleFree(nodesN(24, 1), 2, 20, sim.NewRNG(3, "sf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := Ring(nodesN(6, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, tp := range []*Topology{star, sf, ring} {
+		for _, q := range []float64{0.5, 0.75, 1} {
+			res, err := EstimateReplicated(tp, Config{Interval: 60, Blocks: 300, Quorum: q}, 7, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(b)
+		}
+	}
+	const want = "e2a0f6c78514b8516d4979f0b0a8183dc30de999991abf12af6e9469ed7ab04f"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("race output digest %s, want %s", got, want)
+	}
+}
+
+// TestRaceAllocsPerEvent: the event loop allocates only when its
+// backing slices grow, not per event — well under 0.05 allocations per
+// event on BenchmarkTopoRace's star.
+func TestRaceAllocsPerEvent(t *testing.T) {
+	tp, err := Star(nodesN(8, 1), []float64{5, 10, 15, 20, 25, 30, 35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Interval: 600, Blocks: 500, Quorum: 0.6}
+	var events int
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := Estimate(tp, cfg, sim.NewRNG(1, "bench-topo-race"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = res.Events
+	})
+	if perEvent := allocs / float64(events); perEvent > 0.05 {
+		t.Errorf("%.0f allocations over %d events = %.3f per event, want <= 0.05", allocs, events, perEvent)
 	}
 }
 

@@ -25,13 +25,13 @@
 package topo
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 
 	"minegame/internal/parallel"
+	"minegame/internal/sim"
 )
 
 // Location tags where a node's computing power physically sits. It is
@@ -164,16 +164,16 @@ func (t *Topology) Distances(source int) ([]float64, error) {
 		dist[i] = math.Inf(1)
 	}
 	dist[source] = 0
-	pq := &arrivalQueue{{node: source, time: 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(arrival)
-		if item.time > dist[item.node] {
+	pq := sim.Queue{{Key: source, Node: source}}
+	for len(pq) > 0 {
+		item := pq.Pop()
+		if item.Time > dist[item.Node] {
 			continue
 		}
-		for _, l := range t.adj[item.node] {
-			if at := item.time + l.delay; at < dist[l.to] {
+		for _, l := range t.adj[item.Node] {
+			if at := item.Time + l.delay; at < dist[l.to] {
 				dist[l.to] = at
-				heap.Push(pq, arrival{node: l.to, time: at})
+				pq.Push(sim.Event{Time: at, Key: l.to, Node: l.to})
 			}
 		}
 	}
@@ -195,21 +195,21 @@ func (t *Topology) FinalityDelay(i int, quorum float64) (float64, error) {
 		return 0, err
 	}
 	total := t.TotalHashrate()
-	arrivals := make([]arrival, 0, len(dist))
+	arrivals := make([]sim.Event, 0, len(dist))
 	for j, at := range dist {
 		if !math.IsInf(at, 1) {
-			arrivals = append(arrivals, arrival{node: j, time: at})
+			arrivals = append(arrivals, sim.Event{Time: at, Node: j})
 		}
 	}
-	sort.Slice(arrivals, func(a, b int) bool { return arrivals[a].time < arrivals[b].time })
+	sort.Slice(arrivals, func(a, b int) bool { return arrivals[a].Time < arrivals[b].Time })
 	need := quorum * total
 	var covered float64
 	for _, a := range arrivals {
-		covered += t.nodes[a.node].Hashrate
+		covered += t.nodes[a.Node].Hashrate
 		// covered accumulates the same hashrates that sum to total, so at
 		// quorum 1 the final arrival satisfies the >= with equal floats.
 		if covered >= need*(1-1e-12) {
-			return a.time, nil
+			return a.Time, nil
 		}
 	}
 	return 0, fmt.Errorf("topo: node %d reaches only %.3f of the hashrate (quorum %.3f): graph disconnected", i, covered/total, quorum)
@@ -468,42 +468,4 @@ func ScaleFree(nodes []Node, attach int, meanDelay float64, rng *rand.Rand) (*To
 		}
 	}
 	return t, nil
-}
-
-// arrival is one (node, time) entry of an arrivalQueue.
-type arrival struct {
-	node int
-	time float64
-}
-
-// arrivalQueue is a min-heap of block arrivals ordered by time — the
-// Dijkstra frontier of a flood. Use with container/heap.
-type arrivalQueue []arrival
-
-// Len implements heap.Interface.
-func (q arrivalQueue) Len() int { return len(q) }
-
-// Less implements heap.Interface: earlier arrival times pop first, with
-// the node index breaking exact-time ties so the pop order is
-// deterministic regardless of insertion history.
-func (q arrivalQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time { //lint:allow floateq exact tie-break: equal times must fall through to the node comparison
-		return q[i].time < q[j].time
-	}
-	return q[i].node < q[j].node
-}
-
-// Swap implements heap.Interface.
-func (q arrivalQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-// Push implements heap.Interface.
-func (q *arrivalQueue) Push(x any) { *q = append(*q, x.(arrival)) }
-
-// Pop implements heap.Interface.
-func (q *arrivalQueue) Pop() any {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
 }

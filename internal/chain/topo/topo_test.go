@@ -2,7 +2,9 @@ package topo
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"minegame/internal/sim"
@@ -202,5 +204,60 @@ func TestScaleFreeDeterministicAndConnected(t *testing.T) {
 	}
 	if _, err := ScaleFree(nodesN(3, 1), 1, 0, sim.NewRNG(1, "x")); err == nil {
 		t.Error("zero mean delay must error")
+	}
+}
+
+// drainQueue pops every event of q in order.
+func drainQueue(q sim.Queue) []sim.Event {
+	out := make([]sim.Event, 0, len(q))
+	for len(q) > 0 {
+		out = append(out, q.Pop())
+	}
+	return out
+}
+
+// TestArrivalQueueOrdering: the Dijkstra frontier behind Distances,
+// FinalityDelay and PropagationDelay keys its arrivals by node index,
+// so pops come out in nondecreasing time with the node index breaking
+// exact ties, regardless of push order. This ordering is what makes
+// those floods deterministic.
+func TestArrivalQueueOrdering(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(40)
+		items := make([]sim.Event, n)
+		for i := range items {
+			// Coarse times force plenty of exact ties; node keys repeat.
+			node := rng.Intn(8)
+			items[i] = sim.Event{Time: float64(rng.Intn(4)), Key: node, Node: node}
+		}
+
+		var pq sim.Queue
+		for _, it := range items {
+			pq.Push(it)
+		}
+		got := drainQueue(pq)
+
+		want := append([]sim.Event(nil), items...)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Time != want[j].Time { //lint:allow floateq exact tie-break mirror of sim.Event.Before
+				return want[i].Time < want[j].Time
+			}
+			return want[i].Node < want[j].Node
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: pop order %v, want sorted %v", trial, got, want)
+		}
+
+		// Deterministic irrespective of insertion history: pushing a
+		// shuffled permutation pops the identical sequence.
+		rng.Shuffle(n, func(i, j int) { items[i], items[j] = items[j], items[i] })
+		var pq2 sim.Queue
+		for _, it := range items {
+			pq2.Push(it)
+		}
+		if got2 := drainQueue(pq2); !reflect.DeepEqual(got, got2) {
+			t.Fatalf("trial %d: pop order depends on insertion order:\n %v\n %v", trial, got, got2)
+		}
 	}
 }

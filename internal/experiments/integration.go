@@ -267,7 +267,7 @@ func runAdaptivePricing(cfg Config) (Result, error) {
 		Columns: []string{"quantity", "analytic", "learned_fixed_point"},
 		Notes: []string{
 			"quantity codes: 1 = P_e, 2 = P_c, 3 = ESP profit, 4 = CSP profit, 5 = edge demand E",
-			"the loop is seeded at the analytic prices; staying nearby certifies they are a local fixed point of the learning dynamics",
+			"the loop is seeded at the analytic prices, and the learned prices stay within 50% of them; that bounds the drift but does not certify a fixed point of the learning dynamics, since small moves of the seed prices move the learned ones",
 		},
 	}
 	t.AddRow(1, analytic.Prices.Edge, res.PriceE)

@@ -29,12 +29,7 @@ var DefaultHelp = map[string]string{
 	"game.solve_ne.ms":         "Follower NE solve duration (share root or best-response iteration)",
 	"game.solve_vgne.ms":       "Variational GNEP solve duration",
 	"game.solve_ne.iterations": "Sweeps or share passes per NE solve",
-	// sim / chain: event-driven mining simulator.
-	"sim.events_fired_total":       "Simulation events executed",
-	"sim.runs_total":               "Simulation engine runs",
-	"sim.queue_high_water":         "Event-queue high-water mark",
-	"sim.virtual_time":             "Current simulated clock (seconds)",
-	"sim.virtual_time_rate":        "Simulated seconds advanced per wall second",
+	// chain: mining race simulator.
 	"chain.blocks_mined_total":     "Canonical blocks appended to the ledger",
 	"chain.blocks_solved_total":    "Block solutions found (including discarded fork losers)",
 	"chain.forks_total":            "Mining rounds that ended in a fork race",

@@ -318,7 +318,7 @@ type (
 	WinStats = chain.WinStats
 	// Ledger is the fork-aware block store.
 	Ledger = chain.Ledger
-	// MiningNetwork grows a ledger on the discrete-event engine.
+	// MiningNetwork grows a ledger one round race at a time.
 	MiningNetwork = chain.Network
 )
 
