@@ -20,7 +20,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -152,18 +151,4 @@ func itemKey(endpoint string, it Item) (string, error) {
 		return "", err
 	}
 	return endpoint + "\x00" + string(b), nil
-}
-
-// encodeResult marshals a solver result exactly the way the minegame
-// CLI's -json emitter does (two-space indent, trailing newline), so a
-// served result is byte-identical to the single-shot CLI solve of the
-// same market.
-func encodeResult(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

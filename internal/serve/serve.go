@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -194,36 +195,42 @@ func (s *Server) batchHandler(endpoint string) http.HandlerFunc {
 // hand so each successful item embeds its cached CLI-identical bytes
 // VERBATIM (minus the trailing newline): extracting items[i].result as
 // a json.RawMessage and appending "\n" reproduces the single-shot CLI
-// output byte for byte.
+// output byte for byte. The buffer is sized once from the items'
+// lengths, so a large item is copied exactly once.
 func writeEnvelope(w http.ResponseWriter, outs []outcome) {
-	var buf []byte
-	buf = append(buf, `{"items":[`...)
+	const head, tail = `{"items":[`, "]}\n"
+	// parts[i] is item i's payload: its marshaled error message, or
+	// its raw bytes without the CLI's trailing newline, which inside
+	// the envelope would be insignificant whitespace.
+	parts := make([][]byte, len(outs))
+	size := len(head) + len(tail)
 	for i, o := range outs {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
 		if o.err != nil {
 			msg, merr := json.Marshal(o.err.Error())
 			if merr != nil {
 				msg = []byte(`"item failed"`)
 			}
-			buf = append(buf, `{"error":`...)
-			buf = append(buf, msg...)
-			buf = append(buf, '}')
+			parts[i] = msg
+			size += len(`,{"error":}`) + len(msg)
 			continue
 		}
-		buf = append(buf, `{"result":`...)
-		// The raw bytes end with the CLI's trailing newline; inside the
-		// envelope that newline is insignificant whitespace, so trim it
-		// for a clean close.
-		raw := o.raw
-		for len(raw) > 0 && raw[len(raw)-1] == '\n' {
-			raw = raw[:len(raw)-1]
-		}
-		buf = append(buf, raw...)
-		buf = append(buf, '}')
+		parts[i] = bytes.TrimRight(o.raw, "\n")
+		size += len(`,{"result":}`) + len(parts[i])
 	}
-	buf = append(buf, "]}\n"...)
+	buf := make([]byte, 0, size)
+	buf = append(buf, head...)
+	for i, p := range parts {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if outs[i].err != nil {
+			buf = append(buf, `{"error":`...)
+		} else {
+			buf = append(buf, `{"result":`...)
+		}
+		buf = append(append(buf, p...), '}')
+	}
+	buf = append(buf, tail...)
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(buf) //lint:allow errflow a write failure here means the client hung up; there is no response channel left to report it on
 }

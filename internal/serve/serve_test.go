@@ -17,6 +17,7 @@ import (
 	"minegame/internal/game"
 	"minegame/internal/netmodel"
 	"minegame/internal/obs"
+	"minegame/internal/verify"
 )
 
 // testMarket is a small homogeneous connected market.
@@ -89,14 +90,18 @@ func decodeEnvelope(t *testing.T, raw []byte) envelope {
 	return env
 }
 
-// cliBytes re-encodes v the way the CLI does, for byte comparisons.
-func cliBytes(t *testing.T, v any) []byte {
+// cliBytes encodes v with the minegame CLI's -json emitter
+// (encoding/json, two-space indent, trailing newline): the reference
+// every served result must equal byte for byte.
+func cliBytes(t testing.TB, v any) []byte {
 	t.Helper()
-	b, err := encodeResult(v)
-	if err != nil {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	return b
+	return buf.Bytes()
 }
 
 // TestSolveMatchesDirectCLIBytes pins the headline byte-identity
@@ -285,32 +290,74 @@ func TestRaceHammerSingleFlight(t *testing.T) {
 	}
 }
 
-// TestCertifyEndpoint exercises both certificate shapes: fixed-price
-// follower and full two-stage.
+// TestCertifyEndpoint pins every certify shape byte for byte against
+// a direct solve plus certificate encoded by the CLI's emitter:
+// fixed-price exact and classed, two-stage exact and classed, and an
+// N = 1000 heterogeneous fixed-price item.
 func TestCertifyEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	req := Request{Items: []Item{
 		{Market: testMarket(), PriceE: 8, PriceC: 4},
+		{Market: classedMarket(), PriceE: 8, PriceC: 4},
 		{Market: testMarket()},
+		{Market: classedMarket()},
+		{Market: wideMarket(1000), PriceE: 8, PriceC: 4},
 	}}
 	status, raw := post(t, ts.URL, "/v1/certify", req)
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, raw)
 	}
 	env := decodeEnvelope(t, raw)
+	if len(env.Items) != len(req.Items) {
+		t.Fatalf("got %d items, want %d", len(env.Items), len(req.Items))
+	}
+
+	prices := core.Prices{Edge: 8, Cloud: 4}
+	cfg, _, _, err := testMarket().coreConfig()
+	if err != nil {
+		t.Fatalf("coreConfig: %v", err)
+	}
+	ccfg, cp, _, err := classedMarket().coreConfig()
+	if err != nil {
+		t.Fatalf("classed coreConfig: %v", err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("direct solve or certificate: %v", err)
+		}
+	}
+	eq, err := core.SolveMinerEquilibrium(cfg, prices, game.NEOptions{})
+	must(err)
+	cert, err := verify.Certify(cfg, prices, eq, verify.Options{})
+	must(err)
+	ceq, err := core.SolveMinerEquilibriumClassed(ccfg, cp, prices, game.NEOptions{})
+	must(err)
+	ccert, err := verify.CertifyClassed(ccfg, cp, prices, ceq, verify.Options{})
+	must(err)
+	res, err := core.SolveStackelberg(cfg, core.StackelbergOptions{Workers: 1})
+	must(err)
+	rcert, err := verify.CertifyStackelberg(cfg, res, verify.Options{})
+	must(err)
+	cres, err := core.SolveStackelbergClassed(ccfg, cp, core.StackelbergOptions{Workers: 1})
+	must(err)
+	crcert, err := verify.CertifyClassed(ccfg, cp, cres.Prices, cres.Follower, verify.Options{})
+	must(err)
+	want := []any{
+		certified[core.MinerEquilibrium]{Equilibrium: eq, Certificate: cert},
+		certified[core.ClassedEquilibrium]{Equilibrium: ceq, Certificate: ccert},
+		certifiedFull[core.StackelbergResult]{Result: res, Certificate: rcert},
+		certifiedFull[core.ClassedStackelbergResult]{Result: cres, Certificate: crcert},
+		wideCertified(t, 1000),
+	}
 	for i, it := range env.Items {
 		if it.Error != "" {
 			t.Fatalf("item %d error: %s", i, it.Error)
 		}
-		if !bytes.Contains(it.Result, []byte(`"certificate"`)) {
-			t.Errorf("item %d result carries no certificate: %s", i, it.Result)
+		got := append(append([]byte(nil), it.Result...), '\n')
+		if w := cliBytes(t, want[i]); !bytes.Equal(got, w) {
+			t.Errorf("item %d: served certify bytes differ from the direct solve\nserved: %.400s\ndirect: %.400s", i, got, w)
 		}
-	}
-	if !bytes.Contains(env.Items[0].Result, []byte(`"equilibrium"`)) {
-		t.Errorf("fixed-price certify should wrap an equilibrium")
-	}
-	if !bytes.Contains(env.Items[1].Result, []byte(`"result"`)) {
-		t.Errorf("two-stage certify should wrap a stackelberg result")
 	}
 }
 
