@@ -10,11 +10,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"minegame/internal/game"
 	"minegame/internal/miner"
-	"minegame/internal/netmodel"
 	"minegame/internal/numeric"
 	"minegame/internal/obs"
 )
@@ -101,44 +99,6 @@ func classedEquilibrium(cp miner.ClassedPopulation, eq MinerEquilibrium) Classed
 	}
 }
 
-// classedSeed returns the default starting representatives: the
-// closed-form homogeneous equilibrium evaluated per class — each class
-// seeded as if the whole N-miner market shared its budget; the totals
-// warm-start the share root — with a heuristic feasible spread as the
-// fallback. Standalone seeds are scaled to stay jointly within the
-// shared capacity.
-func (c Config) classedSeed(cp miner.ClassedPopulation, p Prices) []numeric.Point2 {
-	params := c.Params(p)
-	reps := make([]numeric.Point2, cp.K())
-	for k, cl := range cp.Classes {
-		seeded := false
-		switch c.Mode {
-		case netmodel.Connected:
-			if sol, err := miner.HomogeneousConnected(params, cp.N(), cl.Budget); err == nil {
-				reps[k] = sol.Request
-				seeded = true
-			}
-		default:
-			if sol, err := miner.HomogeneousStandalone(params, cp.N(), c.EdgeCapacity); err == nil && params.Spend(sol.Request) <= cl.Budget {
-				reps[k] = sol.Request
-				seeded = true
-			}
-		}
-		if !seeded {
-			reps[k] = numeric.Point2{E: cl.Budget / (4 * p.Edge), C: cl.Budget / (4 * p.Cloud)}
-		}
-	}
-	if c.Mode == netmodel.Standalone && !math.IsInf(c.EdgeCapacity, 1) {
-		if e := cp.Aggregate(reps).Edge; e > c.EdgeCapacity {
-			scale := c.EdgeCapacity / e * 0.9
-			for k := range reps {
-				reps[k].E *= scale
-			}
-		}
-	}
-	return reps
-}
-
 // SolveMinerEquilibriumClassed computes the miner-subgame equilibrium
 // over a classed population at the given prices: the share root of
 // SolveMinerEquilibrium with each class weighted by its count (standalone
@@ -159,7 +119,19 @@ func SolveMinerEquilibriumClassedFrom(cfg Config, cp miner.ClassedPopulation, p 
 	if err := cfg.validateClassed(cp); err != nil {
 		return ClassedEquilibrium{}, err
 	}
-	return solveClassedValidated(cfg, cp, p, opts, start)
+	if start != nil && len(start) != cp.K() {
+		return ClassedEquilibrium{}, fmt.Errorf("core: start has %d representatives, population has %d classes", len(start), cp.K())
+	}
+	if ob := classedObserver(opts); ob.Enabled() {
+		ob.SetGauge("meanfield.class_count", float64(cp.K()))
+		ob.SetGauge("meanfield.compress_ratio", cp.CompressRatio())
+	}
+	m := classedMarket(cfg, cp)
+	eq, err := m.solve(p, opts, warmStart{totals: m.totals(start), ok: start != nil}, "classed ")
+	if err != nil {
+		return ClassedEquilibrium{}, err
+	}
+	return classedEquilibrium(cp, eq), nil
 }
 
 // errClassedBetas rejects a per-miner-β market on the classed path: a
@@ -183,33 +155,6 @@ func (c Config) validateClassed(cp miner.ClassedPopulation) error {
 		return fmt.Errorf("core: classed population has %d miners, config has %d", cp.N(), c.N)
 	}
 	return nil
-}
-
-// solveClassedValidated is the post-validation body of
-// SolveMinerEquilibriumClassedFrom. The Stackelberg demand oracle
-// calls it directly: cfg.Validate scans the O(N) budget vector, and
-// paying that once per leader-stage probe would put an O(N) term back
-// into the per-probe cost the compression exists to remove. Callers
-// must have validated cfg and cp and checked cp.N() == cfg.N; the
-// price-dependent params check (O(1)) stays here.
-func solveClassedValidated(cfg Config, cp miner.ClassedPopulation, p Prices, opts game.NEOptions, start []numeric.Point2) (ClassedEquilibrium, error) {
-	if err := cfg.Params(p).Validate(); err != nil {
-		return ClassedEquilibrium{}, err
-	}
-	if start == nil {
-		start = cfg.classedSeed(cp, p)
-	} else if len(start) != cp.K() {
-		return ClassedEquilibrium{}, fmt.Errorf("core: start has %d representatives, population has %d classes", len(start), cp.K())
-	}
-	if ob := classedObserver(opts); ob.Enabled() {
-		ob.SetGauge("meanfield.class_count", float64(cp.K()))
-		ob.SetGauge("meanfield.compress_ratio", cp.CompressRatio())
-	}
-	eq, err := classedMarket(cfg, cp).solve(p, opts, start, "classed ")
-	if err != nil {
-		return ClassedEquilibrium{}, err
-	}
-	return classedEquilibrium(cp, eq), nil
 }
 
 // classedObserver resolves the observer the classed solvers record
@@ -271,21 +216,14 @@ func SolveStackelbergClassed(cfg Config, cp miner.ClassedPopulation, opts Stacke
 	if cp.K() == 1 {
 		uniformBudget = cp.Classes[0].Budget
 	}
+	// Every probe seeds from the per-class closed form at its own
+	// prices rather than from an anchor.
+	m := classedMarket(cfg, cp)
 	stage := leaderStage{
-		cfg:   cfg,
-		opts:  opts,
-		label: "classed ",
-		// The cache's profile slot stores the K representatives (the same
-		// []numeric.Point2 shape), warm-starting later solves at the same
-		// price point. Bisection points seed from the per-class closed form
-		// at their own prices rather than the previous point's equilibrium.
-		solve: func(c Config, p Prices, start miner.Profile) (demand, miner.Profile, error) {
-			eq, err := solveClassedValidated(c, cp, p, opts.Follower, start)
-			if err != nil {
-				return demand{}, nil, err
-			}
-			return demand{edge: eq.EdgeDemand, cloud: eq.CloudDemand, ok: true}, miner.Profile(eq.Requests), nil
-		},
+		cfg:           cfg,
+		opts:          opts,
+		label:         "classed ",
+		follower:      m,
 		uniformBudget: uniformBudget,
 		bargainFields: obs.Fields{"miners": cp.N(), "capacity": cfg.EdgeCapacity, "classes": cp.K()},
 	}
@@ -294,11 +232,12 @@ func SolveStackelbergClassed(cfg Config, cp miner.ClassedPopulation, opts Stacke
 		return ClassedStackelbergResult{}, err
 	}
 	prices := Prices{Edge: lead.PriceA, Cloud: lead.PriceB}
-	follower, err := solveClassedValidated(cfg, cp, prices, opts.Follower, start)
+	eq, err := m.solve(prices, opts.Follower, start, stage.label)
 	if err != nil {
 		span.End(obs.Fields{"failed": true})
 		return ClassedStackelbergResult{}, fmt.Errorf("classed follower stage at equilibrium prices %+v: %w", prices, err)
 	}
+	follower := classedEquilibrium(cp, eq)
 	if opts.CertifyClassedAfterSolve != nil {
 		if err := opts.CertifyClassedAfterSolve(cfg, cp, prices, follower); err != nil {
 			span.End(obs.Fields{"failed": true})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"minegame/internal/game"
@@ -305,5 +306,62 @@ func TestConfigClassesQuantile(t *testing.T) {
 	}
 	if cp.BudgetSpread() <= 0 {
 		t.Fatal("quantile binning over distinct budgets must report a positive spread")
+	}
+}
+
+// TestClassedProbeAllocsIndependentOfK pins what a leader-stage classed
+// demand probe allocates: the same number of allocations whatever the
+// number of classes K, and no per-class bytes beyond the share root's
+// one buffer of K points. Its seed, its market and its result carry
+// totals, not per-class vectors.
+func TestClassedProbeAllocsIndependentOfK(t *testing.T) {
+	type cost struct{ allocs, bytes float64 }
+	const runs = 20
+	for _, mode := range []netmodel.Mode{netmodel.Connected, netmodel.Standalone} {
+		costs := map[int]cost{}
+		for _, k := range []int{16, 1024} {
+			classes := make([]miner.Class, k)
+			for i := range classes {
+				classes[i] = miner.Class{Budget: 100 + 100*float64(i)/float64(k), Count: 4}
+			}
+			cp, err := miner.FromClasses(classes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{
+				Mode: mode, N: cp.N(), Budgets: []float64{100},
+				Reward: 1000, Beta: 0.2, SatisfyProb: 0.7, EdgeCapacity: 30,
+				CostE: 2, CostC: 1,
+			}
+			m := classedMarket(cfg, cp)
+			p := Prices{Edge: 8, Cloud: 4}
+			probe := func() {
+				if _, _, err := m.probe(p, game.NEOptions{}, warmStart{}, "classed "); err != nil {
+					t.Fatalf("%v K=%d: %v", mode, k, err)
+				}
+			}
+			probe()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				probe()
+			}
+			runtime.ReadMemStats(&after)
+			costs[k] = cost{
+				allocs: testing.AllocsPerRun(runs, probe),
+				bytes:  float64(after.TotalAlloc-before.TotalAlloc) / runs,
+			}
+		}
+		small, large := costs[16], costs[1024]
+		if small.allocs != large.allocs {
+			t.Errorf("%v: a classed probe makes %g allocations at K = 16 and %g at K = 1024", mode, small.allocs, large.allocs)
+		}
+		// The share root's buffer holds one 16-byte point per class; 4 kB
+		// of slack absorbs stray runtime allocations, and a per-class
+		// vector of 8-byte values would add 8 kB.
+		if grew, buffer := large.bytes-small.bytes, 16.0*(1024-16); grew > buffer+4096 {
+			t.Errorf("%v: a classed probe allocates %.0f more bytes at K = 1024 than at K = 16, over the root buffer's %.0f", mode, grew, buffer)
+		}
+		t.Logf("%v: K=16 %+v, K=1024 %+v", mode, small, large)
 	}
 }

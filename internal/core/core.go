@@ -301,15 +301,11 @@ func SolveMinerEquilibriumFrom(cfg Config, p Prices, opts game.NEOptions, start 
 	if err := cfg.Validate(); err != nil {
 		return MinerEquilibrium{}, err
 	}
-	if err := cfg.Params(p).Validate(); err != nil {
-		return MinerEquilibrium{}, err
-	}
-	if start == nil {
-		start = cfg.seedProfile(p)
-	} else if len(start) != cfg.N {
+	if start != nil && len(start) != cfg.N {
 		return MinerEquilibrium{}, fmt.Errorf("core: start profile has %d entries, config has %d miners", len(start), cfg.N)
 	}
-	return exactMarket(cfg).solve(p, opts, start, "")
+	m := exactMarket(cfg)
+	return m.solve(p, opts, warmStart{totals: m.totals(start), ok: start != nil}, "")
 }
 
 // SolveMinerGNE computes a generalized Nash equilibrium of the standalone

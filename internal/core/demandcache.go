@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"minegame/internal/game"
-	"minegame/internal/miner"
 	"minegame/internal/obs"
 )
 
@@ -18,9 +17,9 @@ import (
 const DefaultDemandCacheCap = 4096
 
 // DemandCache is a bounded, concurrency-safe warm-start cache for the
-// Stackelberg demand oracle: per-price follower equilibria (aggregate
-// demand plus the solved profile) and per-start-price anchor equilibria,
-// with single-flight semantics — when several grid workers (or several
+// Stackelberg demand oracle: per-price follower demand (the totals (E, C)
+// of the solved equilibrium) and per-start-price anchor totals, with
+// single-flight semantics — when several grid workers (or several
 // server requests) probe the same price point at once, exactly one runs
 // the follower solve and the rest block on its entry, so no solve is
 // ever duplicated.
@@ -36,9 +35,11 @@ const DefaultDemandCacheCap = 4096
 //
 // A cache must only ever be shared across solves of the identical
 // market: same Config (including mode and budgets), same follower
-// options, and the same solver family (exact vs classed — the classed
-// oracle stores K representatives where the exact one stores N-miner
-// profiles). The serve layer enforces this by keying caches on the full
+// options, and the same solver family (exact vs classed: the two seed
+// their probes differently, so their totals differ in rounding). Every
+// entry holds two numbers and a flag whatever the market's size, so a
+// resident cache's footprint is O(probes), independent of N and K. The
+// serve layer enforces the one-market rule by keying caches on the full
 // market signature; SolveStackelberg enforces nothing and will happily
 // serve stale demand if misused.
 //
@@ -65,11 +66,11 @@ type DemandCache struct {
 type demandEntry struct {
 	done chan struct{} // closed once the probe finished (or was abandoned)
 	d    demand
-	// prof is the solved follower profile behind d — nil on the
-	// closed-form path, which never materializes one. It lets later
-	// solves at exactly the same price point warm-start from the
-	// already-known equilibrium.
-	prof miner.Profile
+	// start holds the totals of the follower equilibrium behind d — not
+	// ok on the closed-form path, which solves none. It lets later solves
+	// at exactly the same price point warm-start from the already-known
+	// equilibrium.
+	start warmStart
 	// canceled marks an abandoned probe: the entry was removed from the
 	// table before done closed, and joined waiters must re-probe.
 	canceled bool
@@ -78,14 +79,13 @@ type demandEntry struct {
 	elem *list.Element
 }
 
-// anchorEntry is the single-flight slot for one anchor equilibrium
-// (keyed by its start prices). Anchors sit outside the LRU ring: there
-// is one per start-price, they are tiny relative to the probe set, and
-// evicting one would silently cold-start every later probe.
+// anchorEntry is the single-flight slot for one anchor equilibrium's
+// totals (keyed by its start prices). Anchors sit outside the LRU ring:
+// there is one per start-price, they are tiny relative to the probe set,
+// and evicting one would silently cold-start every later probe.
 type anchorEntry struct {
-	done chan struct{} // closed once prof/ok are populated
-	prof miner.Profile
-	ok   bool
+	done  chan struct{} // closed once start is populated
+	start warmStart     // not ok when the anchor solve failed
 }
 
 // NewDemandCache returns a demand cache holding at most capEntries
@@ -137,7 +137,7 @@ func (m *DemandCache) Stats() DemandCacheStats {
 // not cached: the entry is withdrawn and any joined waiters re-probe.
 //
 //minelint:hotpath
-func (m *DemandCache) get(p Prices, compute func() (demand, miner.Profile, error)) (demand, bool) {
+func (m *DemandCache) get(p Prices, compute func() (demand, warmStart, error)) (demand, bool) {
 	for {
 		m.mu.Lock()
 		if e, ok := m.entries[p]; ok {
@@ -165,13 +165,13 @@ func (m *DemandCache) get(p Prices, compute func() (demand, miner.Profile, error
 		m.mu.Unlock()
 		m.missesC.Inc()
 		m.ratioG.Set(ratio)
-		d, prof, err := compute()
+		d, start, err := compute()
 		m.mu.Lock()
 		if err != nil && errors.Is(err, game.ErrCanceled) {
 			e.canceled = true
 			delete(m.entries, p)
 		} else {
-			e.d, e.prof = d, prof
+			e.d, e.start = d, start
 			e.elem = m.lru.PushFront(p)
 			m.evictLocked()
 		}
@@ -203,49 +203,48 @@ func (m *DemandCache) evictLocked() {
 	}
 }
 
-// profileAt returns the follower profile memoized at exactly p, or nil
-// when p was never probed, was evicted, or was served by the closed
-// form. Because every entry is a pure function of its price point, the
-// returned profile — like every other cache read — is independent of
-// the arrival order of concurrent probes.
-func (m *DemandCache) profileAt(p Prices) miner.Profile {
+// startAt returns the warm start memoized at exactly p: the totals of
+// its solved equilibrium, or a start that is not ok when p was never
+// probed, was evicted, or was served by the closed form. Because every
+// entry is a pure function of its price point, the result — like every
+// other cache read — is independent of the arrival order of concurrent
+// probes.
+func (m *DemandCache) startAt(p Prices) warmStart {
 	m.mu.Lock()
 	e, ok := m.entries[p]
 	m.mu.Unlock()
 	if !ok {
-		return nil
+		return warmStart{}
 	}
 	<-e.done
 	if e.canceled {
-		return nil
+		return warmStart{}
 	}
-	return e.prof
+	return e.start
 }
 
-// anchorAt returns the anchor equilibrium memoized at the start prices
-// p, computing it via compute on first use (single-flight: concurrent
-// requests for the same anchor run one solve). A failed compute — a
-// canceled request, an infeasible start — is not cached, so a later
-// request recomputes; since the anchor is a pure function of the market
-// and its start prices, every successful compute yields identical bits.
-func (m *DemandCache) anchorAt(p Prices, compute func() (miner.Profile, error)) miner.Profile {
+// anchorAt returns the anchor equilibrium's totals memoized at the
+// start prices p, computing them via compute on first use
+// (single-flight: concurrent requests for the same anchor run one
+// solve). A failed compute — a canceled request, an infeasible start —
+// is not cached, so a later request recomputes; since the anchor is a
+// pure function of the market and its start prices, every successful
+// compute yields identical bits.
+func (m *DemandCache) anchorAt(p Prices, compute func() (warmStart, error)) warmStart {
 	m.mu.Lock()
 	if a, ok := m.anchors[p]; ok {
 		m.mu.Unlock()
-		<-a.done
-		if a.ok {
-			return a.prof
-		}
 		// A failed anchor solve is not retried within a join: the joined
 		// request proceeds anchorless exactly like the request it joined.
-		return nil
+		<-a.done
+		return a.start
 	}
 	a := &anchorEntry{done: make(chan struct{})} //lint:allow concurrency single-flight completion signal for the anchor slot; closed exactly once, never used for fan-out
 	m.anchors[p] = a
 	m.mu.Unlock()
-	prof, err := compute()
+	start, err := compute()
 	if err == nil {
-		a.prof, a.ok = prof, true
+		a.start = start
 	} else {
 		// Withdraw so the next request recomputes (the failure may have
 		// been a cancellation rather than an infeasible market).
@@ -254,5 +253,5 @@ func (m *DemandCache) anchorAt(p Prices, compute func() (miner.Profile, error)) 
 		m.mu.Unlock()
 	}
 	close(a.done)
-	return a.prof
+	return a.start
 }

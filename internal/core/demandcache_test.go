@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"minegame/internal/game"
-	"minegame/internal/miner"
 	"minegame/internal/netmodel"
 	"minegame/internal/obs"
 )
@@ -16,9 +15,9 @@ import (
 // probe runs one cache get with a compute that records whether it ran.
 func probe(t *testing.T, m *DemandCache, p Prices) (hit bool, computed bool) {
 	t.Helper()
-	_, hit = m.get(p, func() (demand, miner.Profile, error) {
+	_, hit = m.get(p, func() (demand, warmStart, error) {
 		computed = true
-		return demand{edge: p.Edge, cloud: p.Cloud, ok: true}, nil, nil
+		return demand{edge: p.Edge, cloud: p.Cloud, ok: true}, warmStart{}, nil
 	})
 	return hit, computed
 }
@@ -67,18 +66,18 @@ func TestDemandCacheCanceledProbeNotCached(t *testing.T) {
 	m := NewDemandCache(8, obs.New())
 	p := Prices{Edge: 1, Cloud: 2}
 	computes := 0
-	canceled := func() (demand, miner.Profile, error) {
+	canceled := func() (demand, warmStart, error) {
 		computes++
-		return demand{}, nil, fmt.Errorf("probe: %w", game.ErrCanceled)
+		return demand{}, warmStart{}, fmt.Errorf("probe: %w", game.ErrCanceled)
 	}
 	if _, hit := m.get(p, canceled); hit {
 		t.Fatal("first canceled probe cannot be a hit")
 	}
 	// The canceled probe must have been withdrawn: the next probe
 	// recomputes instead of serving the abandoned result.
-	d, hit := m.get(p, func() (demand, miner.Profile, error) {
+	d, hit := m.get(p, func() (demand, warmStart, error) {
 		computes++
-		return demand{edge: 7, ok: true}, nil, nil
+		return demand{edge: 7, ok: true}, warmStart{}, nil
 	})
 	if hit || computes != 2 || !d.ok || d.edge != 7 {
 		t.Fatalf("post-cancel probe: hit=%v computes=%d d=%+v; want a fresh compute", hit, computes, d)
@@ -87,9 +86,9 @@ func TestDemandCacheCanceledProbeNotCached(t *testing.T) {
 	// price point fails the same way every time.
 	pBad := Prices{Edge: 9}
 	fails := 0
-	fail := func() (demand, miner.Profile, error) {
+	fail := func() (demand, warmStart, error) {
 		fails++
-		return demand{}, nil, errors.New("infeasible market")
+		return demand{}, warmStart{}, errors.New("infeasible market")
 	}
 	m.get(pBad, fail)
 	if _, hit := m.get(pBad, fail); !hit || fails != 1 {
@@ -212,4 +211,25 @@ func TestMinerEquilibriumCanceled(t *testing.T) {
 	if !errors.Is(err, game.ErrCanceled) {
 		t.Fatalf("standalone: expected game.ErrCanceled, got %v", err)
 	}
+}
+
+// TestDemandCacheEntriesHoldNoPerTypeSlice pins the resident footprint
+// of a demand cache at O(probes): a probe entry and an anchor carry
+// demand and warm-start totals, and no field, however nested by value,
+// is a slice or map that could grow with the market's N or K.
+func TestDemandCacheEntriesHoldNoPerTypeSlice(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Slice, reflect.Map, reflect.Array:
+			t.Errorf("%s is a %s", path, typ)
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("demandEntry", reflect.TypeOf(demandEntry{}))
+	walk("anchorEntry", reflect.TypeOf(anchorEntry{}))
 }

@@ -79,37 +79,116 @@ func (m *market) params(params miner.Params, k int) miner.Params {
 
 // totals sums one request per type into the population totals,
 // E = Σ_k count_k·e_k and C = Σ_k count_k·c_k, in O(K).
-func (m *market) totals(reqs []numeric.Point2) miner.Totals {
-	var t miner.Totals
+func (m *market) totals(reqs []numeric.Point2) numeric.Point2 {
+	var t numeric.Point2
 	for k, r := range reqs {
 		c := m.count(k)
-		t.Edge += c * r.E
-		t.Cloud += c * r.C
+		t.E += c * r.E
+		t.C += c * r.C
+	}
+	return t
+}
+
+// warmStart is the start of a follower solve: the totals (E, C) of an
+// equilibrium solved nearby when ok, else nothing, and the solve seeds
+// at its own prices. A solve reads a start only through its totals, so
+// the two numbers warm-start it exactly as the profile behind them did.
+type warmStart struct {
+	totals numeric.Point2
+	ok     bool
+}
+
+// seed returns the totals a solve at p starts from without a warm
+// start, summed as totals sums them. The exact market sums
+// Config.seedProfile. A classed market seeds each class with the
+// closed-form homogeneous equilibrium of the whole market at the
+// class's budget, falling back to a feasible spread; a standalone seed
+// is scaled to stay jointly within the capacity. Neither builds a
+// per-class vector.
+func (m *market) seed(p Prices) numeric.Point2 {
+	if m.counts == nil {
+		return m.totals(m.cfg.seedProfile(p))
+	}
+	params := m.cfg.Params(p)
+	var sol miner.HomogeneousSolution
+	closed := false
+	if m.cfg.Mode == netmodel.Connected {
+		if t, err := miner.HomogeneousConnectedTotals(params, m.n, m.budgets, m.counts); err == nil {
+			return t
+		}
+	} else {
+		var err error
+		sol, err = miner.HomogeneousStandalone(params, m.n, m.cfg.EdgeCapacity)
+		closed = err == nil
+	}
+	sum := func(scale float64) numeric.Point2 {
+		var t numeric.Point2
+		for k := 0; k < m.k; k++ {
+			b := m.budget(k)
+			r := numeric.Point2{E: b / (4 * p.Edge), C: b / (4 * p.Cloud)}
+			if closed && params.Spend(sol.Request) <= b {
+				r = sol.Request
+			}
+			c := m.count(k)
+			t.E += c * (r.E * scale)
+			t.C += c * r.C
+		}
+		return t
+	}
+	t := sum(1)
+	if m.cfg.Mode == netmodel.Standalone && t.E > m.cfg.EdgeCapacity {
+		t = sum(m.cfg.EdgeCapacity / t.E * 0.9)
 	}
 	return t
 }
 
 // solve is the follower body behind every miner-subgame entry point:
-// the share-function root of game.SolveShares, warm-started at the
-// totals of start (one request per type, not mutated), then one
-// miner.Share point per type at the root. Standalone mode prices a
-// binding capacity with the common multiplier μ (the variational
-// equilibrium of the GNEP). The caller has validated the config, the
-// prices and the start's length. label names the market in errors (""
-// or "classed ").
-func (m *market) solve(p Prices, opts game.NEOptions, start []numeric.Point2, label string) (MinerEquilibrium, error) {
+// the share root of root, summarized per type.
+func (m *market) solve(p Prices, opts game.NEOptions, start warmStart, label string) (MinerEquilibrium, error) {
+	reqs, res, err := m.root(p, opts, start, label)
+	if err != nil {
+		return MinerEquilibrium{}, err
+	}
+	return m.summarize(p, reqs, res.Passes, res.Converged, res.Mu), nil
+}
+
+// probe is the leader stage's demand probe: the totals of the share
+// root, without the per-type summary, as the demand there and as the
+// warm start of a later solve.
+func (m *market) probe(p Prices, opts game.NEOptions, start warmStart, label string) (demand, warmStart, error) {
+	reqs, _, err := m.root(p, opts, start, label)
+	if err != nil {
+		return demand{}, warmStart{}, err
+	}
+	t := m.totals(reqs)
+	return demand{edge: t.E, cloud: t.C, ok: true}, warmStart{totals: t, ok: true}, nil
+}
+
+// root solves the market at p: the share-function root of
+// game.SolveShares, warm-started at start's totals (or the seed at p),
+// then one miner.Share point per type at the root. Standalone mode
+// prices a binding capacity with the common multiplier μ (the
+// variational equilibrium of the GNEP). The caller has validated the
+// config; root validates the prices. label names the market in errors
+// ("" or "classed ").
+func (m *market) root(p Prices, opts game.NEOptions, start warmStart, label string) ([]numeric.Point2, game.ShareResult, error) {
 	params := m.cfg.Params(p)
+	if err := params.Validate(); err != nil {
+		return nil, game.ShareResult{}, err
+	}
+	if !start.ok {
+		start.totals = m.seed(p)
+	}
 	capacity := math.Inf(1)
 	if m.cfg.Mode == netmodel.Standalone {
 		params.H = 1
 		capacity = m.cfg.EdgeCapacity
 	}
-	t := m.totals(start)
-	reqs, res := m.shares(params, capacity, numeric.Point2{E: t.Edge, C: t.Cloud}, opts)
+	reqs, res := m.shares(params, capacity, start.totals, opts)
 	if res.Canceled {
-		return MinerEquilibrium{}, fmt.Errorf("%s %sminer subgame: %w", m.cfg.Mode, label, game.ErrCanceled)
+		return nil, res, fmt.Errorf("%s %sminer subgame: %w", m.cfg.Mode, label, game.ErrCanceled)
 	}
-	return m.summarize(p, reqs, res.Passes, res.Converged, res.Mu), nil
+	return reqs, res, nil
 }
 
 // SolveClassShares solves the connected-mode miner subgame of K miner
@@ -128,8 +207,7 @@ func SolveClassShares(p miner.Params, budgets []float64, counts []int, start []n
 		cfg:     Config{Reward: p.Reward, Beta: p.Beta, SatisfyProb: p.H, Mode: netmodel.Connected},
 		budgets: budgets, counts: counts, k: len(budgets), n: n,
 	}
-	t := m.totals(start)
-	return m.shares(p, math.Inf(1), numeric.Point2{E: t.Edge, C: t.Cloud}, opts)
+	return m.shares(p, math.Inf(1), m.totals(start), opts)
 }
 
 // shares solves the market's share system at params (h = 1 in
@@ -279,11 +357,12 @@ func (m *market) deviations(p Prices, reqs []numeric.Point2) []float64 {
 func (m *market) summarize(p Prices, reqs []numeric.Point2, iters int, converged bool, mu float64) MinerEquilibrium {
 	params := m.cfg.Params(p)
 	t := m.totals(reqs)
+	totals := miner.Totals{Edge: t.E, Cloud: t.C}
 	eq := MinerEquilibrium{
 		Requests:    reqs,
-		EdgeDemand:  t.Edge,
-		CloudDemand: t.Cloud,
-		TotalDemand: t.Edge + t.Cloud,
+		EdgeDemand:  t.E,
+		CloudDemand: t.C,
+		TotalDemand: t.E + t.C,
 		Utilities:   make([]float64, len(reqs)),
 		WinProbs:    make([]float64, len(reqs)),
 		Iterations:  iters,
@@ -292,7 +371,7 @@ func (m *market) summarize(p Prices, reqs []numeric.Point2, iters int, converged
 	}
 	for k, own := range reqs {
 		pk := m.params(params, k)
-		env := t.Env(own)
+		env := totals.Env(own)
 		if m.cfg.Mode == netmodel.Connected {
 			eq.Utilities[k] = miner.UtilityConnected(pk, own, env)
 			eq.WinProbs[k] = miner.WinProbConnected(pk.Beta, m.cfg.SatisfyProb, own, env)

@@ -186,17 +186,11 @@ func SolveStackelberg(cfg Config, opts StackelbergOptions) (StackelbergResult, e
 		uniformBudget = cfg.Budget(0)
 	}
 	stage := leaderStage{
-		cfg:  cfg,
-		opts: opts,
-		solve: func(c Config, p Prices, start miner.Profile) (demand, miner.Profile, error) {
-			eq, err := SolveMinerEquilibriumFrom(c, p, opts.Follower, start)
-			if err != nil {
-				return demand{}, nil, err
-			}
-			return demand{edge: eq.EdgeDemand, cloud: eq.CloudDemand, ok: true}, eq.Requests, nil
-		},
+		cfg:           cfg,
+		opts:          opts,
+		follower:      exactMarket(cfg),
 		closedForm:    useClosedForm,
-		warmStart:     true,
+		warm:          true,
 		uniformBudget: uniformBudget,
 		bargainFields: obs.Fields{"miners": cfg.N, "capacity": cfg.EdgeCapacity},
 	}
@@ -205,7 +199,7 @@ func SolveStackelberg(cfg Config, opts StackelbergOptions) (StackelbergResult, e
 		return StackelbergResult{}, err
 	}
 	prices := Prices{Edge: lead.PriceA, Cloud: lead.PriceB}
-	follower, err := SolveMinerEquilibriumFrom(cfg, prices, opts.Follower, start)
+	follower, err := stage.follower.solve(prices, opts.Follower, start, "")
 	if err != nil {
 		span.End(obs.Fields{"failed": true})
 		return StackelbergResult{}, fmt.Errorf("follower stage at equilibrium prices %+v: %w", prices, err)
@@ -229,19 +223,15 @@ func SolveStackelberg(cfg Config, opts StackelbergOptions) (StackelbergResult, e
 	return res, nil
 }
 
-// profileDistance is the RMS request-space distance between two
-// profiles — how far the anchor warm start sat from the equilibrium a
-// probe actually converged to. Mismatched or missing profiles yield 0.
-func profileDistance(a, b miner.Profile) float64 {
-	if len(a) == 0 || len(a) != len(b) {
-		return 0
+// relativeDistance is |a − b|/|b|: how far the anchor's totals a sat
+// from the totals b a probe converged to, relative to b. Zero totals b
+// give |a|.
+func relativeDistance(a, b numeric.Point2) float64 {
+	d := a.Sub(b).Norm()
+	if n := b.Norm(); n > 0 {
+		return d / n
 	}
-	var sum float64
-	for i := range a {
-		de, dc := a[i].E-b[i].E, a[i].C-b[i].C
-		sum += de*de + dc*dc
-	}
-	return math.Sqrt(sum / float64(len(a)))
+	return d
 }
 
 // leaderStage is the provider-pricing half of the two-stage game, shared
@@ -249,24 +239,21 @@ func profileDistance(a, b miner.Profile) float64 {
 // per price point, builds the ESP and CSP leaders over it, and runs the
 // leader search — Algorithm 1's simultaneous play, the standalone
 // Algorithm 2 bargain, or the default Theorem 4 commitment. The follower
-// representation enters only through solve.
+// representation enters only through the follower market.
 type leaderStage struct {
 	cfg  Config
 	opts StackelbergOptions // with defaults applied
 	// label prefixes error messages ("" for the exact solver).
 	label string
-	// solve returns the follower demand at p under c — the market's
-	// config, or its capacity-unconstrained twin during the standalone
-	// bargain — starting from start (nil picks the representation's own
-	// seed), plus the profile that warm-starts a later solve.
-	solve func(c Config, p Prices, start miner.Profile) (demand, miner.Profile, error)
+	// follower is the market the probes solve, built once per solve.
+	follower *market
 	// closedForm answers probes with the Table II demand where it applies.
 	closedForm bool
-	// warmStart seeds numeric solves from neighbouring equilibria: every
+	// warm seeds numeric solves from neighbouring equilibria: every
 	// probe from one anchor solve at the start prices, every
-	// clearing-price root-search point from the previous point's profile.
+	// clearing-price root-search point from the previous point's totals.
 	// Without it each solve seeds at its own prices.
-	warmStart bool
+	warm bool
 	// uniformBudget is the one budget of a single-budget population,
 	// which admits the closed-form clearing price; 0 when budgets differ.
 	uniformBudget float64
@@ -277,13 +264,13 @@ type leaderStage struct {
 // run solves the leader stage and returns its result plus the warm start
 // for the final follower solve at the winning prices. On failure it ends
 // span and returns the wrapped error.
-func (s leaderStage) run(span *obs.Span) (game.LeadersResult, miner.Profile, error) {
+func (s leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error) {
 	cfg, opts := s.cfg, s.opts
 	ob := opts.observer()
 	probes := ob.Counter("core.demand_probes_total")
 	memoHits := ob.Counter("core.demand_memo_hits_total")
 	var warmDist *obs.Histogram
-	if s.warmStart {
+	if s.warm {
 		warmDist = ob.Histogram("core.warm_start_distance")
 	}
 
@@ -300,35 +287,35 @@ func (s leaderStage) run(span *obs.Span) (game.LeadersResult, miner.Profile, err
 	// The classed solver runs without warm starts: its seed is the
 	// per-class closed form AT THE PROBE'S OWN PRICES.
 	memo := opts.demandCacheOrNew()
-	var anchor miner.Profile
-	if s.warmStart && !s.closedForm {
+	var anchor warmStart
+	if s.warm && !s.closedForm {
 		startPrices := Prices{Edge: opts.StartE, Cloud: opts.StartC}
-		anchor = memo.anchorAt(startPrices, func() (miner.Profile, error) {
-			_, prof, err := s.solve(cfg, startPrices, nil)
-			return prof, err
+		anchor = memo.anchorAt(startPrices, func() (warmStart, error) {
+			_, start, err := s.follower.probe(startPrices, opts.Follower, warmStart{}, s.label)
+			return start, err
 		})
 	}
 	if opts.canceled() {
 		span.End(obs.Fields{"canceled": true})
-		return game.LeadersResult{}, nil, fmt.Errorf("%sstackelberg %s mode: %w", s.label, cfg.Mode, game.ErrCanceled)
+		return game.LeadersResult{}, warmStart{}, fmt.Errorf("%sstackelberg %s mode: %w", s.label, cfg.Mode, game.ErrCanceled)
 	}
 
 	oracle := func(p Prices) demand {
-		d, hit := memo.get(p, func() (demand, miner.Profile, error) {
+		d, hit := memo.get(p, func() (demand, warmStart, error) {
 			probes.Inc()
 			if s.closedForm {
 				if d := cfg.closedFormDemand(p); d.ok {
-					return d, nil, nil
+					return d, warmStart{}, nil
 				}
 			}
-			d, prof, err := s.solve(cfg, p, anchor)
+			d, start, err := s.follower.probe(p, opts.Follower, anchor, s.label)
 			if err != nil {
-				return demand{}, nil, err
+				return demand{}, warmStart{}, err
 			}
-			if warmDist != nil {
-				warmDist.Observe(profileDistance(anchor, prof))
+			if warmDist != nil && anchor.ok {
+				warmDist.Observe(relativeDistance(anchor.totals, start.totals))
 			}
-			return d, prof, nil
+			return d, start, nil
 		})
 		if hit {
 			memoHits.Inc()
@@ -387,21 +374,21 @@ func (s leaderStage) run(span *obs.Span) (game.LeadersResult, miner.Profile, err
 	}
 	if err != nil {
 		span.End(obs.Fields{"failed": true})
-		return game.LeadersResult{}, nil, fmt.Errorf("%sleader stage: %w", s.label, err)
+		return game.LeadersResult{}, warmStart{}, fmt.Errorf("%sleader stage: %w", s.label, err)
 	}
 	// A cancellation that landed mid-grid leaves the leader result
 	// computed from abandoned (-Inf) probes: discard it rather than
 	// solving a follower stage at meaningless prices.
 	if opts.canceled() {
 		span.End(obs.Fields{"canceled": true})
-		return game.LeadersResult{}, nil, fmt.Errorf("%sstackelberg %s mode: %w", s.label, cfg.Mode, game.ErrCanceled)
+		return game.LeadersResult{}, warmStart{}, fmt.Errorf("%sstackelberg %s mode: %w", s.label, cfg.Mode, game.ErrCanceled)
 	}
 	// The leader search almost always probed the winning price pair; its
-	// memoized profile (or failing that the anchor) warm-starts the final
+	// memoized totals (or failing that the anchor's) warm-start the final
 	// follower solve. Both candidates are arrival-order independent, so
-	// determinism is preserved; nil falls back to the solver's own seed.
-	start := memo.profileAt(Prices{Edge: lead.PriceA, Cloud: lead.PriceB})
-	if start == nil {
+	// determinism is preserved; with neither the solve seeds itself.
+	start := memo.startAt(Prices{Edge: lead.PriceA, Cloud: lead.PriceB})
+	if !start.ok {
 		start = anchor
 	}
 	return lead, start, nil
@@ -435,13 +422,24 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 	ob := opts.observer()
 	span := ob.StartSpan("core.standalone_bargain", s.bargainFields)
 	clearingSolves := ob.Counter("core.clearing_price_solves_total")
+	fail := func(err error) (game.LeadersResult, error) {
+		span.End(obs.Fields{"failed": true})
+		return game.LeadersResult{}, fmt.Errorf("standalone %sSP stage: %w", s.label, err)
+	}
+	// The capacity-free twin of the market, whose edge demand the
+	// clearing price clears; its config is validated once, here.
+	twin := *s.follower
+	twin.cfg.EdgeCapacity = math.Inf(1)
+	if err := twin.cfg.Validate(); err != nil {
+		return fail(err)
+	}
 	// clearing returns the market-clearing edge price at pc and, on the
-	// numeric path, the unconstrained follower profile at that price —
-	// a warm start for the constrained solve the caller runs next. Each
+	// numeric path, the unconstrained follower totals at that price — a
+	// warm start for the constrained solve the caller runs next. Each
 	// call is self-contained (the chained root search passes warm starts
-	// through a call-local profile), so its result depends only on pc and
+	// through call-local totals), so its result depends only on pc and
 	// the surrounding grid stays worker-count independent.
-	clearing := func(pc float64) (float64, miner.Profile, bool) {
+	clearing := func(pc float64) (float64, warmStart, bool) {
 		clearingSolves.Inc()
 		if s.uniformBudget > 0 {
 			pe := miner.ClearingPriceEdge(c.Reward, c.Beta, pc, c.N, c.EdgeCapacity)
@@ -456,30 +454,28 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 			if params.Validate() == nil && pe > pc && pe > c.CostE && pc < (1-c.Beta)*pe {
 				sol, err := miner.HomogeneousStandalone(params, c.N, c.EdgeCapacity)
 				if err == nil && params.Spend(sol.Request) <= s.uniformBudget {
-					return pe, nil, true
+					return pe, warmStart{}, true
 				}
 			}
 		}
 		// Numeric fallback: the root of the unconstrained edge demand.
-		unconstrained := c
-		unconstrained.EdgeCapacity = math.Inf(1)
-		var last miner.Profile
+		var last warmStart
 		demandAt := func(pe float64) float64 {
-			var start miner.Profile
-			if s.warmStart {
+			var start warmStart
+			if s.warm {
 				start = last
 			}
-			d, prof, err := s.solve(unconstrained, Prices{Edge: pe, Cloud: pc}, start)
+			d, next, err := twin.probe(Prices{Edge: pe, Cloud: pc}, opts.Follower, start, s.label)
 			if err != nil {
 				return 0
 			}
-			last = prof
+			last = next
 			return d.edge
 		}
 		lo := math.Max(pc*(1+1e-6), c.CostE+1e-9)
 		hi := math.Max(opts.MaxPriceE, lo*1.5)
 		if demandAt(lo) < c.EdgeCapacity {
-			return 0, nil, false // capacity never binds; no clearing price
+			return 0, warmStart{}, false // capacity never binds; no clearing price
 		}
 		if demandAt(hi) >= c.EdgeCapacity {
 			return hi, last, true
@@ -488,7 +484,7 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 			return demandAt(pe) - c.EdgeCapacity
 		}, lo, hi, 1e-6*(1+hi))
 		if err != nil {
-			return 0, nil, false
+			return 0, warmStart{}, false
 		}
 		return pe, last, true
 	}
@@ -497,17 +493,13 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 		if !ok {
 			return math.Inf(-1)
 		}
-		d, _, err := s.solve(c, Prices{Edge: pe, Cloud: pc}, warm)
+		d, _, err := s.follower.probe(Prices{Edge: pe, Cloud: pc}, opts.Follower, warm, s.label)
 		if err != nil {
 			return math.Inf(-1)
 		}
 		return (pc - c.CostC) * d.cloud
 	}
 	pcStar, vc, err := numeric.MaximizeGridPool(profitC, c.CostC+1e-6, opts.MaxPriceC, opts.Leader.GridN, opts.MaxPriceC*1e-7, opts.Leader.Pool)
-	fail := func(err error) (game.LeadersResult, error) {
-		span.End(obs.Fields{"failed": true})
-		return game.LeadersResult{}, fmt.Errorf("standalone %sSP stage: %w", s.label, err)
-	}
 	if err != nil {
 		return fail(err)
 	}
@@ -518,7 +510,7 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 	if !ok {
 		return fail(fmt.Errorf("no clearing price at P_c = %g", pcStar))
 	}
-	d, _, err := s.solve(c, Prices{Edge: peStar, Cloud: pcStar}, warm)
+	d, _, err := s.follower.probe(Prices{Edge: peStar, Cloud: pcStar}, opts.Follower, warm, s.label)
 	if err != nil {
 		return fail(err)
 	}

@@ -12,7 +12,7 @@ import (
 
 // TestSolveTelemetryCounters pins the hot-path instrumentation contract:
 // an observed solve reports its demand-oracle traffic, memo efficiency,
-// warm-start quality, and per-pass residuals, and the miner layer's
+// warm-start quality, and share passes, and the miner layer's
 // KKT fast-path hit rates reach the process-default observer. The
 // share-function follower calls no best response, so the KKT counters
 // are checked on best-response iteration (game.SolveNEAggregate) of the
@@ -61,11 +61,12 @@ func TestSolveTelemetryCounters(t *testing.T) {
 		t.Errorf("warm-start distance must be non-negative, min = %g", wd.Min)
 	}
 
-	// Per-pass residuals: one sample per recorded pass.
-	sd, ok := snap.Histograms["game.sweep_delta"]
-	if !ok || sd.Count != snap.Counters["game.sweeps_total"] {
-		t.Errorf("game.sweep_delta count = %d, want %d (one sample per sweep)",
-			sd.Count, snap.Counters["game.sweeps_total"])
+	// Every share pass reaches game.sweeps_total: the passes summed
+	// over the solves equal the counter.
+	it, ok := snap.Histograms["game.solve_ne.iterations"]
+	if !ok || int64(it.Sum) != snap.Counters["game.sweeps_total"] {
+		t.Errorf("Σ game.solve_ne.iterations = %g, want game.sweeps_total = %d",
+			it.Sum, snap.Counters["game.sweeps_total"])
 	}
 
 	// KKT paths: calls always tick, warm hits dominate once the

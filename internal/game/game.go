@@ -163,7 +163,21 @@ func (t *solveTelemetry) sweep(iter int, maxDelta float64) {
 	t.delta.Observe(maxDelta)
 	t.deltas = append(t.deltas, maxDelta)
 	if t.recording {
-		t.ob.Emit("game.sweep", obs.Fields{"solver": t.solver, "iter": iter, "max_delta": maxDelta})
+		t.event(iter, maxDelta)
+	}
+}
+
+// event emits the game.sweep trace event of one sweep or pass; callers
+// check recording first.
+func (t *solveTelemetry) event(iter int, maxDelta float64) {
+	t.ob.Emit("game.sweep", obs.Fields{"solver": t.solver, "iter": iter, "max_delta": maxDelta})
+}
+
+// addSweeps counts n sweeps on game.sweeps_total at once: the share
+// solver's passes, which record no per-pass metric.
+func (t *solveTelemetry) addSweeps(n int) {
+	if t.on {
+		t.sweeps.Add(int64(n))
 	}
 }
 

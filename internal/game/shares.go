@@ -77,10 +77,12 @@ func rootTol(players float64) float64 {
 }
 
 // SolveShares finds the root (E, S, μ) of a share system, warm-started
-// at the totals in start (E, S = E + C of a starting profile). Each pass
-// over the types counts on game.sweeps_total; NEOptions.Ctx is checked
-// before every pass and Observer receives the solve span. MaxIter,
-// Tol, Damping and Jacobi apply only to best-response iteration.
+// at the totals in start (E, S = E + C of a starting profile). The
+// solve's passes over the types count on game.sweeps_total, added once
+// when it ends; NEOptions.Ctx is checked before every pass and Observer
+// receives the solve span, plus a game.sweep event per pass while a
+// sink records events. MaxIter, Tol, Damping and Jacobi apply only to
+// best-response iteration.
 func SolveShares(sys ShareSystem, start numeric.Point2, opts NEOptions) ShareResult {
 	tel := newSolveTelemetry(opts, "game.solve_ne", "share_function", int(sys.Players))
 	sv := shareSolver{sys: sys, opts: opts, tel: tel}
@@ -94,13 +96,11 @@ func SolveShares(sys ShareSystem, start numeric.Point2, opts NEOptions) ShareRes
 		}
 		e, mu, sumE, sumS := sv.last.e, sv.last.mu, sv.last.sumE, sv.last.sumS
 		res.Edge, res.Mu = e, mu
-		res.Residual = math.Abs(sumS/total - 1)
-		if e > 0 {
-			res.Residual = math.Max(res.Residual, math.Abs(sumE/e-1))
-		}
+		res.Residual = shareResidual(e, total, sumE, sumS)
 		res.Passes, res.Canceled = sv.passes, sv.canceled
 		res.Converged = !sv.canceled && res.Residual <= shareTol
 	}
+	tel.addSweeps(res.Passes)
 	tel.finish(NEResult{Iterations: res.Passes, Converged: res.Converged, MaxDelta: res.Residual, Canceled: res.Canceled})
 	return res
 }
@@ -134,8 +134,20 @@ func (sv *shareSolver) sums(mu, e, s float64) (float64, float64) {
 	}
 	sv.passes++
 	sumE, sumS := sv.sys.Sums(mu, e, s)
-	sv.tel.sweep(sv.passes, 0)
+	if sv.tel.recording {
+		sv.tel.event(sv.passes, shareResidual(e, s, sumE, sumS))
+	}
 	return sumE, sumS
+}
+
+// shareResidual is the larger of |Σe/E − 1| and |Σs/S − 1|; the edge
+// share counts only where E > 0.
+func shareResidual(e, s, sumE, sumS float64) float64 {
+	r := math.Abs(sumS/s - 1)
+	if e > 0 {
+		r = math.Max(r, math.Abs(sumE/e-1))
+	}
+	return r
 }
 
 // totalShare is the outer function: Σs/S − 1 with E (and μ) at their
