@@ -422,6 +422,9 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 	ob := opts.observer()
 	span := ob.StartSpan("core.standalone_bargain", s.bargainFields)
 	clearingSolves := ob.Counter("core.clearing_price_solves_total")
+	// Every follower solve of the bargain is a demand probe, as the
+	// leader grids' are.
+	probes := ob.Counter("core.demand_probes_total")
 	fail := func(err error) (game.LeadersResult, error) {
 		span.End(obs.Fields{"failed": true})
 		return game.LeadersResult{}, fmt.Errorf("standalone %sSP stage: %w", s.label, err)
@@ -465,6 +468,7 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 			if s.warm {
 				start = last
 			}
+			probes.Inc()
 			d, next, err := twin.probe(Prices{Edge: pe, Cloud: pc}, opts.Follower, start, s.label)
 			if err != nil {
 				return 0
@@ -493,6 +497,7 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 		if !ok {
 			return math.Inf(-1)
 		}
+		probes.Inc()
 		d, _, err := s.follower.probe(Prices{Edge: pe, Cloud: pc}, opts.Follower, warm, s.label)
 		if err != nil {
 			return math.Inf(-1)
@@ -510,6 +515,7 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 	if !ok {
 		return fail(fmt.Errorf("no clearing price at P_c = %g", pcStar))
 	}
+	probes.Inc()
 	d, _, err := s.follower.probe(Prices{Edge: peStar, Cloud: pcStar}, opts.Follower, warm, s.label)
 	if err != nil {
 		return fail(err)

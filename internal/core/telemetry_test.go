@@ -94,6 +94,35 @@ func TestSolveTelemetryCounters(t *testing.T) {
 	}
 }
 
+// TestStandaloneBargainCountsProbes pins that the standalone bargain's
+// follower solves (the clearing-price root's capacity-free probes, the
+// CSP's profit probes and the final one at the winning prices) count on
+// core.demand_probes_total like the leader grids' probes.
+func TestStandaloneBargainCountsProbes(t *testing.T) {
+	ob := obs.New()
+	cfg := Config{
+		Mode:    netmodel.Standalone,
+		N:       4,
+		Budgets: []float64{200, 210, 190, 205}, // heterogeneous → numeric clearing price
+		Reward:  1000, Beta: 0.2, SatisfyProb: 0.7, EdgeCapacity: 20,
+		CostE: 2, CostC: 1,
+	}
+	res, err := SolveStackelberg(cfg, StackelbergOptions{Workers: 1, Observer: ob})
+	if err != nil {
+		t.Fatalf("SolveStackelberg: %v", err)
+	}
+	snap := ob.Snapshot()
+	probes, clearing := snap.Counters["core.demand_probes_total"], snap.Counters["core.clearing_price_solves_total"]
+	if clearing == 0 {
+		t.Fatalf("core.clearing_price_solves_total = 0: the numeric bargain did not run (prices %+v)", res.Prices)
+	}
+	// Each clearing solve probes the capacity-free twin at least once,
+	// and each profit evaluation probes the market once more.
+	if probes < 2*clearing {
+		t.Errorf("core.demand_probes_total = %d, want ≥ %d for %d clearing-price solves", probes, 2*clearing, clearing)
+	}
+}
+
 // TestSolveTelemetryDisabledIsSilent pins the zero-cost-when-disabled
 // contract: a solve against a disabled observer records nothing.
 func TestSolveTelemetryDisabledIsSilent(t *testing.T) {

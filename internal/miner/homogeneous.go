@@ -84,41 +84,34 @@ func HomogeneousConnectedExpected(p Params, m, budget float64) (HomogeneousSolut
 	return sol, nil
 }
 
-// HomogeneousConnectedTotals returns the totals Σ_k counts[k]·r_k of
-// a classed market whose class k plays r_k, the request of
-// HomogeneousConnected(p, n, budgets[k]): each class at the symmetric
-// equilibrium of all n miners holding its budget. It validates p once,
-// not once per class, and sums in class order.
-func HomogeneousConnectedTotals(p Params, n int, budgets []float64, counts []int) (numeric.Point2, error) {
+// HomogeneousConnectedLine is HomogeneousConnected as a function of
+// the budget, for summing it over many budgets at once: a budget of at
+// least spend plays free, and a smaller budget B plays B·perBudget, the
+// binding face of the same branch. It validates p once.
+func HomogeneousConnectedLine(p Params, n int) (free numeric.Point2, spend float64, perBudget numeric.Point2, err error) {
 	if err := p.Validate(); err != nil {
-		return numeric.Point2{}, err
+		return numeric.Point2{}, 0, numeric.Point2{}, err
 	}
 	if n < 2 {
-		return numeric.Point2{}, fmt.Errorf("homogeneous connected: need n ≥ 2 miners, got %d", n)
-	}
-	if len(budgets) != len(counts) {
-		return numeric.Point2{}, fmt.Errorf("homogeneous connected: %d budgets for %d counts", len(budgets), len(counts))
+		return numeric.Point2{}, 0, numeric.Point2{}, fmt.Errorf("homogeneous connected: need n ≥ 2 miners, got %d", n)
 	}
 	nf := float64(n)
-	var t numeric.Point2
 	var sol HomogeneousSolution
-	for k, b := range budgets {
-		if b <= 0 {
-			return numeric.Point2{}, fmt.Errorf("homogeneous connected: budget %g must be positive", b)
+	homogeneousConnected(&p, nf-1, nf*nf, math.Inf(1), &sol)
+	perBudget = numeric.Point2{E: 1 / p.PriceE}
+	if p.PriceE > p.PriceC && MixedStrategyCondition(p) {
+		denom := (1 - p.Beta + p.H*p.Beta) * (p.PriceE - p.PriceC)
+		perBudget = numeric.Point2{
+			E: p.H * p.Beta / denom,
+			C: ((1-p.Beta)*(p.PriceE-p.PriceC) - p.H*p.Beta*p.PriceC) / (p.PriceC * denom),
 		}
-		homogeneousConnected(&p, nf-1, nf*nf, b, &sol)
-		c := float64(counts[k])
-		t.E += c * sol.Request.E
-		t.C += c * sol.Request.C
 	}
-	return t, nil
+	return sol.Request, p.Spend(sol.Request), perBudget, nil
 }
 
 // homogeneousConnected is the body of the closed forms, with the
 // rivalry factor passed as num/den so the fixed-n form keeps its
-// rounding. It takes p and writes sol through pointers: passing them by
-// value made the classed seed, which runs it per class at every price
-// probe, half again slower.
+// rounding.
 func homogeneousConnected(p *Params, num, den, budget float64, sol *HomogeneousSolution) {
 	if p.PriceE > p.PriceC && MixedStrategyCondition(*p) {
 		eInt := p.H * p.Beta * p.Reward * num / (den * (p.PriceE - p.PriceC))

@@ -127,44 +127,6 @@ func TestHomogeneousConnectedErrors(t *testing.T) {
 	}
 }
 
-// TestHomogeneousConnectedTotals pins the classed seed's totals to the
-// per-class closed forms summed in class order, bit for bit, across the
-// interior, budget-bound and pure-edge faces, and its input errors.
-func TestHomogeneousConnectedTotals(t *testing.T) {
-	budgets := []float64{0.5, 5, 50, 500}
-	counts := []int{3, 1, 4, 2}
-	n := 10
-	for _, p := range []Params{testParams(), {Reward: 100, Beta: 0.3, H: 0.8, PriceE: 1, PriceC: 2}} {
-		var want numeric.Point2
-		for k, b := range budgets {
-			sol, err := HomogeneousConnected(p, n, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.E += float64(counts[k]) * sol.Request.E
-			want.C += float64(counts[k]) * sol.Request.C
-		}
-		got, err := HomogeneousConnectedTotals(p, n, budgets, counts)
-		if err != nil || got != want {
-			t.Errorf("params %+v: totals %+v, %v; want %+v", p, got, err, want)
-		}
-	}
-	p := testParams()
-	if _, err := HomogeneousConnectedTotals(p, 1, budgets, counts); err == nil {
-		t.Error("want error for n < 2")
-	}
-	if _, err := HomogeneousConnectedTotals(p, n, []float64{1, 0}, []int{1, 1}); err == nil {
-		t.Error("want error for zero budget")
-	}
-	if _, err := HomogeneousConnectedTotals(p, n, budgets, counts[:2]); err == nil {
-		t.Error("want error for mismatched lengths")
-	}
-	p.Reward = 0
-	if _, err := HomogeneousConnectedTotals(p, n, budgets, counts); err == nil {
-		t.Error("want error for invalid params")
-	}
-}
-
 func TestHomogeneousStandaloneUnconstrained(t *testing.T) {
 	p := testParams()
 	const n = 5

@@ -80,6 +80,46 @@ func Share(p Params, mu, budget, edge, total float64) numeric.Point2 {
 	return numeric.Point2{E: x, C: nonNeg((budget - p.PriceE*x) / pc)}
 }
 
+// ShareLine is Share at fixed (μ, E, S) as a function of the budget
+// alone. A budget of at least FreeSpend plays Free, the budget-relaxed
+// point. A smaller budget B plays its budget face, whose edge request
+// is affine in B up to its clamp,
+//
+//	e(B) = clamp((Num + Slope·B)/Den, 0, B/P_e)  when Den > 0,
+//
+// B/P_e when Den is 0 and μ < 0, and 0 otherwise; the rest of the
+// budget buys cloud, c = (B − P_e·e)/P_c. Summed over budgets sorted in
+// ascending order, Share is therefore piecewise affine with at most
+// three breakpoints. Share evaluates its face in another order, so the
+// two agree to rounding.
+type ShareLine struct {
+	Free            numeric.Point2
+	FreeSpend       float64
+	Num, Slope, Den float64
+}
+
+// ShareLineAt returns Share's ShareLine at (μ, E, S) = (mu, edge,
+// total); total > 0.
+func ShareLineAt(p Params, mu, edge, total float64) ShareLine {
+	free := Share(p, mu, math.Inf(1), edge, total)
+	a, b := (1-p.Beta)*p.Reward, p.H*p.Beta*p.Reward
+	pc := p.PriceC
+	ra := a / total
+	var rb, ge float64
+	if b > 0 && edge > 0 {
+		rb = b / edge
+		ge = rb / edge
+	}
+	k := (p.PriceE - pc) / pc
+	return ShareLine{
+		Free:      free,
+		FreeSpend: p.Spend(free),
+		Num:       rb - mu - k*ra,
+		Slope:     k * ra / (pc * total),
+		Den:       ge + k*k*ra/total,
+	}
+}
+
 // nonNeg clamps x at zero from below; unlike math.Max it costs one
 // comparison on the kernel's path.
 func nonNeg(x float64) float64 {
