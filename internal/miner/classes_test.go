@@ -93,6 +93,32 @@ func TestClassifyQuantileBinning(t *testing.T) {
 	}
 }
 
+// TestClassifyQuantileTiedBinsStaySorted pins the ordering of bins cut
+// through a run of equal budgets: the two all-0.1 bins' means round to
+// 0.1 + 1 ulp (three members) and 0.1 (two), so the second adopts the
+// first's representative and the classes still ascend.
+func TestClassifyQuantileTiedBinsStaySorted(t *testing.T) {
+	budgets := []float64{0.01, 0.02, 0.1, 0.1, 0.1, 0.1, 0.1, 0.5, 0.6, 0.7}
+	cp := ClassifyQuantile(budgets, 4)
+	if err := cp.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	wantCounts := []int{2, 3, 2, 3}
+	for k, c := range cp.Classes {
+		if c.Count != wantCounts[k] {
+			t.Fatalf("class %d count %d, want %d", k, c.Count, wantCounts[k])
+		}
+	}
+	if cp.Classes[1].Budget == 0.1 || cp.Classes[2].Budget != cp.Classes[1].Budget { //lint:allow floateq pins the one-ulp rounding of a bin mean
+		t.Fatalf("tied bins' reps %v, %v: want both the three-member mean", cp.Classes[1].Budget, cp.Classes[2].Budget)
+	}
+	for i, b := range budgets {
+		if rep := cp.Classes[cp.ClassOf(i)].Budget; math.Abs(b-rep) > cp.BudgetSpread() {
+			t.Fatalf("miner %d: |%g - %g| exceeds spread %g", i, b, rep, cp.BudgetSpread())
+		}
+	}
+}
+
 func TestClassifyQuantileFallsBackToExact(t *testing.T) {
 	budgets := []float64{100, 200, 100, 200}
 	cp := ClassifyQuantile(budgets, 10)
