@@ -2,12 +2,13 @@ package core
 
 // Mean-field class compression at the core layer: the miner subgame and
 // the full two-stage Stackelberg solve over a miner.ClassedPopulation.
-// A pass of the share root reads the classes' budget-sorted prefix sums
-// in O(log K), and the final per-class points and an ε-Nash certificate
-// cost O(K) instead of O(N), which is what lets the leader-stage price
-// grids anticipate N = 10⁶ follower markets. See DESIGN.md §12 for the
-// sorted run, the exactness conditions and the quantile-binning
-// approximation bound.
+// The classed market is the follower market of market.go with one type
+// per class: a pass of the share root reads its sorted run's prefix
+// sums in O(log K), as every market's does, and the final per-class
+// points and an ε-Nash certificate cost O(K) instead of O(N), which is
+// what lets the leader-stage price grids anticipate N = 10⁶ follower
+// markets. See DESIGN.md §12 for the sorted run, the exactness
+// conditions and the quantile-binning approximation bound.
 
 import (
 	"errors"
@@ -128,7 +129,7 @@ func SolveMinerEquilibriumClassedFrom(cfg Config, cp miner.ClassedPopulation, p 
 		ob.SetGauge("meanfield.class_count", float64(cp.K()))
 		ob.SetGauge("meanfield.compress_ratio", cp.CompressRatio())
 	}
-	m := classedMarket(cfg, cp).sorted()
+	m := classedMarket(cfg, cp)
 	eq, err := m.solve(p, opts, warmStart{totals: m.totals(start), ok: start != nil}, "classed ")
 	if err != nil {
 		return ClassedEquilibrium{}, err
@@ -200,7 +201,7 @@ type ClassedStackelbergResult struct {
 // simultaneous play via opts.Simultaneous, the Algorithm 2
 // market-clearing bargain in standalone mode); demand probes are
 // memoized per price point with single-flight semantics and seeded from
-// the per-class closed form at their own prices, so results are
+// the run's closed form at their own prices, so results are
 // independent of worker count.
 func SolveStackelbergClassed(cfg Config, cp miner.ClassedPopulation, opts StackelbergOptions) (ClassedStackelbergResult, error) {
 	if err := cfg.validateClassed(cp); err != nil {
@@ -219,9 +220,9 @@ func SolveStackelbergClassed(cfg Config, cp miner.ClassedPopulation, opts Stacke
 	if cp.K() == 1 {
 		uniformBudget = cp.Classes[0].Budget
 	}
-	// Every probe seeds from the per-class closed form at its own
-	// prices rather than from an anchor.
-	m := classedMarket(cfg, cp).sorted()
+	// Every probe seeds from the run's closed form at its own prices
+	// rather than from an anchor.
+	m := classedMarket(cfg, cp)
 	stage := leaderStage{
 		cfg:           cfg,
 		opts:          opts,

@@ -356,7 +356,7 @@ func TestClassedProbeAllocsIndependentOfK(t *testing.T) {
 				Reward: 1000, Beta: 0.2, SatisfyProb: 0.7, EdgeCapacity: 30,
 				CostE: 2, CostC: 1,
 			}
-			m := classedMarket(cfg, cp).sorted()
+			m := classedMarket(cfg, cp)
 			p := Prices{Edge: 8, Cloud: 4}
 			probe := func() {
 				if _, _, err := m.probe(p, game.NEOptions{}, warmStart{}, "classed "); err != nil {

@@ -200,10 +200,17 @@ func envFromOthers(others numeric.Point2) miner.Env {
 	return miner.Env{EdgeOthers: others.E, CloudOthers: others.C}
 }
 
-// startProfile seeds best-response iteration with a modest, feasible
-// spread of requests.
-func (c Config) startProfile(p Prices) []numeric.Point2 {
-	prof := make([]numeric.Point2, c.N)
+// ColdStart returns the heuristic starting profile: a modest feasible
+// spread with no knowledge of the equilibrium. Pass it to
+// SolveMinerEquilibriumFrom when the iteration itself is the object of
+// study (convergence diagnostics) or when a numeric solve must stay
+// independent of the closed forms it is cross-checked against —
+// SolveMinerEquilibrium otherwise seeds every miner from the
+// closed-form homogeneous equilibrium at its own budget and fork rate,
+// which those use cases must not inherit. SolveMinerGNE starts from it
+// too: its equilibrium selection depends on the start.
+func (c Config) ColdStart(p Prices) miner.Profile {
+	prof := make(miner.Profile, c.N)
 	for i := range prof {
 		b := c.Budget(i)
 		prof[i] = numeric.Point2{
@@ -227,50 +234,6 @@ func (c Config) startProfile(p Prices) []numeric.Point2 {
 	return prof
 }
 
-// ColdStart returns the heuristic starting profile: a modest feasible
-// spread with no knowledge of the equilibrium. Pass it to
-// SolveMinerEquilibriumFrom when the iteration itself is the object of
-// study (convergence diagnostics) or when a numeric solve must stay
-// independent of the closed forms it is cross-checked against —
-// SolveMinerEquilibrium otherwise seeds homogeneous configurations from
-// the closed-form equilibrium, which those use cases must not inherit.
-func (c Config) ColdStart(p Prices) miner.Profile {
-	return c.startProfile(p)
-}
-
-// seedProfile returns the default starting profile, whose totals
-// warm-start the share root: the closed-form homogeneous equilibrium
-// when the regime admits one (Theorem 3 / Table II), where the root is
-// then found on the first passes, and the heuristic cold start
-// otherwise. A per-miner-β market seeds from the scalar-β closed form:
-// it is only a warm start, so the solve still reaches the
-// heterogeneous equilibrium.
-func (c Config) seedProfile(p Prices) []numeric.Point2 {
-	if c.Homogeneous() {
-		params := c.Params(p)
-		switch c.Mode {
-		case netmodel.Connected:
-			if sol, err := miner.HomogeneousConnected(params, c.N, c.Budget(0)); err == nil {
-				prof := make([]numeric.Point2, c.N)
-				for i := range prof {
-					prof[i] = sol.Request
-				}
-				return prof
-			}
-		default:
-			sol, err := miner.HomogeneousStandalone(params, c.N, c.EdgeCapacity)
-			if err == nil && params.Spend(sol.Request) <= c.Budget(0) {
-				prof := make([]numeric.Point2, c.N)
-				for i := range prof {
-					prof[i] = sol.Request
-				}
-				return prof
-			}
-		}
-	}
-	return c.startProfile(p)
-}
-
 // SolveMinerEquilibrium computes the miner-subgame equilibrium at the
 // given prices.
 //
@@ -290,8 +253,9 @@ func SolveMinerEquilibrium(cfg Config, p Prices, opts game.NEOptions) (MinerEqui
 
 // SolveMinerEquilibriumFrom is SolveMinerEquilibrium with an explicit
 // starting profile, whose totals warm-start the root. A nil start picks
-// the config's default seed (the closed-form homogeneous equilibrium
-// when the regime admits one, the heuristic spread otherwise); a
+// the market's seed (each miner at the closed-form homogeneous
+// equilibrium at its own budget and fork rate where the regime admits
+// one, the heuristic spread otherwise); a
 // non-nil start — a neighbouring price point's equilibrium during a
 // leader-stage grid sweep, or Config.ColdStart for convergence studies
 // — must have length cfg.N. The returned equilibrium is independent of
@@ -339,7 +303,7 @@ func SolveMinerGNE(cfg Config, p Prices, opts game.NEOptions) (MinerEquilibrium,
 	}
 	// The GNEP's equilibrium selection depends on the starting point, so
 	// keep the historical heuristic start rather than the closed-form seed.
-	res := game.SolveNEAggregate(cfg.startProfile(p), br, opts)
+	res := game.SolveNEAggregate(cfg.ColdStart(p), br, opts)
 	if res.Canceled {
 		return MinerEquilibrium{}, fmt.Errorf("standalone miner GNE: %w", game.ErrCanceled)
 	}

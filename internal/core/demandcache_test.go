@@ -99,8 +99,9 @@ func TestDemandCacheCanceledProbeNotCached(t *testing.T) {
 	}
 }
 
-// TestDemandCacheDefaultCap pins that the zero value of DemandCacheCap
-// resolves to the documented default rather than an unbounded table.
+// TestDemandCacheDefaultCap pins that a zero cap (serve.Config's unset
+// DemandCacheCap) resolves to the documented default rather than an
+// unbounded table.
 func TestDemandCacheDefaultCap(t *testing.T) {
 	m := NewDemandCache(0, nil)
 	if m.cap != DefaultDemandCacheCap {

@@ -4,12 +4,14 @@ package core
 // aggregative — miner i's utility depends only on its own request and
 // the totals (E, S) (Eq. 9, Theorem 1) — so miners that share every
 // best-response input are interchangeable, and one representation
-// serves both follower markets: the exact N-miner market is K = N types
-// with every count 1, and the classed market (miner.ClassedPopulation)
-// is the compressed K. Class counts are weights in the share sums of one
-// follower body; one deviation certificate and one per-type summary run
-// on the same representation; the exact and classed entry points only
-// build the market and pick the seed.
+// serves every follower market: the exact N-miner market is K = N types
+// with every count 1 (each on its own fork rate when Config.Betas is
+// set), the classed market (miner.ClassedPopulation) is the compressed
+// K, and the population stream's churned classes enter through
+// SolveClassShares. Every market sums its share passes, its interior
+// guess and its seed over one sorted run of its types (sortedrun.go);
+// its per-type points, deviation certificate and summary keep the
+// caller's order. The entry points only build the market.
 
 import (
 	"fmt"
@@ -23,9 +25,9 @@ import (
 
 // market is a follower market of K weighted miner types: type k stands
 // for count(k) identical miners with budget budget(k) and fork rate β_k.
-// Its methods take it by pointer: the share sums call them once per
-// type per pass, and a by-value receiver would copy the whole config
-// each time.
+// Its methods take it by pointer: building the run, the points and the
+// certificate call them once per type, and a by-value receiver would
+// copy the whole config each time.
 type market struct {
 	cfg     Config
 	budgets []float64 // one shared entry, or one per type
@@ -33,16 +35,25 @@ type market struct {
 	betas   []float64 // nil: every type uses cfg.Beta
 	k       int       // number of types
 	n       int       // number of miners, Σ counts
-	// run, set on a classed market by sorted, sums its share passes and
-	// seed over its budget-sorted classes instead of type by type.
-	run *sortedRun
+	// run orders the types by (β, budget) for the share passes and the
+	// seed.
+	run sortedRun
+}
+
+// newMarket is the market of k types on cfg's game constants, with its
+// sorted run.
+func newMarket(cfg Config, budgets []float64, counts []int, betas []float64, k, n int) *market {
+	m := &market{cfg: cfg, budgets: budgets, counts: counts, betas: betas, k: k, n: n}
+	m.run = newSortedRun(m)
+	return m
 }
 
 // exactMarket is the configuration's N-miner market: one type per
 // miner, every count 1, the miner's own fork rate when cfg.Betas is set.
-// It borrows the config's slices, so building it costs O(1).
+// It borrows the config's slices; its run costs O(1) on a single-budget
+// scalar-β config and a sort of the N types otherwise.
 func exactMarket(cfg Config) *market {
-	return &market{cfg: cfg, budgets: cfg.Budgets, betas: cfg.Betas, k: cfg.N, n: cfg.N}
+	return newMarket(cfg, cfg.Budgets, nil, cfg.Betas, cfg.N, cfg.N)
 }
 
 // classedMarket is the compressed market of a classed population: one
@@ -52,15 +63,7 @@ func classedMarket(cfg Config, cp miner.ClassedPopulation) *market {
 	for k, cl := range cp.Classes {
 		budgets[k] = cl.Budget
 	}
-	return &market{cfg: cfg, budgets: budgets, counts: cp.Counts(), k: cp.K(), n: cp.N()}
-}
-
-// sorted gives m, a classed market, the sorted run of its classes for
-// its share passes and seed, and returns m. A market that only
-// certifies (deviations) needs no run.
-func (m *market) sorted() *market {
-	m.run = newSortedRun(m.budgets, m.counts)
-	return m
+	return newMarket(cfg, budgets, cp.Counts(), nil, cp.K(), cp.N())
 }
 
 // budget returns type k's budget.
@@ -79,12 +82,18 @@ func (m *market) count(k int) float64 {
 	return float64(m.counts[k])
 }
 
-// params is type k's parameter set: the price-bound params with the
-// type's own fork rate when the market carries one.
-func (m *market) params(params miner.Params, k int) miner.Params {
-	if m.betas != nil {
-		params.Beta = m.betas[k]
+// beta returns type k's fork rate.
+func (m *market) beta(k int) float64 {
+	if m.betas == nil {
+		return m.cfg.Beta
 	}
+	return m.betas[k]
+}
+
+// params is type k's parameter set: the price-bound params at the
+// type's fork rate.
+func (m *market) params(params miner.Params, k int) miner.Params {
+	params.Beta = m.beta(k)
 	return params
 }
 
@@ -110,30 +119,36 @@ type warmStart struct {
 }
 
 // seed returns the totals a solve at p starts from without a warm
-// start. The exact market sums Config.seedProfile. A classed market
-// seeds each class with the closed-form homogeneous equilibrium of the
-// whole market at the class's budget, falling back to a feasible spread
-// B/(4P_e), B/(4P_c), summed over its sorted run. A standalone seed
-// whose edge total exceeds the capacity by more than rounding (the
+// start, group by group over the run, each group at its own fork rate:
+// its types play the closed-form homogeneous equilibrium of the whole
+// market at their own budget (Theorem 3 / Table II), falling back to a
+// feasible spread B/(4P_e), B/(4P_c) where none applies. A standalone
+// seed whose edge total exceeds the capacity by more than rounding (the
 // closed form fills it exactly when it binds) is scaled to 0.9 of it.
 func (m *market) seed(p Prices) numeric.Point2 {
-	if m.run == nil {
-		return m.totals(m.cfg.seedProfile(p))
-	}
-	params := m.cfg.Params(p)
-	var sol miner.HomogeneousSolution
-	j := m.k // classes from j on play sol, the others the spread
-	if m.cfg.Mode == netmodel.Connected {
-		if t, err := m.run.seedConnected(params, m.n); err == nil {
-			return t
+	r, params := &m.run, m.cfg.Params(p)
+	var t numeric.Point2
+	for _, g := range r.groups {
+		params.Beta = g.beta
+		var free numeric.Point2
+		j := g.hi // entries from j on play free, the others the spread
+		if m.cfg.Mode == netmodel.Connected {
+			if f, spend, perBudget, err := miner.HomogeneousConnectedLine(params, m.n); err == nil {
+				j = r.search(g.lo, g.hi, func(b float64) bool { return spend <= b })
+				nf, w := r.count(j, g.hi), r.weight(g.lo, j)
+				t.E += nf*f.E + w*perBudget.E
+				t.C += nf*f.C + w*perBudget.C
+				continue
+			}
+		} else if sol, err := miner.HomogeneousStandalone(params, m.n, m.cfg.EdgeCapacity); err == nil {
+			free = sol.Request
+			spend := params.Spend(free)
+			j = r.search(g.lo, g.hi, func(b float64) bool { return spend <= b })
 		}
-	} else if s, err := miner.HomogeneousStandalone(params, m.n, m.cfg.EdgeCapacity); err == nil {
-		sol = s
-		spend := params.Spend(sol.Request)
-		j = m.run.search(0, m.k, func(b float64) bool { return spend <= b })
+		nf, w := r.count(j, g.hi), r.weight(g.lo, j)
+		t.E += w/(4*p.Edge) + nf*free.E
+		t.C += w/(4*p.Cloud) + nf*free.C
 	}
-	nf, w := m.run.count(j, m.k), m.run.weights[j]
-	t := numeric.Point2{E: w/(4*p.Edge) + nf*sol.Request.E, C: w/(4*p.Cloud) + nf*sol.Request.C}
 	if m.cfg.Mode == netmodel.Standalone && t.E > m.cfg.EdgeCapacity*(1+1e-9) {
 		t.E = 0.9 * m.cfg.EdgeCapacity
 	}
@@ -151,33 +166,24 @@ func (m *market) solve(p Prices, opts game.NEOptions, start warmStart, label str
 }
 
 // probe is the leader stage's demand probe: the totals of the share
-// root, without the per-type summary, as the demand there and as the
-// warm start of a later solve. A market with a sorted run reads them
-// off the root, with no per-type points.
+// root, read off the root with no per-type points, as the demand there
+// and as the warm start of a later solve.
 func (m *market) probe(p Prices, opts game.NEOptions, start warmStart, label string) (demand, warmStart, error) {
 	r, err := m.root(p, opts, start, label)
 	if err != nil {
 		return demand{}, warmStart{}, err
 	}
-	var t numeric.Point2
-	if m.run != nil {
-		t = m.run.totals(r.params, r.res, r.split)
-	} else {
-		t = m.totals(m.points(r))
-	}
+	t := m.run.totals(r.params, r.res, r.split)
 	return demand{edge: t.E, cloud: t.C, ok: true}, warmStart{totals: t, ok: true}, nil
 }
 
 // shareRoot is a solved share system: the root, the params it was
-// solved at (h = 1 in standalone mode), whether splitCapacity cleared
-// its capacity, and, on a market without a sorted run, each type's
-// point of the root's last pass, which game.SolveShares makes at the
-// root.
+// solved at (h = 1 in standalone mode), and whether splitCapacity
+// cleared its capacity.
 type shareRoot struct {
 	res    game.ShareResult
 	params miner.Params
 	split  bool
-	reqs   []numeric.Point2
 }
 
 // root solves the market at p: the share-function root of
@@ -209,71 +215,60 @@ func (m *market) root(p Prices, opts game.NEOptions, start warmStart, label stri
 // SolveClassShares solves the connected-mode miner subgame of K miner
 // classes at params p with the share-function engine: class k has
 // budgets[k] and counts[k] members (a zero count drops the class from
-// the totals), and start (one request per class) warm-starts the root
-// at its totals. It returns one request per class, the root, and the
-// solve's pass count and convergence. The population stream re-solves
-// its churned classes through it. Inputs are not validated.
+// the totals; budgets need not be sorted), and start (one request per
+// class) warm-starts the root at its totals. Its passes run over the
+// sorted run of the classes, as every market's do. It returns one
+// request per class at the root, in the caller's order, and the root
+// with the solve's pass count and convergence; a canceled solve's
+// requests are no equilibrium. The population stream re-solves its
+// churned classes through it. Inputs are not validated.
 func SolveClassShares(p miner.Params, budgets []float64, counts []int, start []numeric.Point2, opts game.NEOptions) ([]numeric.Point2, game.ShareResult) {
 	n := 0
 	for _, c := range counts {
 		n += c
 	}
-	m := &market{
-		cfg:     Config{Reward: p.Reward, Beta: p.Beta, SatisfyProb: p.H, Mode: netmodel.Connected},
-		budgets: budgets, counts: counts, k: len(budgets), n: n,
-	}
+	cfg := Config{Reward: p.Reward, Beta: p.Beta, SatisfyProb: p.H, Mode: netmodel.Connected}
+	m := newMarket(cfg, budgets, counts, nil, len(budgets), n)
 	r := m.shares(p, math.Inf(1), m.totals(start), opts)
 	return m.points(r), r.res
 }
 
 // shares solves the market's share system at params (h = 1 in
-// standalone mode) under the edge capacity. A market with a sorted run
-// passes over its prefix sums; any other market's passes fill one point
-// per type.
+// standalone mode) under the edge capacity.
 func (m *market) shares(params miner.Params, capacity float64, start numeric.Point2, opts game.NEOptions) shareRoot {
+	sys := m.system(params, capacity)
+	res := game.SolveShares(sys, start, opts)
+	d := params.PriceE - params.PriceC
+	split := sys.FlatEdge && d < 0 && res.Mu > 0 && !res.Converged && !res.Canceled
+	if split {
+		res = m.splitCapacity(sys, res, -d, opts)
+	}
+	return shareRoot{res: res, params: params, split: split}
+}
+
+// system is the market's share system at params under the edge
+// capacity: each pass sums over the sorted run, and the interior guess
+// and search bounds take one term per fork-rate group.
+func (m *market) system(params miner.Params, capacity float64) game.ShareSystem {
 	sys := game.ShareSystem{
 		Players:  float64(m.n),
 		Capacity: capacity,
 		FlatEdge: true,
+		Sums:     func(mu, e, s float64) (float64, float64) { return m.run.sums(params, mu, e, s) },
 	}
 	// The interior root: Σ_k n_k(1 − E/σ₁²) = 1 and Σ_k n_k(1 − S/σ₂²)
-	// = 1 with σ₁² = b/(P_e − P_c) and σ₂² = a/P_c (Eqs. 14–15). term
-	// adds n miners on pk's fork rate to it and to the bounds below.
+	// = 1 with σ₁² = b/(P_e − P_c) and σ₂² = a/P_c (Eqs. 14–15).
 	var invE, invS, maxA, maxB float64
 	d := params.PriceE - params.PriceC
-	term := func(pk miner.Params, n float64) {
-		a, b := (1-pk.Beta)*pk.Reward, pk.H*pk.Beta*pk.Reward
+	for _, g := range m.run.groups {
+		n := m.run.count(g.lo, g.hi)
+		a, b := (1-g.beta)*params.Reward, params.H*g.beta*params.Reward
 		if b > 0 {
 			sys.FlatEdge = false
 			invE += n * d / b
 		}
 		invS += n * params.PriceC / a
 		maxA, maxB = math.Max(maxA, a), math.Max(maxB, b)
-	}
-	var reqs []numeric.Point2
-	if m.run != nil {
-		sys.Sums = func(mu, e, s float64) (float64, float64) { return m.run.sums(params, mu, e, s) }
-		// A sorted run's classes share one fork rate.
-		term(params, sys.Players)
-	} else {
-		reqs = make([]numeric.Point2, m.k)
-		sys.Sums = func(mu, e, s float64) (float64, float64) {
-			var sumE, sumS float64
-			for k := range reqs {
-				r := miner.Share(m.params(params, k), mu, m.budget(k), e, s)
-				reqs[k] = r
-				n := m.count(k)
-				sumE += n * r.E
-				sumS += n * (r.E + r.C)
-			}
-			return sumE, sumS
-		}
-		// One term per type serves every such market, so a market with
-		// per-type fork rates all equal to β gets the same guess, bit for
-		// bit, as the market without them.
-		for k := 0; k < m.k; k++ {
-			term(m.params(params, k), m.count(k))
-		}
 	}
 	if d > 0 && !sys.FlatEdge {
 		sys.Guess.E = (sys.Players - 1) / invE
@@ -285,25 +280,17 @@ func (m *market) shares(params miner.Params, capacity float64, start numeric.Poi
 	sys.TotalMax = 2 * (maxA + maxB) / math.Min(params.PriceE, params.PriceC)
 	k := math.Abs(d) / params.PriceC
 	sys.MuMax = 2*(maxA+maxB)*(1+k)/capacity + params.PriceC
-	res := game.SolveShares(sys, start, opts)
-	split := sys.FlatEdge && d < 0 && res.Mu > 0 && !res.Converged && !res.Canceled
-	if split {
-		res = m.splitCapacity(sys, res, -d, opts)
-	}
-	return shareRoot{res: res, params: params, split: split, reqs: reqs}
+	return sys
 }
 
-// points returns one point per type at the root r: its last pass's
-// points, or on a market with a sorted run one miner.Share per type at
-// the root; split out at the root's edge fraction when splitCapacity
-// cleared it, then rescaled.
+// points returns one point per type at the root r, in the caller's
+// order: miner.Share at the type's own fork rate and budget, split out
+// at the root's edge fraction when splitCapacity cleared it, then
+// rescaled.
 func (m *market) points(r shareRoot) []numeric.Point2 {
-	reqs := r.reqs
-	if reqs == nil {
-		reqs = make([]numeric.Point2, m.k)
-		for k := range reqs {
-			reqs[k] = miner.Share(r.params, r.res.Mu, m.budget(k), r.res.Edge, r.res.Total)
-		}
+	reqs := make([]numeric.Point2, m.k)
+	for k := range reqs {
+		reqs[k] = miner.Share(m.params(r.params, k), r.res.Mu, m.budget(k), r.res.Edge, r.res.Total)
 	}
 	if r.split {
 		// Every type buys the same share E_max/S of its request at the edge.

@@ -101,7 +101,7 @@ func BenchmarkClassedProbe(b *testing.B) {
 		}
 		cfg := hotpathConfig(cp.N())
 		cfg.Budgets = []float64{10}
-		m := classedMarket(cfg, cp).sorted()
+		m := classedMarket(cfg, cp)
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -10,12 +10,13 @@ import (
 	"minegame/internal/numeric"
 )
 
-// perTypeSums is the sorted run's oracle: one miner.Share per class,
-// weighted by its count, as a market without a sorted run sums a pass.
+// perTypeSums is the sorted run's oracle: one miner.Share per type in
+// the caller's order, at the type's own fork rate, weighted by its
+// count.
 func perTypeSums(m *market, p miner.Params, mu, e, s float64) (float64, float64) {
 	var sumE, sumS float64
 	for k := 0; k < m.k; k++ {
-		r := miner.Share(p, mu, m.budget(k), e, s)
+		r := miner.Share(m.params(p, k), mu, m.budget(k), e, s)
 		n := m.count(k)
 		sumE += n * r.E
 		sumS += n * (r.E + r.C)
@@ -23,27 +24,25 @@ func perTypeSums(m *market, p miner.Params, mu, e, s float64) (float64, float64)
 	return sumE, sumS
 }
 
-// perClassSeed is the classed seed's oracle, class by class: each class
-// at the closed-form homogeneous equilibrium of all n miners at its
-// budget, falling back to the spread B/(4P_e), B/(4P_c); a standalone
-// seed over the capacity, beyond rounding, scales its edge requests to
-// 0.9 of it.
+// perClassSeed is the seed's oracle, type by type in the caller's
+// order: each type at the closed-form homogeneous equilibrium of all n
+// miners at its own budget and fork rate, falling back to the spread
+// B/(4P_e), B/(4P_c); a standalone seed over the capacity, beyond
+// rounding, scales its edge requests to 0.9 of it.
 func perClassSeed(m *market, p Prices) numeric.Point2 {
-	params := m.cfg.Params(p)
 	connected := m.cfg.Mode == netmodel.Connected
-	standalone, err := miner.HomogeneousStandalone(params, m.n, m.cfg.EdgeCapacity)
-	closed := err == nil
 	sum := func(scale float64) numeric.Point2 {
 		var t numeric.Point2
 		for k := 0; k < m.k; k++ {
+			params := m.params(m.cfg.Params(p), k)
 			b := m.budget(k)
 			r := numeric.Point2{E: b / (4 * p.Edge), C: b / (4 * p.Cloud)}
 			if connected {
 				if sol, err := miner.HomogeneousConnected(params, m.n, b); err == nil {
 					r = sol.Request
 				}
-			} else if closed && params.Spend(standalone.Request) <= b {
-				r = standalone.Request
+			} else if sol, err := miner.HomogeneousStandalone(params, m.n, m.cfg.EdgeCapacity); err == nil && params.Spend(sol.Request) <= b {
+				r = sol.Request
 			}
 			t.E += m.count(k) * r.E * scale
 			t.C += m.count(k) * r.C
@@ -58,7 +57,7 @@ func perClassSeed(m *market, p Prices) numeric.Point2 {
 }
 
 // checkClassedSums compares the market's sorted-run pass at (μ, E, S)
-// and its seed at p with their per-class oracles. Each sum agrees to
+// and its seed at p with their per-type oracles. Each sum agrees to
 // 1e-12 relative to the larger of its size and its budget bound
 // Σ n_k·B_k/P (P_e for the edge sum, the lower price for the total):
 // near a clamp breakpoint both sides round an edge request of nearly
@@ -69,12 +68,12 @@ func checkClassedSums(t *testing.T, m *market, p Prices, mu, e, s float64) {
 	if m.cfg.Mode == netmodel.Standalone {
 		params.H = 1
 	}
-	bound := m.run.weights[m.k]
+	bound := m.run.weight(0, len(m.run.entries)-1)
 	agree := func(what string, got, want, scale float64) {
 		t.Helper()
 		if d := math.Abs(got - want); !(d <= 1e-12*math.Max(math.Abs(want), scale)) {
-			t.Errorf("%s: sorted run %.17g, per class %.17g (scale %g) at μ=%g E=%g S=%g, params %+v, budgets %v, counts %v",
-				what, got, want, scale, mu, e, s, params, m.budgets, m.counts)
+			t.Errorf("%s: sorted run %.17g, per type %.17g (scale %g) at μ=%g E=%g S=%g, params %+v, budgets %v, counts %v, betas %v",
+				what, got, want, scale, mu, e, s, params, m.budgets, m.counts, m.betas)
 		}
 	}
 	gotE, gotS := m.run.sums(params, mu, e, s)
@@ -124,13 +123,30 @@ func sortedMarket(t testing.TB, cfg Config, budgets []float64, counts []int, ext
 		t.Fatal(err)
 	}
 	cfg.N = cp.N()
-	return classedMarket(cfg, cp).sorted()
+	return classedMarket(cfg, cp)
+}
+
+// typedMarket builds the market of the given types in the given order:
+// counts nil gives every type one miner, betas nil puts every type on
+// cfg.Beta.
+func typedMarket(cfg Config, budgets []float64, counts []int, betas []float64) *market {
+	n := len(budgets)
+	if counts != nil {
+		n = 0
+		for _, c := range counts {
+			n += c
+		}
+	}
+	cfg.N = n
+	return newMarket(cfg, budgets, counts, betas, len(budgets), n)
 }
 
 // TestClassedSumsMatchPerType pins the sorted run's share pass and seed
-// to their per-class oracles over both price orders, a flat edge
+// to their per-type oracles over both price orders, a flat edge
 // (β = 0), a capacity price μ > 0, budgets on every breakpoint of
-// miner.Share, a single class and counts in the billions.
+// miner.Share, a single class, counts in the billions, and an
+// unsorted market of single miners on three fork rates with repeated
+// (β, budget) pairs.
 func TestClassedSumsMatchPerType(t *testing.T) {
 	budgets := []float64{2, 5, 9, 10, 14, 30, 80, 200}
 	counts := []int{3, 1, 7, 2, 5, 1, 4, 2}
@@ -149,6 +165,13 @@ func TestClassedSumsMatchPerType(t *testing.T) {
 					for _, b := range append(breaks, budgets[3]) { // K = 1
 						checkClassedSums(t, sortedMarket(t, cfg, []float64{b}, counts[:1], nil), p, pt.mu, pt.e, pt.s)
 					}
+					mixed := append([]float64{30, 2, 200, 9, 2, 14, 80, 5, 10, 9}, breaks...)
+					betas := make([]float64, len(mixed))
+					for k := range betas {
+						betas[k] = []float64{beta, 0.35, 0.05}[k%3]
+					}
+					// Types 1 and 4, and 3 and 9, share (β, budget).
+					checkClassedSums(t, typedMarket(cfg, mixed, nil, betas), p, pt.mu, pt.e, pt.s)
 				}
 			}
 		}
@@ -173,7 +196,7 @@ func TestSortedSeedMatchesPerClass(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := Config{Mode: netmodel.Connected, N: cp.N(), Budgets: []float64{1}, Reward: 100, Beta: 0.3, SatisfyProb: 0.8}
-			m := classedMarket(cfg, cp).sorted()
+			m := classedMarket(cfg, cp)
 			got, want := m.seed(p), perClassSeed(m, p)
 			if d := got.Sub(want).Norm(); !(d <= 1e-12*want.Norm()) {
 				t.Errorf("prices %+v, counts %v: seed %+v, per class %+v", p, cs, got, want)
@@ -185,115 +208,165 @@ func TestSortedSeedMatchesPerClass(t *testing.T) {
 	}
 }
 
-// TestClassedSolveMatchesPerType solves classed markets once over the
-// sorted run and once type by type from the same start, in both modes
-// and with a flat edge whose binding capacity splits at μ = P_c − P_e
-// (budgets large enough that none binds): the roots and points agree
+// perTypeSolve is the reference solve of m at p: m's share system with
+// each pass summing one miner.Share per type (perTypeSums) instead of
+// reading the sorted run, and the types' points at its root.
+func perTypeSolve(m *market, p Prices, start numeric.Point2) (game.ShareResult, []numeric.Point2) {
+	params, capacity := m.cfg.Params(p), math.Inf(1)
+	if m.cfg.Mode == netmodel.Standalone {
+		params.H, capacity = 1, m.cfg.EdgeCapacity
+	}
+	sys := m.system(params, capacity)
+	sys.Sums = func(mu, e, s float64) (float64, float64) { return perTypeSums(m, params, mu, e, s) }
+	res := game.SolveShares(sys, start, game.NEOptions{})
+	d := params.PriceE - params.PriceC
+	split := sys.FlatEdge && d < 0 && res.Mu > 0 && !res.Converged
+	if split {
+		res = m.splitCapacity(sys, res, -d, game.NEOptions{})
+	}
+	return res, m.points(shareRoot{res: res, params: params, split: split})
+}
+
+// TestClassedSolveMatchesPerType solves markets once over the sorted
+// run and once type by type (perTypeSolve) from the same start, in both
+// modes, with a flat edge whose binding capacity splits at
+// μ = P_c − P_e (budgets large enough that none binds), and on an
+// unsorted exact market on two fork rates: the roots and points agree
 // to the share solver's tolerance.
 func TestClassedSolveMatchesPerType(t *testing.T) {
+	classes := []miner.Class{{Budget: 40, Count: 5}, {Budget: 90, Count: 2}, {Budget: 150, Count: 9}, {Budget: 400, Count: 1}}
 	for _, tc := range []struct {
 		name  string
 		cfg   Config
 		p     Prices
 		scale float64 // of the budgets
+		betas []float64
 	}{
-		{"connected", Config{Mode: netmodel.Connected, Beta: 0.2}, Prices{Edge: 8, Cloud: 4}, 1},
-		{"standalone binding", Config{Mode: netmodel.Standalone, Beta: 0.2, EdgeCapacity: 10}, Prices{Edge: 8, Cloud: 4}, 1},
-		{"standalone flat split", Config{Mode: netmodel.Standalone, EdgeCapacity: 10}, Prices{Edge: 3, Cloud: 4}, 10},
+		{"connected", Config{Mode: netmodel.Connected, Beta: 0.2}, Prices{Edge: 8, Cloud: 4}, 1, nil},
+		{"standalone binding", Config{Mode: netmodel.Standalone, Beta: 0.2, EdgeCapacity: 10}, Prices{Edge: 8, Cloud: 4}, 1, nil},
+		{"standalone flat split", Config{Mode: netmodel.Standalone, EdgeCapacity: 10}, Prices{Edge: 3, Cloud: 4}, 10, nil},
+		{"connected betas", Config{Mode: netmodel.Connected, Beta: 0.2}, Prices{Edge: 8, Cloud: 4}, 1, []float64{0.3, 0.1, 0.3, 0.1, 0.3, 0.1}},
 	} {
-		classes := []miner.Class{{Budget: 40, Count: 5}, {Budget: 90, Count: 2}, {Budget: 150, Count: 9}, {Budget: 400, Count: 1}}
-		for k := range classes {
-			classes[k].Budget *= tc.scale
-		}
-		cp, err := miner.FromClasses(classes)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := tc.cfg
-		cfg.N, cfg.Budgets, cfg.Reward, cfg.SatisfyProb = cp.N(), []float64{100}, 1000, 0.7
-		sorted, perType := classedMarket(cfg, cp).sorted(), classedMarket(cfg, cp)
-		start := warmStart{totals: sorted.seed(tc.p), ok: true}
-		got, err := sorted.solve(tc.p, game.NEOptions{}, start, "classed ")
+		cfg.Reward, cfg.SatisfyProb = 1000, 0.7
+		var m *market
+		if tc.betas != nil {
+			m = typedMarket(cfg, []float64{150, 40, 90, 400, 40, 150}, nil, tc.betas)
+		} else {
+			scaled := make([]miner.Class, len(classes))
+			for k, cl := range classes {
+				scaled[k] = miner.Class{Budget: cl.Budget * tc.scale, Count: cl.Count}
+			}
+			cp, err := miner.FromClasses(scaled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.N, cfg.Budgets = cp.N(), []float64{100}
+			m = classedMarket(cfg, cp)
+		}
+		start := warmStart{totals: m.seed(tc.p), ok: true}
+		got, err := m.solve(tc.p, game.NEOptions{}, start, "classed ")
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want, err := perType.solve(tc.p, game.NEOptions{}, start, "classed ")
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		res, want := perTypeSolve(m, tc.p, start.totals)
+		if !got.Converged || !res.Converged {
+			t.Fatalf("%s: converged %v sorted, %v per type", tc.name, got.Converged, res.Converged)
 		}
-		if !got.Converged || !want.Converged {
-			t.Fatalf("%s: converged %v sorted, %v per type", tc.name, got.Converged, want.Converged)
+		if split := tc.p.Cloud - tc.p.Edge; tc.scale > 1 && (got.Multiplier != split || res.Mu != split) {
+			t.Errorf("%s: μ = %g sorted, %g per type; the split clears at %g", tc.name, got.Multiplier, res.Mu, split)
 		}
-		if split := tc.p.Cloud - tc.p.Edge; tc.scale > 1 && (got.Multiplier != split || want.Multiplier != split) {
-			t.Errorf("%s: μ = %g sorted, %g per type; the split clears at %g", tc.name, got.Multiplier, want.Multiplier, split)
-		}
-		for k, r := range want.Requests {
+		for k, r := range want {
 			if d := r.Sub(got.Requests[k]).Norm(); d > 1e-9*r.Norm() {
-				t.Errorf("%s: class %d plays %v over the sorted run, %v per type", tc.name, k, got.Requests[k], r)
+				t.Errorf("%s: type %d plays %v over the sorted run, %v per type", tc.name, k, got.Requests[k], r)
 			}
 		}
-		d, ws, err := sorted.probe(tc.p, game.NEOptions{}, start, "classed ")
+		wantT := m.totals(want)
+		d, ws, err := m.probe(tc.p, game.NEOptions{}, start, "classed ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(d.edge-want.EdgeDemand) > 1e-9*want.EdgeDemand || math.Abs(d.cloud-want.CloudDemand) > 1e-9*want.CloudDemand {
-			t.Errorf("%s: probe demand (%g, %g), solve (%g, %g)", tc.name, d.edge, d.cloud, want.EdgeDemand, want.CloudDemand)
+		if math.Abs(d.edge-wantT.E) > 1e-9*wantT.E || math.Abs(d.cloud-wantT.C) > 1e-9*wantT.C {
+			t.Errorf("%s: probe demand (%g, %g), per type (%g, %g)", tc.name, d.edge, d.cloud, wantT.E, wantT.C)
 		}
 		if ws.totals != (numeric.Point2{E: d.edge, C: d.cloud}) {
 			t.Errorf("%s: probe warm start %+v, demand %+v", tc.name, ws.totals, d)
 		}
 		// Short of convergence a probe reports its points' own sums, split
 		// at the root's edge fraction when the capacity split.
-		params, capacity, split := cfg.Params(tc.p), math.Inf(1), tc.scale > 1
-		if cfg.Mode == netmodel.Standalone {
-			params.H, capacity = 1, cfg.EdgeCapacity
+		params, capacity, split := m.cfg.Params(tc.p), math.Inf(1), tc.scale > 1
+		if m.cfg.Mode == netmodel.Standalone {
+			params.H, capacity = 1, m.cfg.EdgeCapacity
 		}
-		res := sorted.shares(params, capacity, start.totals, game.NEOptions{}).res
+		res = m.shares(params, capacity, start.totals, game.NEOptions{}).res
 		res.Converged = false
-		sumE, sumS := perTypeSums(sorted, params, res.Mu, res.Edge, res.Total)
+		sumE, sumS := perTypeSums(m, params, res.Mu, res.Edge, res.Total)
 		if split {
 			sumE = sumS * res.Edge / res.Total
 		}
-		if got := sorted.run.totals(params, res, split); got.Sub(numeric.Point2{E: sumE, C: sumS - sumE}).Norm() > 1e-12*sumS {
+		if got := m.run.totals(params, res, split); got.Sub(numeric.Point2{E: sumE, C: sumS - sumE}).Norm() > 1e-12*sumS {
 			t.Errorf("%s: unconverged totals %+v, per type (%g, %g)", tc.name, got, sumE, sumS-sumE)
 		}
 	}
 }
 
 // FuzzClassedSums checks the sorted run's share pass and seed against
-// their per-class oracles (checkClassedSums) over fuzzed prices, fork
+// their per-type oracles (checkClassedSums) over fuzzed prices, fork
 // rate, reward, capacity price and trial totals. Each byte pair of
-// classes is one class: a budget over six decades and a count, scaled
-// by a billion when big is set; the three breakpoint budgets of
-// miner.Share join them. Inputs outside [1e-6, 1e6] are skipped.
+// classes is one type, in the given order: a budget over six decades
+// and a count (zero drops the type from the totals), scaled by a
+// billion when big is set; unit gives every type one miner, as the
+// exact market does. A non-empty forks puts type k on fork rate
+// forks[k mod len]/256, splitting the run into groups. The three
+// breakpoint budgets of miner.Share join them on cfg.Beta. Inputs
+// outside [1e-6, 1e6] are skipped.
 func FuzzClassedSums(f *testing.F) {
-	// standalone, R, β, P_e, P_c, μ, E, S, big, classes
-	f.Add(false, 1000.0, 0.2, 8.0, 4.0, 0.0, 10.0, 60.0, false, []byte{10, 3, 90, 1, 140, 7, 200, 2})
-	f.Add(false, 1000.0, 0.2, 3.0, 4.0, 0.0, 10.0, 60.0, false, []byte{10, 3, 90, 1, 140, 7, 200, 2})
-	f.Add(true, 1000.0, 0.2, 8.0, 4.0, 1.5, 10.0, 60.0, true, []byte{10, 3, 90, 1, 140, 7, 200, 2})
-	f.Add(true, 1000.0, 0.0, 3.0, 4.0, 1.0, 30.0, 40.0, false, []byte{120, 5})
-	f.Add(false, 1000.0, 0.0, 8.0, 4.0, 0.0, 60.0, 60.0, true, []byte{0, 255, 255, 0})
-	f.Fuzz(func(t *testing.T, standalone bool, reward, beta, pe, pc, mu, e, s float64, big bool, raw []byte) {
+	sorted := []byte{10, 3, 90, 1, 140, 7, 200, 2}
+	unsorted := []byte{200, 2, 10, 3, 140, 0, 90, 1, 10, 4}
+	// standalone, R, β, P_e, P_c, μ, E, S, big, classes, unit, forks
+	f.Add(false, 1000.0, 0.2, 8.0, 4.0, 0.0, 10.0, 60.0, false, sorted, false, []byte(nil))
+	f.Add(false, 1000.0, 0.2, 3.0, 4.0, 0.0, 10.0, 60.0, false, sorted, false, []byte(nil))
+	f.Add(true, 1000.0, 0.2, 8.0, 4.0, 1.5, 10.0, 60.0, true, sorted, false, []byte(nil))
+	f.Add(true, 1000.0, 0.0, 3.0, 4.0, 1.0, 30.0, 40.0, false, []byte{120, 5}, false, []byte(nil))
+	f.Add(false, 1000.0, 0.0, 8.0, 4.0, 0.0, 60.0, 60.0, true, []byte{0, 255, 255, 0}, false, []byte(nil))
+	f.Add(false, 1000.0, 0.2, 8.0, 4.0, 0.0, 10.0, 60.0, false, unsorted, false, []byte(nil))
+	f.Add(false, 1000.0, 0.2, 8.0, 4.0, 0.0, 10.0, 60.0, false, unsorted, true, []byte(nil))
+	f.Add(false, 1000.0, 0.2, 8.0, 4.0, 0.0, 10.0, 60.0, false, unsorted, false, []byte{51, 102})
+	f.Add(true, 1000.0, 0.2, 8.0, 4.0, 1.5, 10.0, 60.0, false, unsorted, true, []byte{0, 90, 51})
+	f.Add(true, 1000.0, 0.0, 3.0, 4.0, 1.0, 30.0, 40.0, true, unsorted, false, []byte{0, 0, 64})
+	f.Fuzz(func(t *testing.T, standalone bool, reward, beta, pe, pc, mu, e, s float64, big bool, raw []byte, unit bool, forks []byte) {
 		sane := func(x float64) bool { return x >= 1e-6 && x <= 1e6 }
 		if !sane(reward) || !sane(pe) || !sane(pc) || !sane(s) || !(beta >= 0 && beta < 1) ||
-			!(mu == 0 || sane(mu)) || !(e == 0 || sane(e)) || len(raw) < 2 || len(raw) > 64 {
+			!(mu == 0 || sane(mu)) || !(e == 0 || sane(e)) || len(raw) < 2 || len(raw) > 64 || len(forks) > 8 {
 			return
-		}
-		budgets := make([]float64, 0, len(raw)/2)
-		counts := make([]int, 0, len(raw)/2)
-		for i := 0; i+1 < len(raw); i += 2 {
-			budgets = append(budgets, math.Pow(10, float64(raw[i])/255*6-3))
-			n := 1 + int(raw[i+1])
-			if big {
-				n *= 1e9
-			}
-			counts = append(counts, n)
 		}
 		cfg := Config{Mode: netmodel.Connected, Budgets: []float64{1}, Reward: reward, Beta: beta, SatisfyProb: 0.7, EdgeCapacity: e + 1}
 		if standalone {
 			cfg.Mode = netmodel.Standalone
 		}
 		p := Prices{Edge: pe, Cloud: pc}
-		checkClassedSums(t, sortedMarket(t, cfg, budgets, counts, shareBreakpoints(cfg, p, mu, e, s)), p, mu, e, s)
+		var budgets, betas []float64
+		var counts []int
+		for i := 0; i+1 < len(raw); i += 2 {
+			budgets = append(budgets, math.Pow(10, float64(raw[i])/255*6-3))
+			n := int(raw[i+1])
+			if big {
+				n *= 1e9
+			}
+			counts = append(counts, n)
+			if len(forks) > 0 {
+				betas = append(betas, float64(forks[len(betas)%len(forks)])/256)
+			}
+		}
+		for _, b := range shareBreakpoints(cfg, p, mu, e, s) {
+			budgets, counts = append(budgets, b), append(counts, 3)
+			if betas != nil {
+				betas = append(betas, beta)
+			}
+		}
+		if unit {
+			counts = nil
+		}
+		checkClassedSums(t, typedMarket(cfg, budgets, counts, betas), p, mu, e, s)
 	})
 }

@@ -63,12 +63,8 @@ type StackelbergOptions struct {
 	// The cache must only ever be reused for the IDENTICAL market —
 	// same Config, same follower options, same exact/classed family
 	// (see DemandCache). Nil gets a fresh per-solve cache bounded by
-	// DemandCacheCap.
+	// DefaultDemandCacheCap.
 	DemandCache *DemandCache
-	// DemandCacheCap bounds the per-solve cache created when
-	// DemandCache is nil; 0 picks DefaultDemandCacheCap. Ignored when
-	// an external DemandCache is supplied (it carries its own cap).
-	DemandCacheCap int
 	// Ctx, when non-nil, cancels the whole two-stage solve
 	// cooperatively: it is threaded into the follower options (making
 	// every demand probe abandon before its next pass) and
@@ -146,16 +142,6 @@ type StackelbergResult struct {
 type demand struct {
 	edge, cloud float64
 	ok          bool
-}
-
-// demandCacheOrNew resolves the warm-start cache for one solve: the
-// caller-supplied resident cache, or a fresh per-solve one bounded by
-// DemandCacheCap.
-func (o StackelbergOptions) demandCacheOrNew() *DemandCache {
-	if o.DemandCache != nil {
-		return o.DemandCache
-	}
-	return NewDemandCache(o.DemandCacheCap, o.Observer)
 }
 
 // canceled reports whether the solve's context (if any) is done.
@@ -286,7 +272,10 @@ func (s leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error) 
 	//
 	// The classed solver runs without warm starts: its seed is the
 	// per-class closed form AT THE PROBE'S OWN PRICES.
-	memo := opts.demandCacheOrNew()
+	memo := opts.DemandCache
+	if memo == nil {
+		memo = NewDemandCache(DefaultDemandCacheCap, opts.Observer)
+	}
 	var anchor warmStart
 	if s.warm && !s.closedForm {
 		startPrices := Prices{Edge: opts.StartE, Cloud: opts.StartC}

@@ -27,9 +27,10 @@ func withBetas(cfg Config, betas []float64) Config {
 // TestTopoDegenerateBitIdentical pins the degenerate case: a uniform
 // Betas vector must make the solvers reproduce the nil-Betas numeric
 // solve bit for bit. A market type with β_k == cfg.Beta gets the
-// identical Params struct, and both markets share seedProfile, the
-// anchor warm start, and the leader stage, so any drift here means the
-// per-miner-β path forked the arithmetic.
+// identical Params struct, and both markets' sorted runs hold one group
+// on that β, so they share the share passes, the seed, the anchor warm
+// start, and the leader stage; any drift here means the per-miner-β
+// path forked the arithmetic.
 func TestTopoDegenerateBitIdentical(t *testing.T) {
 	cfg := testConfig()
 	uniform := withBetas(cfg, uniformBetas(cfg.N, cfg.Beta))

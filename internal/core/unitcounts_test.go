@@ -16,9 +16,8 @@ import (
 // classed market with every count 1: with distinct ascending budgets,
 // ClassifyExact keeps miner order, so from the same start the classed
 // and exact solvers, deviation certificates and equilibrium
-// certificates must agree to rounding (1e-12 relative). They are not
-// bit for bit: the classed market sums its share passes over its sorted
-// run, the exact one type by type. Jacobi updates no longer reach
+// certificates must agree to rounding (1e-12 relative); both markets
+// sum their share passes over the same sorted run. Jacobi updates no longer reach
 // the share-function solvers; the Jacobi row checks that best-response
 // iteration under that schedule (game.SolveNEAggregate, the paper's
 // Algorithm 1 with simultaneous updates) reaches the same equilibrium.

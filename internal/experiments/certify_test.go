@@ -22,7 +22,7 @@ func TestRunnersPassCertification(t *testing.T) {
 		Seed: 1, Quick: true, Parallel: 1,
 		CertifyAfterSolve: verify.NECertifier(verify.Options{}),
 	}
-	for _, id := range []string{"fig4", "fig5", "fig6", "fig7", "tab2", "headline"} {
+	for _, id := range []string{"fig4", "fig5", "fig6", "fig7", "tab2", "headline", "hetero", "topo"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
@@ -59,15 +59,17 @@ func TestCertificationFailureFailsRunner(t *testing.T) {
 			return boom
 		},
 	}
-	r, err := ByID("fig4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = r.Run(cfg)
-	if !errors.Is(err, boom) {
-		t.Fatalf("certifier rejection must fail the runner, got %v", err)
-	}
-	if err != nil && !strings.Contains(err.Error(), "fig4") {
-		t.Errorf("error %q should name the failing sweep point", err)
+	for _, id := range []string{"fig4", "hetero", "topo"} {
+		r, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.Run(cfg)
+		if !errors.Is(err, boom) {
+			t.Fatalf("%s: certifier rejection must fail the runner, got %v", id, err)
+		}
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error %q should name the failing sweep point", err)
+		}
 	}
 }

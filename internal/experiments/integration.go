@@ -280,14 +280,14 @@ func runAdaptivePricing(cfg Config) (Result, error) {
 
 // runHeterogeneous solves the full two-stage game for a heterogeneous
 // population with the purely numeric follower oracle — the paper's
-// general case (Theorem 2 + Algorithm 1) with no closed-form shortcut.
-func runHeterogeneous(Config) (Result, error) {
+// general case (Theorem 2 + Algorithm 1); distinct budgets admit no
+// closed-form shortcut.
+func runHeterogeneous(cfg Config) (Result, error) {
 	gameCfg := baseConfig()
 	gameCfg.Budgets = []float64{80, 120, 160, 200, 240}
-	res, err := core.SolveStackelberg(gameCfg, core.StackelbergOptions{
-		ForceNumericFollower: true,
-		Leader:               game.LeaderOptions{GridN: 24},
-	})
+	res, err := core.SolveStackelberg(gameCfg, cfg.stackOpts(core.StackelbergOptions{
+		Leader: game.LeaderOptions{GridN: 24},
+	}))
 	if err != nil {
 		return Result{}, fmt.Errorf("hetero stackelberg: %w", err)
 	}

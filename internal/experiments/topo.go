@@ -101,7 +101,7 @@ func runTopo(cfg Config) (Result, error) {
 
 		game := baseConfig()
 		game.Betas = betas
-		opts := core.StackelbergOptions{}
+		opts := cfg.stackOpts(core.StackelbergOptions{})
 		res, err := core.SolveStackelberg(game, opts)
 		if err != nil {
 			return Result{}, fmt.Errorf("topo %s stackelberg: %w", sc.name, err)

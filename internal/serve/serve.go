@@ -134,6 +134,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Ready reports whether the server would answer /readyz with 200.
 func (s *Server) Ready() bool { return s.ready.Load() }
 
+// maxBodyBytes caps a /v1/* request body. A 1000-miner item is about
+// 20 kB, so the cap leaves room for hundreds of them while a client
+// cannot make the server buffer an unbounded body.
+const maxBodyBytes = 8 << 20
+
 // outcome is one batch item's terminal state.
 type outcome struct {
 	raw []byte
@@ -151,8 +156,13 @@ func (s *Server) batchHandler(endpoint string) http.HandlerFunc {
 			return
 		}
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 			s.reqErrC.Inc()
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 			return
 		}

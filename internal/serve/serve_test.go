@@ -419,6 +419,36 @@ func TestBatchCap(t *testing.T) {
 	}
 }
 
+// TestBodyCap pins the request-body guard: a body over maxBodyBytes
+// gets 413, and the valid item at its head is never solved into the
+// result cache.
+func TestBodyCap(t *testing.T) {
+	s, ts := newTestServer(t)
+	item, err := json.Marshal(Item{Market: testMarket(), PriceE: 8, PriceC: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"items":[%s],"pad":"%s"}`, item, strings.Repeat("x", maxBodyBytes))
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body status = %d, want 413", resp.StatusCode)
+	}
+	if _, _, _, entries := s.results.stats(); entries != 0 {
+		t.Errorf("result cache holds %d entries after a rejected body, want 0", entries)
+	}
+	// The same item in a body under the cap is solved and cached.
+	if status, _ := post(t, ts.URL, "/v1/solve", Request{Items: []Item{{Market: testMarket(), PriceE: 8, PriceC: 4}}}); status != http.StatusOK {
+		t.Fatalf("small body status = %d, want 200", status)
+	}
+	if _, _, _, entries := s.results.stats(); entries != 1 {
+		t.Errorf("result cache holds %d entries after one solve, want 1", entries)
+	}
+}
+
 // TestDrainFlipsReadiness runs the full lifecycle: Run serves, the
 // context cancels, readiness flips to 503 during the drain grace while
 // the telemetry surface still answers, and Run returns cleanly.
