@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -24,20 +25,36 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
+// gatedWriter holds every Write until open is closed, then appends to
+// buf. Handed to run as its output, it keeps the run in flight — solved,
+// its metrics registered, its listener up — until the test has scraped,
+// however fast the solve itself is.
+type gatedWriter struct {
+	open <-chan struct{}
+	buf  bytes.Buffer
+}
+
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	<-w.open
+	return w.buf.Write(p)
+}
+
 // TestServeMetricsScrapableDuringSolve runs a real solve with
 // -serve-metrics and scrapes /metrics and /healthz while it is in
 // flight, pinning the end-to-end serving path: flag → obscli session →
 // expo mux → OpenMetrics text.
 func TestServeMetricsScrapableDuringSolve(t *testing.T) {
 	addr := freePort(t)
-	var out bytes.Buffer
+	scraped := make(chan struct{})
+	out := &gatedWriter{open: scraped}
+	closeGate := sync.OnceFunc(func() { close(scraped) })
+	defer closeGate()
 	done := make(chan error, 1)
-	// -stage compare over 5000 miners solves both ESP modes over the full
-	// price grid: hundreds of milliseconds, against the first sweep's
-	// metrics registering within a few, so the endpoint stays up long
-	// after it has something to expose.
+	// -stage compare writes its report only after both mode solves, and
+	// the report's first Write waits for the scrape: the run cannot end,
+	// nor its listener close, before the test has scraped.
 	go func() {
-		done <- run([]string{"-stage", "compare", "-n", "5000", "-parallel", "1", "-serve-metrics", addr}, &out)
+		done <- run([]string{"-stage", "compare", "-n", "5000", "-parallel", "1", "-serve-metrics", addr}, out)
 	}()
 
 	var metricsBody, healthBody string
@@ -80,6 +97,7 @@ scrape:
 		healthBody = string(hb)
 		break scrape
 	}
+	closeGate()
 	if metricsBody == "" {
 		t.Fatal("never scraped /metrics within the deadline")
 	}
@@ -107,7 +125,7 @@ scrape:
 		t.Error("metrics endpoint still serving after run returned")
 	}
 
-	if !strings.Contains(out.String(), "--- connected mode ---") {
-		t.Errorf("solve output missing the compare report:\n%s", out.String())
+	if !strings.Contains(out.buf.String(), "--- connected mode ---") {
+		t.Errorf("solve output missing the compare report:\n%s", out.buf.String())
 	}
 }

@@ -82,7 +82,8 @@ func (e ClassedEquilibrium) Expand() miner.Profile {
 // with per-miner utilities and winning probabilities — an O(N) summary
 // intended for cross-checks at feasible N, not the million-miner path.
 func (e ClassedEquilibrium) Full(cfg Config, p Prices) MinerEquilibrium {
-	return exactMarket(cfg).summarize(p, e.Expand(), e.Iterations, e.Converged, e.Multiplier)
+	t := exactTypes(cfg)
+	return t.summarize(p, e.Expand(), e.Iterations, e.Converged, e.Multiplier)
 }
 
 // classedEquilibrium attaches a population to a solved per-class
@@ -176,7 +177,8 @@ func classedObserver(opts game.NEOptions) *obs.Observer {
 // each of the class's count_k members, so max_k gains[k] ≤ ε certifies
 // all N expanded miners at once.
 func DeviationsClassed(cfg Config, p Prices, cp miner.ClassedPopulation, reps []numeric.Point2) []float64 {
-	return classedMarket(cfg, cp).deviations(p, reps)
+	t := classedTypes(cfg, cp)
+	return t.deviations(p, reps)
 }
 
 // ClassedStackelbergResult is a solved two-stage game over a classed
@@ -220,8 +222,6 @@ func SolveStackelbergClassed(cfg Config, cp miner.ClassedPopulation, opts Stacke
 	if cp.K() == 1 {
 		uniformBudget = cp.Classes[0].Budget
 	}
-	// Every probe seeds from the run's closed form at its own prices
-	// rather than from an anchor.
 	m := classedMarket(cfg, cp)
 	stage := leaderStage{
 		cfg:           cfg,

@@ -359,7 +359,7 @@ func TestClassedProbeAllocsIndependentOfK(t *testing.T) {
 			m := classedMarket(cfg, cp)
 			p := Prices{Edge: 8, Cloud: 4}
 			probe := func() {
-				if _, _, err := m.probe(p, game.NEOptions{}, warmStart{}, "classed "); err != nil {
+				if _, err := m.probe(p, game.NEOptions{}, warmStart{}, "classed "); err != nil {
 					t.Fatalf("%v K=%d: %v", mode, k, err)
 				}
 			}

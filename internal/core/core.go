@@ -307,7 +307,8 @@ func SolveMinerGNE(cfg Config, p Prices, opts game.NEOptions) (MinerEquilibrium,
 	if res.Canceled {
 		return MinerEquilibrium{}, fmt.Errorf("standalone miner GNE: %w", game.ErrCanceled)
 	}
-	return exactMarket(cfg).summarize(p, res.Profile, res.Iterations, res.Converged, 0), nil
+	t := exactTypes(cfg)
+	return t.summarize(p, res.Profile, res.Iterations, res.Converged, 0), nil
 }
 
 // Deviation returns the largest utility gain any miner can realize by a
@@ -340,7 +341,8 @@ func Deviation(cfg Config, p Prices, prof miner.Profile) float64 {
 // utility charge its own fork rate. A profile whose length is not cfg.N
 // gives nil.
 func Deviations(cfg Config, p Prices, prof miner.Profile) []float64 {
-	return exactMarket(cfg).deviations(p, prof)
+	t := exactTypes(cfg)
+	return t.deviations(p, prof)
 }
 
 // ValidateWinProbs checks Theorem 1 at a profile: in standalone (full

@@ -17,26 +17,26 @@ import (
 const DefaultDemandCacheCap = 4096
 
 // DemandCache is a bounded, concurrency-safe warm-start cache for the
-// Stackelberg demand oracle: per-price follower demand (the totals (E, C)
-// of the solved equilibrium) and per-start-price anchor totals, with
-// single-flight semantics — when several grid workers (or several
-// server requests) probe the same price point at once, exactly one runs
-// the follower solve and the rest block on its entry, so no solve is
-// ever duplicated.
+// Stackelberg demand oracle: per-price follower demand (the totals
+// (E, C) of the solved equilibrium), with single-flight semantics —
+// when several grid workers (or several server requests) probe the
+// same price point at once, exactly one runs the follower solve and the
+// rest block on its entry, so no solve is ever duplicated.
 //
-// Every entry is a pure function of its price point: anchors are fixed
-// before the price grids fan out, and numeric probes warm-start from the
-// anchor only — never from another probe's result — so the cache's
-// contents, and therefore every result read from it, are independent of
-// the arrival order of concurrent probes AND of which earlier solves
-// populated them. That purity is what makes it safe to keep a
-// DemandCache resident across requests: reuse changes only how many
-// passes a solve takes, never what it returns.
+// Every entry is a pure function of its price point: each numeric probe
+// seeds from the market's closed form at its own prices — never from
+// another probe's result — so the cache's contents, and therefore every
+// result read from it, are independent of the arrival order of
+// concurrent probes AND of which earlier solves populated them. That
+// purity is what makes it safe to keep a DemandCache resident across
+// requests: reuse changes only how many passes a solve takes, never
+// what it returns.
 //
 // A cache must only ever be shared across solves of the identical
 // market: same Config (including mode and budgets), same follower
-// options, and the same solver family (exact vs classed: the two seed
-// their probes differently, so their totals differ in rounding). Every
+// options, and the same solver family (exact vs classed: the exact
+// stage answers single-budget markets in closed form, the classed one
+// solves them, so their demands differ in rounding). Every
 // entry holds two numbers and a flag whatever the market's size, so a
 // resident cache's footprint is O(probes), independent of N and K. The
 // serve layer enforces the one-market rule by keying caches on the full
@@ -54,7 +54,6 @@ type DemandCache struct {
 	cap     int
 	entries map[Prices]*demandEntry
 	lru     *list.List // front = most recent; values are Prices keys
-	anchors map[Prices]*anchorEntry
 
 	hits, misses, evictions int64
 
@@ -79,15 +78,6 @@ type demandEntry struct {
 	elem *list.Element
 }
 
-// anchorEntry is the single-flight slot for one anchor equilibrium's
-// totals (keyed by its start prices). Anchors sit outside the LRU ring:
-// there is one per start-price, they are tiny relative to the probe set,
-// and evicting one would silently cold-start every later probe.
-type anchorEntry struct {
-	done  chan struct{} // closed once start is populated
-	start warmStart     // not ok when the anchor solve failed
-}
-
 // NewDemandCache returns a demand cache holding at most capEntries
 // completed probes (capEntries <= 0 picks DefaultDemandCacheCap).
 // Metrics (serve.cache_hits_total, serve.cache_misses_total,
@@ -104,7 +94,6 @@ func NewDemandCache(capEntries int, ob *obs.Observer) *DemandCache {
 		cap:     capEntries,
 		entries: make(map[Prices]*demandEntry),
 		lru:     list.New(),
-		anchors: make(map[Prices]*anchorEntry),
 		hitsC:   ob.Counter("serve.cache_hits_total"),
 		missesC: ob.Counter("serve.cache_misses_total"),
 		evictsC: ob.Counter("serve.cache_evictions_total"),
@@ -221,37 +210,4 @@ func (m *DemandCache) startAt(p Prices) warmStart {
 		return warmStart{}
 	}
 	return e.start
-}
-
-// anchorAt returns the anchor equilibrium's totals memoized at the
-// start prices p, computing them via compute on first use
-// (single-flight: concurrent requests for the same anchor run one
-// solve). A failed compute — a canceled request, an infeasible start —
-// is not cached, so a later request recomputes; since the anchor is a
-// pure function of the market and its start prices, every successful
-// compute yields identical bits.
-func (m *DemandCache) anchorAt(p Prices, compute func() (warmStart, error)) warmStart {
-	m.mu.Lock()
-	if a, ok := m.anchors[p]; ok {
-		m.mu.Unlock()
-		// A failed anchor solve is not retried within a join: the joined
-		// request proceeds anchorless exactly like the request it joined.
-		<-a.done
-		return a.start
-	}
-	a := &anchorEntry{done: make(chan struct{})} //lint:allow concurrency single-flight completion signal for the anchor slot; closed exactly once, never used for fan-out
-	m.anchors[p] = a
-	m.mu.Unlock()
-	start, err := compute()
-	if err == nil {
-		a.start = start
-	} else {
-		// Withdraw so the next request recomputes (the failure may have
-		// been a cancellation rather than an infeasible market).
-		m.mu.Lock()
-		delete(m.anchors, p)
-		m.mu.Unlock()
-	}
-	close(a.done)
-	return a.start
 }

@@ -215,8 +215,8 @@ func TestMinerEquilibriumCanceled(t *testing.T) {
 }
 
 // TestDemandCacheEntriesHoldNoPerTypeSlice pins the resident footprint
-// of a demand cache at O(probes): a probe entry and an anchor carry
-// demand and warm-start totals, and no field, however nested by value,
+// of a demand cache at O(probes): a probe entry carries demand and
+// warm-start totals, and no field, however nested by value,
 // is a slice or map that could grow with the market's N or K.
 func TestDemandCacheEntriesHoldNoPerTypeSlice(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
@@ -232,5 +232,4 @@ func TestDemandCacheEntriesHoldNoPerTypeSlice(t *testing.T) {
 		}
 	}
 	walk("demandEntry", reflect.TypeOf(demandEntry{}))
-	walk("anchorEntry", reflect.TypeOf(anchorEntry{}))
 }

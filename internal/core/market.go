@@ -10,8 +10,9 @@ package core
 // K, and the population stream's churned classes enter through
 // SolveClassShares. Every market sums its share passes, its interior
 // guess and its seed over one sorted run of its types (sortedrun.go);
-// its per-type points, deviation certificate and summary keep the
-// caller's order. The entry points only build the market.
+// its per-type points keep the caller's order. The deviation
+// certificate and the summary read the types alone (marketTypes) and
+// build no run. The entry points only build the market.
 
 import (
 	"fmt"
@@ -23,51 +24,65 @@ import (
 	"minegame/internal/numeric"
 )
 
-// market is a follower market of K weighted miner types: type k stands
-// for count(k) identical miners with budget budget(k) and fork rate β_k.
-// Its methods take it by pointer: building the run, the points and the
-// certificate call them once per type, and a by-value receiver would
-// copy the whole config each time.
-type market struct {
+// marketTypes are a follower market's K weighted miner types, in the
+// caller's order: type k stands for count(k) identical miners with
+// budget budget(k) and fork rate β_k. The per-type points, the
+// deviation certificate and the summary read them; only a solve needs
+// the sorted run on top (market). Methods take them by pointer:
+// building the run, the points and the certificate call them once per
+// type, and a by-value receiver would copy the whole config each time.
+type marketTypes struct {
 	cfg     Config
 	budgets []float64 // one shared entry, or one per type
 	counts  []int     // nil: every type is a single miner
 	betas   []float64 // nil: every type uses cfg.Beta
 	k       int       // number of types
 	n       int       // number of miners, Σ counts
-	// run orders the types by (β, budget) for the share passes and the
-	// seed.
+}
+
+// market is a follower market to solve: its types, and the run that
+// orders them by (β, budget) for the share passes and the seed.
+type market struct {
+	marketTypes
 	run sortedRun
 }
 
-// newMarket is the market of k types on cfg's game constants, with its
-// sorted run.
-func newMarket(cfg Config, budgets []float64, counts []int, betas []float64, k, n int) *market {
-	m := &market{cfg: cfg, budgets: budgets, counts: counts, betas: betas, k: k, n: n}
-	m.run = newSortedRun(m)
+// newMarket is the market of the types t, with its sorted run.
+func newMarket(t marketTypes) *market {
+	m := &market{marketTypes: t}
+	m.run = newSortedRun(&m.marketTypes)
 	return m
 }
 
-// exactMarket is the configuration's N-miner market: one type per
-// miner, every count 1, the miner's own fork rate when cfg.Betas is set.
-// It borrows the config's slices; its run costs O(1) on a single-budget
-// scalar-β config and a sort of the N types otherwise.
-func exactMarket(cfg Config) *market {
-	return newMarket(cfg, cfg.Budgets, nil, cfg.Betas, cfg.N, cfg.N)
+// exactTypes are the configuration's N miners: one type per miner,
+// every count 1, the miner's own fork rate when cfg.Betas is set. They
+// borrow the config's slices.
+func exactTypes(cfg Config) marketTypes {
+	return marketTypes{cfg: cfg, budgets: cfg.Budgets, betas: cfg.Betas, k: cfg.N, n: cfg.N}
 }
 
-// classedMarket is the compressed market of a classed population: one
-// type per class, weighted by the class count, every type on cfg.Beta.
-func classedMarket(cfg Config, cp miner.ClassedPopulation) *market {
+// exactMarket is the configuration's N-miner market. Its run costs O(1)
+// on a single-budget scalar-β config and a sort of the N types
+// otherwise.
+func exactMarket(cfg Config) *market { return newMarket(exactTypes(cfg)) }
+
+// classedTypes are the classes of a classed population: one type per
+// class, weighted by the class count, every type on cfg.Beta.
+func classedTypes(cfg Config, cp miner.ClassedPopulation) marketTypes {
 	budgets := make([]float64, cp.K())
 	for k, cl := range cp.Classes {
 		budgets[k] = cl.Budget
 	}
-	return newMarket(cfg, budgets, cp.Counts(), nil, cp.K(), cp.N())
+	return marketTypes{cfg: cfg, budgets: budgets, counts: cp.Counts(), k: cp.K(), n: cp.N()}
+}
+
+// classedMarket is the compressed market of a classed population.
+func classedMarket(cfg Config, cp miner.ClassedPopulation) *market {
+	return newMarket(classedTypes(cfg, cp))
 }
 
 // budget returns type k's budget.
-func (m *market) budget(k int) float64 {
+func (m *marketTypes) budget(k int) float64 {
 	if len(m.budgets) == 1 {
 		return m.budgets[0]
 	}
@@ -75,7 +90,7 @@ func (m *market) budget(k int) float64 {
 }
 
 // count returns the number of miners type k stands for.
-func (m *market) count(k int) float64 {
+func (m *marketTypes) count(k int) float64 {
 	if m.counts == nil {
 		return 1
 	}
@@ -83,7 +98,7 @@ func (m *market) count(k int) float64 {
 }
 
 // beta returns type k's fork rate.
-func (m *market) beta(k int) float64 {
+func (m *marketTypes) beta(k int) float64 {
 	if m.betas == nil {
 		return m.cfg.Beta
 	}
@@ -92,14 +107,14 @@ func (m *market) beta(k int) float64 {
 
 // params is type k's parameter set: the price-bound params at the
 // type's fork rate.
-func (m *market) params(params miner.Params, k int) miner.Params {
+func (m *marketTypes) params(params miner.Params, k int) miner.Params {
 	params.Beta = m.beta(k)
 	return params
 }
 
 // totals sums one request per type into the population totals,
 // E = Σ_k count_k·e_k and C = Σ_k count_k·c_k, in O(K).
-func (m *market) totals(reqs []numeric.Point2) numeric.Point2 {
+func (m *marketTypes) totals(reqs []numeric.Point2) numeric.Point2 {
 	var t numeric.Point2
 	for k, r := range reqs {
 		c := m.count(k)
@@ -123,21 +138,46 @@ type warmStart struct {
 // its types play the closed-form homogeneous equilibrium of the whole
 // market at their own budget (Theorem 3 / Table II), falling back to a
 // feasible spread B/(4P_e), B/(4P_c) where none applies. A standalone
-// seed whose edge total exceeds the capacity by more than rounding (the
+// market whose capacity is slack is the connected one at h = 1 (root
+// solves it so), and seeds as that one does; where the capacity binds
+// it seeds from the standalone closed form instead, and a seed whose
+// edge total still exceeds the capacity by more than rounding (the
 // closed form fills it exactly when it binds) is scaled to 0.9 of it.
-func (m *market) seed(p Prices) numeric.Point2 {
-	r, params := &m.run, m.cfg.Params(p)
-	var t numeric.Point2
+// exact reports a seed that is the equilibrium itself: one fork rate,
+// and every type on one face of the connected closed form, either
+// affording the free point or spending its whole budget.
+func (m *market) seed(p Prices) (t numeric.Point2, exact bool) {
+	params := m.cfg.Params(p)
+	if m.cfg.Mode == netmodel.Connected {
+		return m.seedAt(params, netmodel.Connected)
+	}
+	params.H = 1
+	if t, exact := m.seedAt(params, netmodel.Connected); t.E <= m.cfg.EdgeCapacity {
+		return t, exact
+	}
+	t, _ = m.seedAt(m.cfg.Params(p), netmodel.Standalone)
+	if t.E > m.cfg.EdgeCapacity*(1+1e-9) {
+		t.E = 0.9 * m.cfg.EdgeCapacity
+	}
+	return t, false
+}
+
+// seedAt is seed's sum at params under one closed form: the connected
+// line, or the standalone equilibrium at the market's capacity.
+func (m *market) seedAt(params miner.Params, form netmodel.Mode) (t numeric.Point2, exact bool) {
+	r := &m.run
+	exact = len(r.groups) == 1
 	for _, g := range r.groups {
 		params.Beta = g.beta
 		var free numeric.Point2
 		j := g.hi // entries from j on play free, the others the spread
-		if m.cfg.Mode == netmodel.Connected {
+		if form == netmodel.Connected {
 			if f, spend, perBudget, err := miner.HomogeneousConnectedLine(params, m.n); err == nil {
 				j = r.search(g.lo, g.hi, func(b float64) bool { return spend <= b })
 				nf, w := r.count(j, g.hi), r.weight(g.lo, j)
 				t.E += nf*f.E + w*perBudget.E
 				t.C += nf*f.C + w*perBudget.C
+				exact = exact && (j == g.lo || j == g.hi)
 				continue
 			}
 		} else if sol, err := miner.HomogeneousStandalone(params, m.n, m.cfg.EdgeCapacity); err == nil {
@@ -146,13 +186,11 @@ func (m *market) seed(p Prices) numeric.Point2 {
 			j = r.search(g.lo, g.hi, func(b float64) bool { return spend <= b })
 		}
 		nf, w := r.count(j, g.hi), r.weight(g.lo, j)
-		t.E += w/(4*p.Edge) + nf*free.E
-		t.C += w/(4*p.Cloud) + nf*free.C
+		t.E += w/(4*params.PriceE) + nf*free.E
+		t.C += w/(4*params.PriceC) + nf*free.C
+		exact = false
 	}
-	if m.cfg.Mode == netmodel.Standalone && t.E > m.cfg.EdgeCapacity*(1+1e-9) {
-		t.E = 0.9 * m.cfg.EdgeCapacity
-	}
-	return t
+	return t, exact
 }
 
 // solve is the follower body behind every miner-subgame entry point:
@@ -166,15 +204,13 @@ func (m *market) solve(p Prices, opts game.NEOptions, start warmStart, label str
 }
 
 // probe is the leader stage's demand probe: the totals of the share
-// root, read off the root with no per-type points, as the demand there
-// and as the warm start of a later solve.
-func (m *market) probe(p Prices, opts game.NEOptions, start warmStart, label string) (demand, warmStart, error) {
+// root, read off the root with no per-type points.
+func (m *market) probe(p Prices, opts game.NEOptions, start warmStart, label string) (numeric.Point2, error) {
 	r, err := m.root(p, opts, start, label)
 	if err != nil {
-		return demand{}, warmStart{}, err
+		return numeric.Point2{}, err
 	}
-	t := m.run.totals(r.params, r.res, r.split)
-	return demand{edge: t.E, cloud: t.C, ok: true}, warmStart{totals: t, ok: true}, nil
+	return m.run.totals(r.params, r.res, r.split), nil
 }
 
 // shareRoot is a solved share system: the root, the params it was
@@ -198,7 +234,7 @@ func (m *market) root(p Prices, opts game.NEOptions, start warmStart, label stri
 		return shareRoot{}, err
 	}
 	if !start.ok {
-		start.totals = m.seed(p)
+		start.totals, _ = m.seed(p)
 	}
 	capacity := math.Inf(1)
 	if m.cfg.Mode == netmodel.Standalone {
@@ -228,7 +264,7 @@ func SolveClassShares(p miner.Params, budgets []float64, counts []int, start []n
 		n += c
 	}
 	cfg := Config{Reward: p.Reward, Beta: p.Beta, SatisfyProb: p.H, Mode: netmodel.Connected}
-	m := newMarket(cfg, budgets, counts, nil, len(budgets), n)
+	m := newMarket(marketTypes{cfg: cfg, budgets: budgets, counts: counts, k: len(budgets), n: n})
 	r := m.shares(p, math.Inf(1), m.totals(start), opts)
 	return m.points(r), r.res
 }
@@ -236,11 +272,15 @@ func SolveClassShares(p miner.Params, budgets []float64, counts []int, start []n
 // shares solves the market's share system at params (h = 1 in
 // standalone mode) under the edge capacity.
 func (m *market) shares(params miner.Params, capacity float64, start numeric.Point2, opts game.NEOptions) shareRoot {
+	// The passes' closures are built here and handed down, never
+	// wrapped in another, so that they stay on the stack.
 	sys := m.system(params, capacity)
+	sys.Sums = func(mu, e, s float64) (float64, float64) { return m.run.sums(params, mu, e, s) }
 	res := game.SolveShares(sys, start, opts)
 	d := params.PriceE - params.PriceC
 	split := sys.FlatEdge && d < 0 && res.Mu > 0 && !res.Converged && !res.Canceled
 	if split {
+		sys.Sums = func(_, e, s float64) (float64, float64) { return m.run.sums(params, -d, e, s) }
 		res = m.splitCapacity(sys, res, -d, opts)
 	}
 	return shareRoot{res: res, params: params, split: split}
@@ -254,7 +294,6 @@ func (m *market) system(params miner.Params, capacity float64) game.ShareSystem 
 		Players:  float64(m.n),
 		Capacity: capacity,
 		FlatEdge: true,
-		Sums:     func(mu, e, s float64) (float64, float64) { return m.run.sums(params, mu, e, s) },
 	}
 	// The interior root: Σ_k n_k(1 − E/σ₁²) = 1 and Σ_k n_k(1 − S/σ₂²)
 	// = 1 with σ₁² = b/(P_e − P_c) and σ₂² = a/P_c (Eqs. 14–15).
@@ -335,11 +374,9 @@ func (m *market) rescale(reqs []numeric.Point2, res game.ShareResult) {
 // request to none, so no μ clears the capacity exactly. It clears at
 // that μ, mu: the totals solve the all-cloud market, and every type
 // buys the same share E_max/S of its request at the edge — spending no
-// more, and with the edge it is left unable to widen. The caller
-// splits the points.
+// more, and with the edge it is left unable to widen. The caller pins
+// sys.Sums at μ = mu, and splits the points.
 func (m *market) splitCapacity(sys game.ShareSystem, failed game.ShareResult, mu float64, opts game.NEOptions) game.ShareResult {
-	sums := sys.Sums
-	sys.Sums = func(_, e, s float64) (float64, float64) { return sums(mu, e, s) }
 	sys.Capacity = math.Inf(1)
 	res := game.SolveShares(sys, numeric.Point2{C: failed.Total}, opts)
 	res.Passes += failed.Passes
@@ -352,7 +389,7 @@ func (m *market) splitCapacity(sys game.ShareSystem, failed game.ShareResult, mu
 // members, since they all play the same request against the same
 // environment. A reqs length other than the market's type count gives
 // nil.
-func (m *market) deviations(p Prices, reqs []numeric.Point2) []float64 {
+func (m *marketTypes) deviations(p Prices, reqs []numeric.Point2) []float64 {
 	if len(reqs) != m.k {
 		return nil
 	}
@@ -383,7 +420,7 @@ func (m *market) deviations(p Prices, reqs []numeric.Point2) []float64 {
 // utility and winning probability of ONE member of each type, whose
 // environment is the totals minus its own request (Eq. 9 with the
 // type's fork rate in connected mode, Eq. 6 standalone).
-func (m *market) summarize(p Prices, reqs []numeric.Point2, iters int, converged bool, mu float64) MinerEquilibrium {
+func (m *marketTypes) summarize(p Prices, reqs []numeric.Point2, iters int, converged bool, mu float64) MinerEquilibrium {
 	params := m.cfg.Params(p)
 	t := m.totals(reqs)
 	totals := miner.Totals{Edge: t.E, Cloud: t.C}

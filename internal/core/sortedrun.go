@@ -43,11 +43,11 @@ type betaGroup struct {
 	lo, hi int
 }
 
-// newSortedRun builds m's run. A market whose types share one budget
-// and one fork rate is a single entry of all its miners; any other
-// sorts a copy of its types, leaving m's own order as it is, and merges
-// and sums the copy in place.
-func newSortedRun(m *market) sortedRun {
+// newSortedRun builds the run of the types m. Types that share one
+// budget and one fork rate are a single entry of all their miners; any
+// others sort a copy of the types, leaving m's own order as it is, and
+// merge and sum the copy in place.
+func newSortedRun(m *marketTypes) sortedRun {
 	if len(m.budgets) == 1 && m.betas == nil {
 		n, b := float64(m.n), m.budgets[0]
 		return sortedRun{

@@ -27,14 +27,16 @@ func perTypeSums(m *market, p miner.Params, mu, e, s float64) (float64, float64)
 // perClassSeed is the seed's oracle, type by type in the caller's
 // order: each type at the closed-form homogeneous equilibrium of all n
 // miners at its own budget and fork rate, falling back to the spread
-// B/(4P_e), B/(4P_c); a standalone seed over the capacity, beyond
-// rounding, scales its edge requests to 0.9 of it.
+// B/(4P_e), B/(4P_c). A standalone market takes the connected form at
+// h = 1 while its edge total fits the capacity, and the standalone
+// closed form otherwise; a standalone seed still over the capacity,
+// beyond rounding, scales its edge requests to 0.9 of it.
 func perClassSeed(m *market, p Prices) numeric.Point2 {
-	connected := m.cfg.Mode == netmodel.Connected
-	sum := func(scale float64) numeric.Point2 {
+	sum := func(connected bool, h, scale float64) numeric.Point2 {
 		var t numeric.Point2
 		for k := 0; k < m.k; k++ {
 			params := m.params(m.cfg.Params(p), k)
+			params.H = h
 			b := m.budget(k)
 			r := numeric.Point2{E: b / (4 * p.Edge), C: b / (4 * p.Cloud)}
 			if connected {
@@ -49,9 +51,15 @@ func perClassSeed(m *market, p Prices) numeric.Point2 {
 		}
 		return t
 	}
-	t := sum(1)
-	if !connected && t.E > m.cfg.EdgeCapacity*(1+1e-9) {
-		t = sum(m.cfg.EdgeCapacity / t.E * 0.9)
+	if m.cfg.Mode == netmodel.Connected {
+		return sum(true, m.cfg.SatisfyProb, 1)
+	}
+	if t := sum(true, 1, 1); t.E <= m.cfg.EdgeCapacity {
+		return t
+	}
+	t := sum(false, m.cfg.SatisfyProb, 1)
+	if t.E > m.cfg.EdgeCapacity*(1+1e-9) {
+		t = sum(false, m.cfg.SatisfyProb, m.cfg.EdgeCapacity/t.E*0.9)
 	}
 	return t
 }
@@ -80,7 +88,8 @@ func checkClassedSums(t *testing.T, m *market, p Prices, mu, e, s float64) {
 	wantE, wantS := perTypeSums(m, params, mu, e, s)
 	agree("Σn·e", gotE, wantE, bound/params.PriceE)
 	agree("Σn·s", gotS, wantS, bound/math.Min(params.PriceE, params.PriceC))
-	got, want := m.seed(p), perClassSeed(m, p)
+	got, _ := m.seed(p)
+	want := perClassSeed(m, p)
 	agree("seed E", got.E, want.E, bound/params.PriceE)
 	agree("seed C", got.C, want.C, bound/params.PriceC)
 }
@@ -138,7 +147,7 @@ func typedMarket(cfg Config, budgets []float64, counts []int, betas []float64) *
 		}
 	}
 	cfg.N = n
-	return newMarket(cfg, budgets, counts, betas, len(budgets), n)
+	return newMarket(marketTypes{cfg: cfg, budgets: budgets, counts: counts, betas: betas, k: len(budgets), n: n})
 }
 
 // TestClassedSumsMatchPerType pins the sorted run's share pass and seed
@@ -197,7 +206,8 @@ func TestSortedSeedMatchesPerClass(t *testing.T) {
 			}
 			cfg := Config{Mode: netmodel.Connected, N: cp.N(), Budgets: []float64{1}, Reward: 100, Beta: 0.3, SatisfyProb: 0.8}
 			m := classedMarket(cfg, cp)
-			got, want := m.seed(p), perClassSeed(m, p)
+			got, _ := m.seed(p)
+			want := perClassSeed(m, p)
 			if d := got.Sub(want).Norm(); !(d <= 1e-12*want.Norm()) {
 				t.Errorf("prices %+v, counts %v: seed %+v, per class %+v", p, cs, got, want)
 			}
@@ -205,6 +215,55 @@ func TestSortedSeedMatchesPerClass(t *testing.T) {
 	}
 	if _, _, _, err := miner.HomogeneousConnectedLine(miner.Params{Reward: 0, PriceE: 1, PriceC: 1}, 5); err == nil {
 		t.Error("want an error for invalid params")
+	}
+}
+
+// TestSeedExactOnOneFace pins seed's exact flag, which lets a bargain
+// probe take the seed over its chained warm start: a market on one fork
+// rate whose miners all spend their whole budgets, or all afford the
+// free point, is seeded at its root, which one outer pass clears; so is
+// a standalone market whose capacity stays slack. Markets with miners
+// on both faces, on two fork rates or against a binding capacity are
+// not flagged.
+func TestSeedExactOnOneFace(t *testing.T) {
+	bound := priceMissConnected(5)
+	free := priceMissConnected(5, 400, 500, 600, 700, 800)
+	mixed := priceMissConnected(5, 8, 9, 10, 11, 800)
+	betas := priceMissConnected(5)
+	betas.Betas = []float64{0.5, 0.5, 0.5, 0.4, 0.4}
+	slack := priceMissConnected(5)
+	slack.Mode, slack.EdgeCapacity = netmodel.Standalone, 1e6
+	tight := slack
+	tight.EdgeCapacity = 0.5
+	p := Prices{Edge: 3.1, Cloud: 1.7}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		exact bool
+	}{
+		{"budget-bound", bound, true},
+		{"free", free, true},
+		{"mixed", mixed, false},
+		{"two fork rates", betas, false},
+		{"standalone, slack capacity", slack, true},
+		{"standalone, binding capacity", tight, false},
+	} {
+		m := exactMarket(tc.cfg)
+		seed, exact := m.seed(p)
+		if exact != tc.exact {
+			t.Errorf("%s: exact = %v, want %v", tc.name, exact, tc.exact)
+		}
+		if !exact {
+			continue
+		}
+		r, err := m.root(p, game.NEOptions{}, warmStart{}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := m.run.totals(r.params, r.res, r.split)
+		if d := seed.Sub(root).Norm(); d > 1e-12*root.Norm() || r.res.Passes > 2 {
+			t.Errorf("%s: seed %+v, root %+v after %d passes", tc.name, seed, root, r.res.Passes)
+		}
 	}
 }
 
@@ -222,6 +281,7 @@ func perTypeSolve(m *market, p Prices, start numeric.Point2) (game.ShareResult, 
 	d := params.PriceE - params.PriceC
 	split := sys.FlatEdge && d < 0 && res.Mu > 0 && !res.Converged
 	if split {
+		sys.Sums = func(_, e, s float64) (float64, float64) { return perTypeSums(m, params, -d, e, s) }
 		res = m.splitCapacity(sys, res, -d, game.NEOptions{})
 	}
 	return res, m.points(shareRoot{res: res, params: params, split: split})
@@ -264,7 +324,8 @@ func TestClassedSolveMatchesPerType(t *testing.T) {
 			cfg.N, cfg.Budgets = cp.N(), []float64{100}
 			m = classedMarket(cfg, cp)
 		}
-		start := warmStart{totals: m.seed(tc.p), ok: true}
+		seed, _ := m.seed(tc.p)
+		start := warmStart{totals: seed, ok: true}
 		got, err := m.solve(tc.p, game.NEOptions{}, start, "classed ")
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -282,15 +343,12 @@ func TestClassedSolveMatchesPerType(t *testing.T) {
 			}
 		}
 		wantT := m.totals(want)
-		d, ws, err := m.probe(tc.p, game.NEOptions{}, start, "classed ")
+		d, err := m.probe(tc.p, game.NEOptions{}, start, "classed ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(d.edge-wantT.E) > 1e-9*wantT.E || math.Abs(d.cloud-wantT.C) > 1e-9*wantT.C {
-			t.Errorf("%s: probe demand (%g, %g), per type (%g, %g)", tc.name, d.edge, d.cloud, wantT.E, wantT.C)
-		}
-		if ws.totals != (numeric.Point2{E: d.edge, C: d.cloud}) {
-			t.Errorf("%s: probe warm start %+v, demand %+v", tc.name, ws.totals, d)
+		if math.Abs(d.E-wantT.E) > 1e-9*wantT.E || math.Abs(d.C-wantT.C) > 1e-9*wantT.C {
+			t.Errorf("%s: probe demand (%g, %g), per type (%g, %g)", tc.name, d.E, d.C, wantT.E, wantT.C)
 		}
 		// Short of convergence a probe reports its points' own sums, split
 		// at the root's edge fraction when the capacity split.

@@ -57,9 +57,9 @@ type StackelbergOptions struct {
 	// solve, and an error fails the whole solve.
 	CertifyClassedAfterSolve ClassedCertifier
 	// DemandCache, when non-nil, is an external warm-start cache kept
-	// resident across solves: anchor equilibria and per-price demand
-	// probes survive from one SolveStackelberg call to the next, so a
-	// repeat or near-neighbor query re-solves in a couple of passes.
+	// resident across solves: per-price demand probes survive from one
+	// SolveStackelberg call to the next, so a repeat query answers its
+	// probes from the cache.
 	// The cache must only ever be reused for the IDENTICAL market —
 	// same Config, same follower options, same exact/classed family
 	// (see DemandCache). Nil gets a fresh per-solve cache bounded by
@@ -176,7 +176,6 @@ func SolveStackelberg(cfg Config, opts StackelbergOptions) (StackelbergResult, e
 		opts:          opts,
 		follower:      exactMarket(cfg),
 		closedForm:    useClosedForm,
-		warm:          true,
 		uniformBudget: uniformBudget,
 		bargainFields: obs.Fields{"miners": cfg.N, "capacity": cfg.EdgeCapacity},
 	}
@@ -209,9 +208,9 @@ func SolveStackelberg(cfg Config, opts StackelbergOptions) (StackelbergResult, e
 	return res, nil
 }
 
-// relativeDistance is |a − b|/|b|: how far the anchor's totals a sat
-// from the totals b a probe converged to, relative to b. Zero totals b
-// give |a|.
+// relativeDistance is |a − b|/|b|: how far a probe's start a sat
+// from the root b it converged to, relative to b. Zero totals b give
+// |a|.
 func relativeDistance(a, b numeric.Point2) float64 {
 	d := a.Sub(b).Norm()
 	if n := b.Norm(); n > 0 {
@@ -235,54 +234,54 @@ type leaderStage struct {
 	follower *market
 	// closedForm answers probes with the Table II demand where it applies.
 	closedForm bool
-	// warm seeds numeric solves from neighbouring equilibria: every
-	// probe from one anchor solve at the start prices, every
-	// clearing-price root-search point from the previous point's totals.
-	// Without it each solve seeds at its own prices.
-	warm bool
 	// uniformBudget is the one budget of a single-budget population,
 	// which admits the closed-form clearing price; 0 when budgets differ.
 	uniformBudget float64
 	// bargainFields tags the standalone bargain's span.
 	bargainFields obs.Fields
+	// probes and warmDist count the stage's follower solves and the
+	// distance of each from its start; run resolves them.
+	probes   *obs.Counter
+	warmDist *obs.Histogram
+}
+
+// probe solves the follower market m at p and returns the totals of
+// its root. It starts from the seed at p when that is exact, where one
+// pass clears it, or when start is not ok, and from start otherwise. It
+// counts the solve on core.demand_probes_total and its start's distance
+// from the root on core.warm_start_distance.
+func (s *leaderStage) probe(m *market, p Prices, start warmStart) (warmStart, error) {
+	s.probes.Inc()
+	if seed, exact := m.seed(p); exact || !start.ok {
+		start = warmStart{totals: seed, ok: true}
+	}
+	root, err := m.probe(p, s.opts.Follower, start, s.label)
+	if err != nil {
+		return warmStart{}, err
+	}
+	if s.warmDist != nil {
+		s.warmDist.Observe(relativeDistance(start.totals, root))
+	}
+	return warmStart{totals: root, ok: true}, nil
 }
 
 // run solves the leader stage and returns its result plus the warm start
 // for the final follower solve at the winning prices. On failure it ends
 // span and returns the wrapped error.
-func (s leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error) {
+//
+// Every grid probe seeds from the market's closed form at its own
+// prices (market.seed), so each memoized demand is a pure function of
+// its price point: neither worker count, arrival order nor a resident
+// cache's earlier solves can reach it.
+func (s *leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error) {
 	cfg, opts := s.cfg, s.opts
 	ob := opts.observer()
-	probes := ob.Counter("core.demand_probes_total")
+	s.probes = ob.Counter("core.demand_probes_total")
+	s.warmDist = ob.Histogram("core.warm_start_distance")
 	memoHits := ob.Counter("core.demand_memo_hits_total")
-	var warmDist *obs.Histogram
-	if s.warm {
-		warmDist = ob.Histogram("core.warm_start_distance")
-	}
-
-	// Anchor warm start: solve one canonical follower equilibrium at the
-	// starting prices and seed every numeric demand probe from it. The
-	// anchor is fixed before the price grids fan out, so every probe's
-	// result stays a pure function of its price point — worker count and
-	// arrival order cannot reach it — while each solve starts within a
-	// few sweeps of its equilibrium instead of from the heuristic spread.
-	// With a resident DemandCache the anchor itself is cached (it is a
-	// pure function of the market and its start prices), so repeat
-	// requests skip even this one cold solve.
-	//
-	// The classed solver runs without warm starts: its seed is the
-	// per-class closed form AT THE PROBE'S OWN PRICES.
 	memo := opts.DemandCache
 	if memo == nil {
 		memo = NewDemandCache(DefaultDemandCacheCap, opts.Observer)
-	}
-	var anchor warmStart
-	if s.warm && !s.closedForm {
-		startPrices := Prices{Edge: opts.StartE, Cloud: opts.StartC}
-		anchor = memo.anchorAt(startPrices, func() (warmStart, error) {
-			_, start, err := s.follower.probe(startPrices, opts.Follower, warmStart{}, s.label)
-			return start, err
-		})
 	}
 	if opts.canceled() {
 		span.End(obs.Fields{"canceled": true})
@@ -291,20 +290,17 @@ func (s leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error) 
 
 	oracle := func(p Prices) demand {
 		d, hit := memo.get(p, func() (demand, warmStart, error) {
-			probes.Inc()
 			if s.closedForm {
 				if d := cfg.closedFormDemand(p); d.ok {
+					s.probes.Inc()
 					return d, warmStart{}, nil
 				}
 			}
-			d, start, err := s.follower.probe(p, opts.Follower, anchor, s.label)
+			start, err := s.probe(s.follower, p, warmStart{})
 			if err != nil {
 				return demand{}, warmStart{}, err
 			}
-			if warmDist != nil && anchor.ok {
-				warmDist.Observe(relativeDistance(anchor.totals, start.totals))
-			}
-			return d, start, nil
+			return demand{edge: start.totals.E, cloud: start.totals.C, ok: true}, start, nil
 		})
 		if hit {
 			memoHits.Inc()
@@ -372,20 +368,16 @@ func (s leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error) 
 		span.End(obs.Fields{"canceled": true})
 		return game.LeadersResult{}, warmStart{}, fmt.Errorf("%sstackelberg %s mode: %w", s.label, cfg.Mode, game.ErrCanceled)
 	}
-	// The leader search almost always probed the winning price pair; its
-	// memoized totals (or failing that the anchor's) warm-start the final
-	// follower solve. Both candidates are arrival-order independent, so
-	// determinism is preserved; with neither the solve seeds itself.
-	start := memo.startAt(Prices{Edge: lead.PriceA, Cloud: lead.PriceB})
-	if !start.ok {
-		start = anchor
-	}
-	return lead, start, nil
+	// The leader search almost always probed the winning price pair: its
+	// memoized totals warm-start the final follower solve, which
+	// otherwise seeds itself. Either way the start is arrival-order
+	// independent, so determinism is preserved.
+	return lead, memo.startAt(Prices{Edge: lead.PriceA, Cloud: lead.PriceB}), nil
 }
 
 // end closes a solved two-stage span and flags a leader stage that
 // stopped short of convergence.
-func (s leaderStage) end(span *obs.Span, prices Prices, profitE, profitC float64, lead game.LeadersResult) {
+func (s *leaderStage) end(span *obs.Span, prices Prices, profitE, profitC float64, lead game.LeadersResult) {
 	span.End(obs.Fields{
 		"price_e": prices.Edge, "price_c": prices.Cloud,
 		"profit_e": profitE, "profit_c": profitC,
@@ -406,14 +398,11 @@ func (s leaderStage) end(span *obs.Span, prices Prices, profitE, profitC float64
 // clearing price has a closed form (miner.ClearingPriceEdge); otherwise
 // it is the root of the capacity-unconstrained edge demand, which is
 // decreasing in P_e, less the capacity (numeric.BrentRoot).
-func (s leaderStage) bargain() (game.LeadersResult, error) {
+func (s *leaderStage) bargain() (game.LeadersResult, error) {
 	c, opts := s.cfg, s.opts
 	ob := opts.observer()
 	span := ob.StartSpan("core.standalone_bargain", s.bargainFields)
 	clearingSolves := ob.Counter("core.clearing_price_solves_total")
-	// Every follower solve of the bargain is a demand probe, as the
-	// leader grids' are.
-	probes := ob.Counter("core.demand_probes_total")
 	fail := func(err error) (game.LeadersResult, error) {
 		span.End(obs.Fields{"failed": true})
 		return game.LeadersResult{}, fmt.Errorf("standalone %sSP stage: %w", s.label, err)
@@ -427,10 +416,13 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 	}
 	// clearing returns the market-clearing edge price at pc and, on the
 	// numeric path, the unconstrained follower totals at that price — a
-	// warm start for the constrained solve the caller runs next. Each
-	// call is self-contained (the chained root search passes warm starts
-	// through call-local totals), so its result depends only on pc and
-	// the surrounding grid stays worker-count independent.
+	// warm start for the constrained solve the caller runs next. Every
+	// follower solve of the bargain is a demand probe, as the leader
+	// grids' are. Each call is self-contained (the chained root search
+	// warm-starts each probe from the previous one's call-local totals,
+	// the first, and any whose seed is exact, from the seed), so its
+	// result depends only on pc and the surrounding grid stays
+	// worker-count independent.
 	clearing := func(pc float64) (float64, warmStart, bool) {
 		clearingSolves.Inc()
 		if s.uniformBudget > 0 {
@@ -453,17 +445,12 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 		// Numeric fallback: the root of the unconstrained edge demand.
 		var last warmStart
 		demandAt := func(pe float64) float64 {
-			var start warmStart
-			if s.warm {
-				start = last
-			}
-			probes.Inc()
-			d, next, err := twin.probe(Prices{Edge: pe, Cloud: pc}, opts.Follower, start, s.label)
+			next, err := s.probe(&twin, Prices{Edge: pe, Cloud: pc}, last)
 			if err != nil {
 				return 0
 			}
 			last = next
-			return d.edge
+			return next.totals.E
 		}
 		lo := math.Max(pc*(1+1e-6), c.CostE+1e-9)
 		hi := math.Max(opts.MaxPriceE, lo*1.5)
@@ -486,12 +473,11 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 		if !ok {
 			return math.Inf(-1)
 		}
-		probes.Inc()
-		d, _, err := s.follower.probe(Prices{Edge: pe, Cloud: pc}, opts.Follower, warm, s.label)
+		d, err := s.probe(s.follower, Prices{Edge: pe, Cloud: pc}, warm)
 		if err != nil {
 			return math.Inf(-1)
 		}
-		return (pc - c.CostC) * d.cloud
+		return (pc - c.CostC) * d.totals.C
 	}
 	pcStar, vc, err := numeric.MaximizeGridPool(profitC, c.CostC+1e-6, opts.MaxPriceC, opts.Leader.GridN, opts.MaxPriceC*1e-7, opts.Leader.Pool)
 	if err != nil {
@@ -504,8 +490,7 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 	if !ok {
 		return fail(fmt.Errorf("no clearing price at P_c = %g", pcStar))
 	}
-	probes.Inc()
-	d, _, err := s.follower.probe(Prices{Edge: peStar, Cloud: pcStar}, opts.Follower, warm, s.label)
+	d, err := s.probe(s.follower, Prices{Edge: peStar, Cloud: pcStar}, warm)
 	if err != nil {
 		return fail(err)
 	}
@@ -513,8 +498,8 @@ func (s leaderStage) bargain() (game.LeadersResult, error) {
 	return game.LeadersResult{
 		PriceA:     peStar,
 		PriceB:     pcStar,
-		ProfitA:    (peStar - c.CostE) * d.edge,
-		ProfitB:    (pcStar - c.CostC) * d.cloud,
+		ProfitA:    (peStar - c.CostE) * d.totals.E,
+		ProfitB:    (pcStar - c.CostC) * d.totals.C,
 		Iterations: 1,
 		Converged:  true,
 	}, nil

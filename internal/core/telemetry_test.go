@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
+	"time"
 
 	"minegame/internal/game"
 	"minegame/internal/miner"
@@ -52,8 +56,8 @@ func TestSolveTelemetryCounters(t *testing.T) {
 		t.Error("game.sweeps_total = 0, want > 0")
 	}
 
-	// The numeric oracle measures every probe's distance from the anchor
-	// warm start; samples land in core.warm_start_distance.
+	// Every numeric probe measures its distance from its start (the seed
+	// at its prices); samples land in core.warm_start_distance.
 	wd, ok := snap.Histograms["core.warm_start_distance"]
 	if !ok || wd.Count == 0 {
 		t.Errorf("core.warm_start_distance missing or empty: %+v", snap.Histograms)
@@ -143,5 +147,139 @@ func TestSolveTelemetryDisabledIsSilent(t *testing.T) {
 	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Errorf("disabled observer recorded metrics: counters=%v histograms=%v",
 			snap.Counters, snap.Histograms)
+	}
+}
+
+// priceMissConnected is a connected market shaped like the serving
+// benchmark's price-miss items: n miners with budgets stratified over
+// [8, 12] (one draw per equal-width stratum), R = 100, β = 0.5,
+// h = 0.9 and costs (1, 0.5).
+func priceMissConnected(n int, budgets ...float64) Config {
+	if budgets == nil {
+		for i := 0; i < n; i++ {
+			budgets = append(budgets, 8+4*(float64(i)+0.37+0.05*float64(i%3))/float64(n))
+		}
+	}
+	return Config{
+		Mode: netmodel.Connected, N: n, Budgets: budgets,
+		Reward: 100, Beta: 0.5, SatisfyProb: 0.9, CostE: 1, CostC: 0.5,
+	}
+}
+
+// TestConnectedProbesTakeFewPasses pins the cost of a leader-stage
+// demand probe: seeded from the market's closed form at its own prices,
+// a probe of a budget-bound connected market clears in a few share
+// passes, wherever the leader grid puts it.
+func TestConnectedProbesTakeFewPasses(t *testing.T) {
+	for _, cfg := range []Config{
+		priceMissConnected(5),
+		priceMissConnected(6),
+		priceMissConnected(5, 8.1, 9.7, 10.2, 10.9, 11.8),
+	} {
+		ob := obs.New()
+		if _, err := SolveStackelberg(cfg, StackelbergOptions{Workers: 1, Observer: ob}); err != nil {
+			t.Fatalf("N = %d: %v", cfg.N, err)
+		}
+		snap := ob.Snapshot()
+		probes, passes := snap.Counters["core.demand_probes_total"], snap.Counters["game.sweeps_total"]
+		if probes < 100 {
+			t.Fatalf("N = %d: %d probes; the leader grids did not run", cfg.N, probes)
+		}
+		// The passes include the final solve's, so the mean is an upper
+		// bound on the probes' own.
+		if mean := float64(passes) / float64(probes); mean > 4 {
+			t.Errorf("N = %d budgets %v: %.1f passes per probe (%d over %d probes), want ≤ 4", cfg.N, cfg.Budgets, mean, passes, probes)
+		}
+	}
+}
+
+// TestSinklessProbeAllocatesAsDisabled pins the cost of telemetry that
+// no sink records: a connected probe solved against an enabled observer
+// with no trace writer and no flight recorder allocates exactly as
+// often as one solved against a disabled observer. The observer's
+// histograms are filled to their sample cap first, so that the
+// amortized growth of their buffers does not count.
+func TestSinklessProbeAllocatesAsDisabled(t *testing.T) {
+	cfg := priceMissConnected(5)
+	m := exactMarket(cfg)
+	p := Prices{Edge: 3.1, Cloud: 1.7}
+	allocs := func(ob *obs.Observer) float64 {
+		opts := game.NEOptions{Observer: ob}
+		probe := func() {
+			if _, err := m.probe(p, opts, warmStart{}, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2100; i++ {
+			probe()
+		}
+		return testing.AllocsPerRun(200, probe)
+	}
+	off := obs.New()
+	off.SetEnabled(false)
+	on := obs.New()
+	if got, want := allocs(on), allocs(off); got != want {
+		t.Errorf("probe allocates %v times with an enabled, sink-less observer, %v with a disabled one", got, want)
+	}
+	if on.Snapshot().Counters["game.sweeps_total"] == 0 {
+		t.Error("the enabled observer recorded no passes")
+	}
+}
+
+// TestSolveTraceRecords pins what a recorded follower solve writes: one
+// game.sweep event per share pass, then the game.solve_ne span, with
+// their sequence numbers, timestamps and fields.
+func TestSolveTraceRecords(t *testing.T) {
+	ob := obs.New()
+	at := time.Date(2024, 1, 2, 3, 4, 5, 6, time.UTC)
+	ob.SetClock(func() time.Time { return at })
+	var buf bytes.Buffer
+	ob.SetTrace(&buf)
+	eq, err := SolveMinerEquilibrium(priceMissConnected(5), Prices{Edge: 3.1, Cloud: 1.7}, game.NEOptions{Observer: ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ob.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var recs []obs.TraceRecord
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var r obs.TraceRecord
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
+	}
+	passes := eq.Iterations
+	if passes < 1 || len(recs) != passes+1 {
+		t.Fatalf("%d records for %d passes, want one event per pass and a span", len(recs), passes)
+	}
+	ts := at.Format(time.RFC3339Nano)
+	var last any
+	for i, r := range recs[:passes] {
+		// The span took sequence number 1 when it started.
+		if r.Type != "event" || r.Name != "game.sweep" || r.Seq != uint64(i+2) || r.TS != ts || r.DurMS != nil || r.SpanID != 0 {
+			t.Errorf("record %d = %+v, want game.sweep event %d at %s", i, r, i+2, ts)
+		}
+		if len(r.Fields) != 3 || r.Fields["solver"] != "share_function" || r.Fields["iter"] != float64(i+1) {
+			t.Errorf("game.sweep %d fields = %v", i, r.Fields)
+		}
+		last = r.Fields["max_delta"]
+		if d, ok := last.(float64); !ok || d < 0 {
+			t.Errorf("game.sweep %d max_delta = %v", i, last)
+		}
+	}
+	span := recs[passes]
+	if span.Type != "span" || span.Name != "game.solve_ne" || span.Seq != uint64(passes+2) || span.SpanID != 1 ||
+		span.ParentID != 0 || span.TS != ts || span.DurMS == nil || *span.DurMS != 0 {
+		t.Errorf("span record = %+v", span)
+	}
+	want := obs.Fields{
+		"players": float64(5), "solver": "share_function", "tol": float64(0), "damping": float64(0),
+		"iterations": float64(passes), "converged": true, "max_delta": last,
+	}
+	if !reflect.DeepEqual(span.Fields, want) {
+		t.Errorf("game.solve_ne fields = %v, want %v", span.Fields, want)
 	}
 }

@@ -40,13 +40,14 @@ func sumPointsWeighted(reps []numeric.Point2, counts []int) numeric.Point2 {
 //minelint:hotpath
 func SolveNEAggregate(start []numeric.Point2, br AggregateBestResponse, opts NEOptions) NEResult {
 	opts = opts.withDefaults()
-	tel := newSolveTelemetry(opts, "game.solve_ne", "aggregate_best_response", len(start))
+	tel := newSolveTelemetry(opts, solveNE, "aggregate_best_response", len(start))
 	prof := make([]numeric.Point2, len(start))
 	copy(prof, start)
 	res := NEResult{Profile: prof}
 	totals := sumPoints(prof)
+	done := opts.done()
 	for it := 0; it < opts.MaxIter; it++ {
-		if opts.canceled() {
+		if closed(done) {
 			res.Canceled = true
 			break
 		}

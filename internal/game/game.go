@@ -76,10 +76,25 @@ type NEOptions struct {
 	Ctx context.Context
 }
 
-// canceled reports whether the options' context has been canceled. It
-// is the sweep-boundary check: nil contexts never cancel.
-func (o NEOptions) canceled() bool {
-	return o.Ctx != nil && o.Ctx.Err() != nil
+// done returns the channel that closes when the options' context is
+// canceled; nil, which never closes, without a context. A solver
+// fetches it once and polls it with closed at every sweep boundary:
+// ctx.Err would take the context's lock on every poll.
+func (o NEOptions) done() <-chan struct{} {
+	if o.Ctx == nil {
+		return nil
+	}
+	return o.Ctx.Done()
+}
+
+// closed polls a done channel without blocking.
+func closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 func (o NEOptions) withDefaults() NEOptions {
@@ -117,50 +132,74 @@ type NEResult struct {
 	Canceled bool
 }
 
+// solveKind names the telemetry of one family of iterative solves: its
+// span, and the "<name>.iterations" histogram.
+type solveKind struct{ name string }
+
+var (
+	solveNE         = &solveKind{name: "game.solve_ne"}
+	solveFictitious = &solveKind{name: "game.solve_fictitious"}
+)
+
+// solveMetrics are the handles a solve kind records through, resolved
+// once per observer (obs.Handles).
+type solveMetrics struct {
+	sweeps     *obs.Counter
+	delta      *obs.Histogram
+	iterations *obs.Histogram
+	timer      obs.Timer
+}
+
+func newSolveMetrics(ob *obs.Observer, kind *solveKind) *solveMetrics {
+	return &solveMetrics{
+		sweeps:     ob.Counter("game.sweeps_total"),
+		delta:      ob.Histogram("game.sweep_delta"),
+		iterations: ob.Histogram(kind.name + ".iterations"),
+		timer:      ob.Timer(kind.name),
+	}
+}
+
 // solveTelemetry bundles the observer state of one iterative solve so
 // the solver loops stay readable: a span for the whole solve, a counter
 // and trace event per sweep, and the delta history for the
-// contraction-rate summary. The zero-cost story: when the observer is
-// disabled, every method is a single boolean test.
+// contraction-rate summary. It is a value the solver keeps on its
+// stack. When the observer is disabled every method is a single nil
+// test; when it is enabled but no sink records, a solve builds no
+// Fields map, no string and no span record, and allocates nothing.
 type solveTelemetry struct {
-	ob        *obs.Observer
-	span      *obs.Span
-	sweeps    *obs.Counter
-	delta     *obs.Histogram
-	deltas    []float64
-	name      string
-	solver    string
-	on        bool
+	ob     *obs.Observer
+	m      *solveMetrics // nil when the observer is disabled
+	span   obs.Span
+	deltas []float64
+	name   string
+	solver string
+	// recording gates the Fields maps that only a sink reads: a trace
+	// file or the flight recorder.
 	recording bool
 }
 
-func newSolveTelemetry(opts NEOptions, name, solver string, players int) *solveTelemetry {
+func newSolveTelemetry(opts NEOptions, kind *solveKind, solver string, players int) solveTelemetry {
 	ob := opts.observer()
-	if !ob.Enabled() {
-		return &solveTelemetry{}
+	m := obs.Handles(ob, kind, newSolveMetrics)
+	if m == nil {
+		return solveTelemetry{}
 	}
-	return &solveTelemetry{
-		ob:     ob,
-		span:   ob.StartSpan(name, obs.Fields{"players": players, "solver": solver, "tol": opts.Tol, "damping": opts.Damping}),
-		sweeps: ob.Counter("game.sweeps_total"),
-		delta:  ob.Histogram("game.sweep_delta"),
-		name:   name,
-		solver: solver,
-		on:     true,
-		// Recording (not Tracing): the per-sweep Fields maps are worth
-		// building whenever any sink — trace file or flight recorder —
-		// will keep them.
-		recording: ob.Recording(),
+	t := solveTelemetry{ob: ob, m: m, name: kind.name, solver: solver, recording: ob.Recording()}
+	var start obs.Fields
+	if t.recording {
+		start = obs.Fields{"players": players, "solver": solver, "tol": opts.Tol, "damping": opts.Damping}
 	}
+	t.span = m.timer.Start(start)
+	return t
 }
 
 // sweep records one completed sweep.
 func (t *solveTelemetry) sweep(iter int, maxDelta float64) {
-	if !t.on {
+	if t.m == nil {
 		return
 	}
-	t.sweeps.Inc()
-	t.delta.Observe(maxDelta)
+	t.m.sweeps.Inc()
+	t.m.delta.Observe(maxDelta)
 	t.deltas = append(t.deltas, maxDelta)
 	if t.recording {
 		t.event(iter, maxDelta)
@@ -176,8 +215,8 @@ func (t *solveTelemetry) event(iter int, maxDelta float64) {
 // addSweeps counts n sweeps on game.sweeps_total at once: the share
 // solver's passes, which record no per-pass metric.
 func (t *solveTelemetry) addSweeps(n int) {
-	if t.on {
-		t.sweeps.Add(int64(n))
+	if t.m != nil {
+		t.m.sweeps.Add(int64(n))
 	}
 }
 
@@ -185,17 +224,22 @@ func (t *solveTelemetry) addSweeps(n int) {
 // out of iterations is an anomaly: the flight recorder (when armed)
 // dumps the sweep history that led up to it.
 func (t *solveTelemetry) finish(res NEResult) {
-	if !t.on {
+	if t.m == nil {
 		return
 	}
-	t.ob.Observe(t.name+".iterations", float64(res.Iterations))
-	end := obs.Fields{"iterations": res.Iterations, "converged": res.Converged, "max_delta": res.MaxDelta}
+	t.m.iterations.Observe(float64(res.Iterations))
+	var end obs.Fields
+	if t.recording {
+		end = obs.Fields{"iterations": res.Iterations, "converged": res.Converged, "max_delta": res.MaxDelta}
+		if res.Canceled {
+			end["canceled"] = true
+		}
+	}
 	if rate := ContractionRate(t.deltas); !math.IsNaN(rate) {
 		t.ob.Observe("game.contraction_rate", rate)
-		end["contraction_rate"] = rate
-	}
-	if res.Canceled {
-		end["canceled"] = true
+		if end != nil {
+			end["contraction_rate"] = rate
+		}
 	}
 	t.span.End(end)
 	// A canceled solve is an abandoned one, not a convergence failure —
@@ -258,7 +302,7 @@ func solveNEFictitious(start []numeric.Point2, br BestResponse, abr AggregateBes
 	if abr != nil {
 		solver = "aggregate_fictitious_play"
 	}
-	tel := newSolveTelemetry(opts, "game.solve_fictitious", solver, len(start))
+	tel := newSolveTelemetry(opts, solveFictitious, solver, len(start))
 	avg := make([]numeric.Point2, len(start))
 	copy(avg, start)
 	res := NEResult{Profile: avg}
@@ -266,8 +310,9 @@ func solveNEFictitious(start []numeric.Point2, br BestResponse, abr AggregateBes
 	if abr != nil {
 		totals = sumPoints(avg)
 	}
+	done := opts.done()
 	for it := 1; it <= opts.MaxIter; it++ {
-		if opts.canceled() {
+		if closed(done) {
 			res.Canceled = true
 			break
 		}

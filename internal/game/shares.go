@@ -84,8 +84,11 @@ func rootTol(players float64) float64 {
 // sink records events. MaxIter, Tol, Damping and Jacobi apply only to
 // best-response iteration.
 func SolveShares(sys ShareSystem, start numeric.Point2, opts NEOptions) ShareResult {
-	tel := newSolveTelemetry(opts, "game.solve_ne", "share_function", int(sys.Players))
-	sv := shareSolver{sys: sys, opts: opts, tel: tel}
+	// The telemetry lives outside sv, which holds a pointer to it:
+	// recording leaks what it is handed, and handing it sv would move
+	// the caller's sys.Sums closure to the heap.
+	tel := newSolveTelemetry(opts, solveNE, "share_function", int(sys.Players))
+	sv := shareSolver{sys: sys, done: opts.done(), tel: &tel}
 	s0 := start.E + start.C
 	sv.lastT, sv.lastS = start.E, s0
 	total := sv.root(sv.totalShare, s0, sys.Guess.E+sys.Guess.C, sys.TotalMax, &sv.slopeS)
@@ -108,7 +111,7 @@ func SolveShares(sys ShareSystem, start numeric.Point2, opts NEOptions) ShareRes
 // shareSolver is the state of one SolveShares call.
 type shareSolver struct {
 	sys      ShareSystem
-	opts     NEOptions
+	done     <-chan struct{} // NEOptions.done
 	tel      *solveTelemetry
 	passes   int
 	canceled bool
@@ -128,7 +131,7 @@ type shareEval struct {
 // sums is one pass over the types; after a cancellation it returns
 // zero sums, which end every search.
 func (sv *shareSolver) sums(mu, e, s float64) (float64, float64) {
-	if sv.canceled || sv.opts.canceled() {
+	if sv.canceled || closed(sv.done) {
 		sv.canceled = true
 		return 0, 0
 	}

@@ -9,7 +9,7 @@ var DefaultHelp = map[string]string{
 	"core.demand_probes_total":         "Follower demand-oracle evaluations during leader price search",
 	"core.demand_memo_hits_total":      "Demand-oracle probes answered from the single-flight memo",
 	"core.clearing_price_solves_total": "Market-clearing edge-price computations in the standalone SP stage",
-	"core.warm_start_distance":         "Distance from the anchor's totals (E, C) to each probe's solved totals, relative to the latter",
+	"core.warm_start_distance":         "Distance from each demand probe's start totals (E, C), the seed at its prices or the chained warm start, to its solved totals, relative to the latter",
 	// game: iterative equilibrium solvers.
 	"game.sweeps_total":        "Best-response sweeps and share-function passes across all solvers",
 	"game.sweep_delta":         "Per-sweep largest strategy change (convergence residual)",

@@ -80,6 +80,7 @@ func (o *Observer) EnableFlightRecorder(capacity int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.recorder = &flightRecorder{buf: make([]TraceRecord, 0, capacity)}
+	o.syncSinksLocked()
 }
 
 // DisableFlightRecorder detaches the ring, discarding its contents.
@@ -90,6 +91,7 @@ func (o *Observer) DisableFlightRecorder() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.recorder = nil
+	o.syncSinksLocked()
 }
 
 // FlightRecords returns a copy of the flight recorder's current

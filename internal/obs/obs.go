@@ -38,6 +38,11 @@ type Observer struct {
 	// slowSpanBits holds the slow-span anomaly threshold in ms as raw
 	// float bits (0 = disabled); see SetSlowSpanMS.
 	slowSpanBits atomic.Uint64
+	// sinks mirrors trace != nil || recorder != nil, so that Recording
+	// and emit read it without taking mu.
+	sinks atomic.Bool
+	// handles caches what Handles built, by key.
+	handles sync.Map
 
 	mu            sync.Mutex
 	counters      map[string]*Counter
@@ -162,6 +167,27 @@ func (o *Observer) Histogram(name string) *Histogram {
 		o.hists[name] = h
 	}
 	return h
+}
+
+// Handles returns the handles build(o, key) made the first time Handles
+// ran with key on o, calling build then. Instrumented hot paths resolve
+// their metrics through it once per observer instead of by name (under
+// the registry lock) on every call. Keys are compared as interface
+// values: a package-level pointer is unique to its package and, with a
+// pointer T, keeps a repeat lookup free of allocation. A disabled or
+// nil observer gets T's zero value and caches nothing. Handles resolved
+// while enabled stay live after SetEnabled(false), so callers check
+// Enabled before recording through them.
+func Handles[K comparable, T any](o *Observer, key K, build func(o *Observer, key K) T) T {
+	if !o.Enabled() {
+		var zero T
+		return zero
+	}
+	if h, ok := o.handles.Load(key); ok {
+		return h.(T)
+	}
+	h, _ := o.handles.LoadOrStore(key, build(o, key))
+	return h.(T)
 }
 
 // Count adds n to the named counter (convenience for one-shot call sites;

@@ -49,10 +49,16 @@ func (o *Observer) SetTrace(w io.Writer) {
 	defer o.mu.Unlock()
 	if w == nil {
 		o.trace = nil
-		return
+	} else {
+		buf := bufio.NewWriter(w)
+		o.trace = &traceWriter{buf: buf, enc: json.NewEncoder(buf)}
 	}
-	buf := bufio.NewWriter(w)
-	o.trace = &traceWriter{buf: buf, enc: json.NewEncoder(buf)}
+	o.syncSinksLocked()
+}
+
+// syncSinksLocked refreshes the sinks flag; callers hold mu.
+func (o *Observer) syncSinksLocked() {
+	o.sinks.Store(o.trace != nil || o.recorder != nil)
 }
 
 // Tracing reports whether a JSONL trace sink is attached and the
@@ -71,14 +77,10 @@ func (o *Observer) Tracing() bool {
 // Recording reports whether emitted events and spans reach any sink — a
 // JSONL trace writer or the flight recorder. It is the gate for building
 // Fields maps that only the record stream reads: with neither sink
-// attached the maps would be allocated and immediately dropped.
+// attached the maps would be allocated and immediately dropped. It reads
+// two atomic flags and takes no lock.
 func (o *Observer) Recording() bool {
-	if !o.Enabled() {
-		return false
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.trace != nil || o.recorder != nil
+	return o.Enabled() && o.sinks.Load()
 }
 
 // Flush drains buffered trace output to the underlying writer.
@@ -101,7 +103,7 @@ func (o *Observer) Flush() error {
 // (whichever are attached). The fields map is marshaled as-is; values
 // must be JSON-encodable.
 func (o *Observer) Emit(name string, fields Fields) {
-	if !o.Enabled() {
+	if !o.Recording() {
 		return
 	}
 	o.emit(TraceRecord{Type: "event", Name: name, TS: o.clock().Format(time.RFC3339Nano), Fields: fields})
@@ -112,6 +114,9 @@ func (o *Observer) Emit(name string, fields Fields) {
 // without consuming a sequence number, so purely-metrics sessions keep
 // their IDs dense for when a sink attaches.
 func (o *Observer) emit(rec TraceRecord) {
+	if !o.sinks.Load() {
+		return
+	}
 	o.mu.Lock()
 	tw, fr := o.trace, o.recorder
 	o.mu.Unlock()
@@ -146,6 +151,9 @@ type Span struct {
 	fields Fields
 	id     uint64
 	parent uint64
+	// ms is the "<name>.ms" histogram when a Timer resolved it; nil
+	// looks it up by name at End.
+	ms *Histogram
 }
 
 // StartSpan opens a named timed region. The fields recorded at start are
@@ -171,14 +179,31 @@ func (s *Span) Child(name string, fields Fields) *Span {
 // End closes the span: the duration lands in the histogram "<name>.ms"
 // and, when a sink is attached, a "span" line is appended carrying the
 // start timestamp, duration, span/parent IDs, and the merged start/end
-// fields. A span that exceeds the observer's slow-span threshold
-// additionally reports a "slow_span" anomaly (see SetSlowSpanMS).
+// fields. With no sink attached End builds no record: it merges no
+// fields and formats no timestamp. A span that exceeds the observer's
+// slow-span threshold additionally reports a "slow_span" anomaly (see
+// SetSlowSpanMS). The zero Span is safe to End.
 func (s *Span) End(fields Fields) {
 	if s == nil || !s.o.Enabled() {
 		return
 	}
 	durMS := float64(s.o.clock().Sub(s.start)) / float64(time.Millisecond)
-	s.o.Observe(s.name+".ms", durMS)
+	if s.ms != nil {
+		s.ms.Observe(durMS)
+	} else {
+		s.o.Observe(s.name+".ms", durMS)
+	}
+	if s.o.Recording() {
+		s.record(fields, durMS)
+	}
+	if limit := s.o.slowSpanMS(); limit > 0 && durMS > limit {
+		s.o.ReportAnomaly("slow_span", Fields{"span": s.name, "dur_ms": durMS, "limit_ms": limit})
+	}
+}
+
+// record emits the span's trace line with the start fields merged with
+// fields.
+func (s *Span) record(fields Fields, durMS float64) {
 	merged := s.fields
 	if len(fields) > 0 {
 		if merged == nil {
@@ -198,7 +223,33 @@ func (s *Span) End(fields Fields) {
 		ParentID: s.parent,
 		Fields:   merged,
 	})
-	if limit := s.o.slowSpanMS(); limit > 0 && durMS > limit {
-		s.o.ReportAnomaly("slow_span", Fields{"span": s.name, "dur_ms": durMS, "limit_ms": limit})
+}
+
+// Timer opens spans of one name on a hot path: it resolves the
+// "<name>.ms" histogram once, and Start returns the span by value, so a
+// span that no sink records allocates nothing and builds no string. A
+// Timer from a disabled or nil observer is the zero Timer, whose spans
+// are no-ops.
+type Timer struct {
+	o    *Observer
+	name string
+	ms   *Histogram
+}
+
+// Timer returns the Timer of spans named name.
+func (o *Observer) Timer(name string) Timer {
+	if !o.Enabled() {
+		return Timer{}
 	}
+	return Timer{o: o, name: name, ms: o.Histogram(name + ".ms")}
+}
+
+// Start opens a span as StartSpan does, with the same fields, ID and
+// clock, held by value. Pass nil fields unless Recording: they only
+// reach the trace line.
+func (t Timer) Start(fields Fields) Span {
+	if !t.o.Enabled() {
+		return Span{}
+	}
+	return Span{o: t.o, name: t.name, start: t.o.clock(), fields: fields, id: t.o.seq.Add(1), ms: t.ms}
 }

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // failWriter fails every write after the first failAfter bytes.
@@ -62,5 +64,76 @@ func TestTraceHealthyWriterCountsNothing(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `"solver.event"`) {
 		t.Errorf("trace output missing event: %q", sb.String())
+	}
+}
+
+// TestTimerSpansMatchStartSpan pins that a span opened from a Timer is
+// the span StartSpan opens: the same record while a sink records, the
+// same "<name>.ms" observation and sequence numbers without one, and
+// the sink flag follows the trace writer and the flight recorder.
+func TestTimerSpansMatchStartSpan(t *testing.T) {
+	at := time.Date(2024, 1, 2, 3, 4, 5, 6, time.UTC)
+	run := func(timer bool, sink bool) (Snapshot, []TraceRecord) {
+		o := New()
+		o.SetClock(func() time.Time { return at })
+		if sink {
+			o.EnableFlightRecorder(16)
+		}
+		if o.Recording() != sink {
+			t.Fatalf("Recording() = %v with sink %v", o.Recording(), sink)
+		}
+		fields := Fields{"a": 1}
+		if timer {
+			s := o.Timer("solve").Start(fields)
+			s.End(Fields{"b": 2})
+		} else {
+			o.StartSpan("solve", fields).End(Fields{"b": 2})
+		}
+		o.StartSpan("next", nil).End(nil)
+		return o.Snapshot(), o.FlightRecords()
+	}
+	for _, sink := range []bool{false, true} {
+		wantSnap, wantRecs := run(false, sink)
+		gotSnap, gotRecs := run(true, sink)
+		if !reflect.DeepEqual(gotSnap, wantSnap) || !reflect.DeepEqual(gotRecs, wantRecs) {
+			t.Errorf("sink %v: Timer span gives\n%+v %+v\nStartSpan gives\n%+v %+v", sink, gotSnap, gotRecs, wantSnap, wantRecs)
+		}
+		if h := gotSnap.Histograms["solve.ms"]; h.Count != 1 {
+			t.Errorf("sink %v: solve.ms = %+v, want one observation", sink, h)
+		}
+	}
+	o := New()
+	o.EnableFlightRecorder(4)
+	o.DisableFlightRecorder()
+	if o.Recording() {
+		t.Error("Recording() after the flight recorder was detached")
+	}
+	var zero Timer
+	s := zero.Start(nil)
+	s.End(nil) // a disabled observer's Timer times nothing
+}
+
+// TestHandlesResolvedOncePerObserver pins obs.Handles: one build per
+// observer and key, and nothing built or cached while disabled.
+func TestHandlesResolvedOncePerObserver(t *testing.T) {
+	type key struct{ name string }
+	k1, k2 := &key{"a"}, &key{"a"}
+	builds := 0
+	build := func(o *Observer, k *key) *Counter {
+		builds++
+		return o.Counter(k.name)
+	}
+	o := New()
+	o.SetEnabled(false)
+	if c := Handles(o, k1, build); c != nil || builds != 0 {
+		t.Fatalf("disabled observer built %d handles (%v)", builds, c)
+	}
+	o.SetEnabled(true)
+	c1, c2, c3 := Handles(o, k1, build), Handles(o, k1, build), Handles(o, k2, build)
+	if c1 == nil || c1 != c2 || c1 != c3 || builds != 2 {
+		t.Errorf("handles %p %p %p after %d builds, want one counter from two builds", c1, c2, c3, builds)
+	}
+	if Handles(New(), k1, build) == c1 {
+		t.Error("another observer shares the first one's handles")
 	}
 }

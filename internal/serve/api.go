@@ -5,10 +5,10 @@
 // single-flight marshaled-result cache, context cancellation threaded
 // into the solver sweep loops, and graceful drain on shutdown.
 //
-// The load-bearing invariant is purity: every cached value — anchor
-// equilibria, per-price demand probes, marshaled responses — is a pure
-// function of its key, so cache reuse changes only how fast a request
-// is answered, never what it is answered with. Responses are
+// The load-bearing invariant is purity: every cached value — per-price
+// demand probes, each seeded at its own prices, and marshaled
+// responses — is a pure function of its key, so cache reuse changes
+// only how fast a request is answered, never what it is answered with. Responses are
 // byte-identical to single-shot CLI solves at any worker count, batch
 // composition, and cache state (pinned by the determinism tests).
 //

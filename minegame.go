@@ -543,8 +543,8 @@ type (
 	// ServeServer is the daemon: batched /v1 solver endpoints plus the
 	// /metrics–/readyz telemetry surface, backed by resident caches.
 	ServeServer = serve.Server
-	// DemandCache is a bounded, concurrency-safe, single-flight
-	// warm-start cache of follower demand probes and anchor equilibria,
+	// DemandCache is a bounded, concurrency-safe, single-flight cache
+	// of follower demand probes, each seeded at its own prices,
 	// shareable across solves of the SAME market via
 	// StackelbergOptions.DemandCache.
 	DemandCache = core.DemandCache
