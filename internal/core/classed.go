@@ -126,12 +126,9 @@ func SolveMinerEquilibriumClassedFrom(cfg Config, cp miner.ClassedPopulation, p 
 	if start != nil && len(start) != cp.K() {
 		return ClassedEquilibrium{}, fmt.Errorf("core: start has %d representatives, population has %d classes", len(start), cp.K())
 	}
-	if ob := classedObserver(opts); ob.Enabled() {
-		ob.SetGauge("meanfield.class_count", float64(cp.K()))
-		ob.SetGauge("meanfield.compress_ratio", cp.CompressRatio())
-	}
+	setClassGauges(classedObserver(opts), cp)
 	m := classedMarket(cfg, cp)
-	eq, err := m.solve(p, opts, warmStart{totals: m.totals(start), ok: start != nil}, "classed ")
+	eq, err := m.solve(p, opts, warmStart{totals: m.totals(start), ok: start != nil})
 	if err != nil {
 		return ClassedEquilibrium{}, err
 	}
@@ -170,6 +167,14 @@ func classedObserver(opts game.NEOptions) *obs.Observer {
 	return obs.Default()
 }
 
+// setClassGauges records a classed solve's compression on ob.
+func setClassGauges(ob *obs.Observer, cp miner.ClassedPopulation) {
+	if ob.Enabled() {
+		ob.SetGauge("meanfield.class_count", float64(cp.K()))
+		ob.SetGauge("meanfield.compress_ratio", cp.CompressRatio())
+	}
+}
+
 // DeviationsClassed returns each class's maximal unilateral deviation
 // gain at the classed profile — the O(K) ε-Nash certificate material.
 // Because every member of a class plays the identical request against
@@ -198,64 +203,35 @@ type ClassedStackelbergResult struct {
 // probe anticipates the classed follower equilibrium — O(log K) per
 // pass, with no per-class vector — so the price grids clear
 // million-miner markets in the time the exact solver needs for a
-// thousand miners. The leader stage is
-// SolveStackelberg's (Theorem 4 commitment by default, Algorithm 1
-// simultaneous play via opts.Simultaneous, the Algorithm 2
-// market-clearing bargain in standalone mode); demand probes are
-// memoized per price point with single-flight semantics and seeded from
-// the run's closed form at their own prices, so results are
-// independent of worker count.
+// thousand miners. It runs SolveStackelberg's body over the classed
+// market (Theorem 4 commitment by default, Algorithm 1 simultaneous
+// play via opts.Simultaneous, the Algorithm 2 market-clearing bargain
+// in standalone mode), so a single class answers its probes in closed
+// form and returns the homogeneous exact solve bit for bit; demand
+// probes are memoized per price point with single-flight semantics and
+// seeded from the run's closed form at their own prices, so results
+// are independent of worker count.
 func SolveStackelbergClassed(cfg Config, cp miner.ClassedPopulation, opts StackelbergOptions) (ClassedStackelbergResult, error) {
 	if err := cfg.validateClassed(cp); err != nil {
 		return ClassedStackelbergResult{}, err
 	}
-	opts = opts.withDefaults(cfg)
-	ob := opts.observer()
-	span := ob.StartSpan("core.stackelberg_classed", obs.Fields{
-		"mode": cfg.Mode.String(), "miners": cp.N(), "classes": cp.K(),
-	})
-	if ob.Enabled() {
-		ob.SetGauge("meanfield.class_count", float64(cp.K()))
-		ob.SetGauge("meanfield.compress_ratio", cp.CompressRatio())
+	setClassGauges(opts.observer(), cp)
+	var certify func(Prices, MinerEquilibrium) error
+	if opts.CertifyClassedAfterSolve != nil {
+		certify = func(p Prices, eq MinerEquilibrium) error {
+			return opts.CertifyClassedAfterSolve(cfg, cp, p, classedEquilibrium(cp, eq))
+		}
 	}
-	var uniformBudget float64
-	if cp.K() == 1 {
-		uniformBudget = cp.Classes[0].Budget
-	}
-	m := classedMarket(cfg, cp)
-	stage := leaderStage{
-		cfg:           cfg,
-		opts:          opts,
-		label:         "classed ",
-		follower:      m,
-		uniformBudget: uniformBudget,
-		bargainFields: obs.Fields{"miners": cp.N(), "capacity": cfg.EdgeCapacity, "classes": cp.K()},
-	}
-	lead, start, err := stage.run(span)
+	prices, eq, lead, err := solveStackelberg(classedMarket(cfg, cp), opts, certify)
 	if err != nil {
 		return ClassedStackelbergResult{}, err
 	}
-	prices := Prices{Edge: lead.PriceA, Cloud: lead.PriceB}
-	eq, err := m.solve(prices, opts.Follower, start, stage.label)
-	if err != nil {
-		span.End(obs.Fields{"failed": true})
-		return ClassedStackelbergResult{}, fmt.Errorf("classed follower stage at equilibrium prices %+v: %w", prices, err)
-	}
-	follower := classedEquilibrium(cp, eq)
-	if opts.CertifyClassedAfterSolve != nil {
-		if err := opts.CertifyClassedAfterSolve(cfg, cp, prices, follower); err != nil {
-			span.End(obs.Fields{"failed": true})
-			return ClassedStackelbergResult{}, fmt.Errorf("certify classed follower equilibrium at prices %+v: %w", prices, err)
-		}
-	}
-	res := ClassedStackelbergResult{
+	return ClassedStackelbergResult{
 		Prices:     prices,
-		Follower:   follower,
-		ProfitE:    (prices.Edge - cfg.CostE) * follower.EdgeDemand,
-		ProfitC:    (prices.Cloud - cfg.CostC) * follower.CloudDemand,
+		Follower:   classedEquilibrium(cp, eq),
+		ProfitE:    lead.ProfitA,
+		ProfitC:    lead.ProfitB,
 		Iterations: lead.Iterations,
 		Converged:  lead.Converged,
-	}
-	stage.end(span, res.Prices, res.ProfitE, res.ProfitC, lead)
-	return res, nil
+	}, nil
 }

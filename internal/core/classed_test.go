@@ -359,7 +359,7 @@ func TestClassedProbeAllocsIndependentOfK(t *testing.T) {
 			m := classedMarket(cfg, cp)
 			p := Prices{Edge: 8, Cloud: 4}
 			probe := func() {
-				if _, err := m.probe(p, game.NEOptions{}, warmStart{}, "classed "); err != nil {
+				if _, err := m.probe(p, game.NEOptions{}, warmStart{}); err != nil {
 					t.Fatalf("%v K=%d: %v", mode, k, err)
 				}
 			}
@@ -384,5 +384,47 @@ func TestClassedProbeAllocsIndependentOfK(t *testing.T) {
 			t.Errorf("%v: a classed probe allocates %.0f more bytes at K = 1024 than at K = 16", mode, grew)
 		}
 		t.Logf("%v: K=16 %+v, K=1024 %+v", mode, small, large)
+	}
+}
+
+// TestClassedOneClassBitIdentical pins the one probe path: a
+// homogeneous market and its one-class population run the same
+// two-stage body over the same one-entry run, so they return the same
+// prices, profits and follower demand bit for bit, connected and
+// standalone, under commitment and under simultaneous play.
+func TestClassedOneClassBitIdentical(t *testing.T) {
+	for _, mode := range []netmodel.Mode{netmodel.Connected, netmodel.Standalone} {
+		for _, simultaneous := range []bool{false, true} {
+			cfg := testConfig()
+			cfg.Mode, cfg.EdgeCapacity, cfg.Budgets = mode, 25, []float64{1000}
+			opts := StackelbergOptions{Simultaneous: simultaneous}
+			exact, err := SolveStackelberg(cfg, opts)
+			if err != nil {
+				t.Fatalf("%v simultaneous=%v: exact: %v", mode, simultaneous, err)
+			}
+			cp, err := cfg.Classes(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			classed, err := SolveStackelbergClassed(cfg, cp, opts)
+			if err != nil {
+				t.Fatalf("%v simultaneous=%v: classed: %v", mode, simultaneous, err)
+			}
+			e, c := exact.Follower, classed.Follower
+			if exact.Prices != classed.Prices || exact.ProfitE != classed.ProfitE || exact.ProfitC != classed.ProfitC ||
+				exact.Iterations != classed.Iterations || exact.Converged != classed.Converged {
+				t.Errorf("%v simultaneous=%v: exact %+v at %d iterations, classed %+v at %d",
+					mode, simultaneous, exact.Prices, exact.Iterations, classed.Prices, classed.Iterations)
+			}
+			if e.EdgeDemand != c.EdgeDemand || e.CloudDemand != c.CloudDemand || e.Multiplier != c.Multiplier || e.Iterations != c.Iterations {
+				t.Errorf("%v simultaneous=%v: exact follower (%v, %v, μ %v), classed (%v, %v, μ %v)",
+					mode, simultaneous, e.EdgeDemand, e.CloudDemand, e.Multiplier, c.EdgeDemand, c.CloudDemand, c.Multiplier)
+			}
+			for i, r := range e.Requests {
+				if r != c.Requests[0] {
+					t.Errorf("%v simultaneous=%v: miner %d plays %v, the class %v", mode, simultaneous, i, r, c.Requests[0])
+				}
+			}
+		}
 	}
 }

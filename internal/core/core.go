@@ -269,7 +269,7 @@ func SolveMinerEquilibriumFrom(cfg Config, p Prices, opts game.NEOptions, start 
 		return MinerEquilibrium{}, fmt.Errorf("core: start profile has %d entries, config has %d miners", len(start), cfg.N)
 	}
 	m := exactMarket(cfg)
-	return m.solve(p, opts, warmStart{totals: m.totals(start), ok: start != nil}, "")
+	return m.solve(p, opts, warmStart{totals: m.totals(start), ok: start != nil})
 }
 
 // SolveMinerGNE computes a generalized Nash equilibrium of the standalone

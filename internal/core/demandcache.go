@@ -33,12 +33,10 @@ const DefaultDemandCacheCap = 4096
 // what it returns.
 //
 // A cache must only ever be shared across solves of the identical
-// market: same Config (including mode and budgets), same follower
-// options, and the same solver family (exact vs classed: the exact
-// stage answers single-budget markets in closed form, the classed one
-// solves them, so their demands differ in rounding). Every
-// entry holds two numbers and a flag whatever the market's size, so a
-// resident cache's footprint is O(probes), independent of N and K. The
+// market: same Config (including mode and budgets) and population, and
+// same follower options. Every entry holds two numbers and a flag
+// whatever the market's size, so a resident cache's footprint is
+// O(probes), independent of N and K. The
 // serve layer enforces the one-market rule by keying caches on the full
 // market signature; SolveStackelberg enforces nothing and will happily
 // serve stale demand if misused.
@@ -64,12 +62,11 @@ type DemandCache struct {
 
 type demandEntry struct {
 	done chan struct{} // closed once the probe finished (or was abandoned)
-	d    demand
-	// start holds the totals of the follower equilibrium behind d — not
-	// ok on the closed-form path, which solves none. It lets later solves
-	// at exactly the same price point warm-start from the already-known
+	// d holds the totals of the follower equilibrium at the entry's
+	// prices, not ok when the probe failed. It lets later solves at
+	// exactly the same price point warm-start from the already-known
 	// equilibrium.
-	start warmStart
+	d warmStart
 	// canceled marks an abandoned probe: the entry was removed from the
 	// table before done closed, and joined waiters must re-probe.
 	canceled bool
@@ -126,7 +123,7 @@ func (m *DemandCache) Stats() DemandCacheStats {
 // not cached: the entry is withdrawn and any joined waiters re-probe.
 //
 //minelint:hotpath
-func (m *DemandCache) get(p Prices, compute func() (demand, warmStart, error)) (demand, bool) {
+func (m *DemandCache) get(p Prices, compute func() (warmStart, error)) (warmStart, bool) {
 	for {
 		m.mu.Lock()
 		if e, ok := m.entries[p]; ok {
@@ -154,13 +151,13 @@ func (m *DemandCache) get(p Prices, compute func() (demand, warmStart, error)) (
 		m.mu.Unlock()
 		m.missesC.Inc()
 		m.ratioG.Set(ratio)
-		d, start, err := compute()
+		d, err := compute()
 		m.mu.Lock()
 		if err != nil && errors.Is(err, game.ErrCanceled) {
 			e.canceled = true
 			delete(m.entries, p)
 		} else {
-			e.d, e.start = d, start
+			e.d = d
 			e.elem = m.lru.PushFront(p)
 			m.evictLocked()
 		}
@@ -193,11 +190,10 @@ func (m *DemandCache) evictLocked() {
 }
 
 // startAt returns the warm start memoized at exactly p: the totals of
-// its solved equilibrium, or a start that is not ok when p was never
-// probed, was evicted, or was served by the closed form. Because every
-// entry is a pure function of its price point, the result — like every
-// other cache read — is independent of the arrival order of concurrent
-// probes.
+// its equilibrium, or a start that is not ok when p was never probed,
+// was evicted, or failed. Because every entry is a pure function of its
+// price point, the result — like every other cache read — is
+// independent of the arrival order of concurrent probes.
 func (m *DemandCache) startAt(p Prices) warmStart {
 	m.mu.Lock()
 	e, ok := m.entries[p]
@@ -209,5 +205,5 @@ func (m *DemandCache) startAt(p Prices) warmStart {
 	if e.canceled {
 		return warmStart{}
 	}
-	return e.start
+	return e.d
 }

@@ -9,15 +9,16 @@ import (
 
 	"minegame/internal/game"
 	"minegame/internal/netmodel"
+	"minegame/internal/numeric"
 	"minegame/internal/obs"
 )
 
 // probe runs one cache get with a compute that records whether it ran.
 func probe(t *testing.T, m *DemandCache, p Prices) (hit bool, computed bool) {
 	t.Helper()
-	_, hit = m.get(p, func() (demand, warmStart, error) {
+	_, hit = m.get(p, func() (warmStart, error) {
 		computed = true
-		return demand{edge: p.Edge, cloud: p.Cloud, ok: true}, warmStart{}, nil
+		return warmStart{totals: numeric.Point2{E: p.Edge, C: p.Cloud}, ok: true}, nil
 	})
 	return hit, computed
 }
@@ -66,29 +67,29 @@ func TestDemandCacheCanceledProbeNotCached(t *testing.T) {
 	m := NewDemandCache(8, obs.New())
 	p := Prices{Edge: 1, Cloud: 2}
 	computes := 0
-	canceled := func() (demand, warmStart, error) {
+	canceled := func() (warmStart, error) {
 		computes++
-		return demand{}, warmStart{}, fmt.Errorf("probe: %w", game.ErrCanceled)
+		return warmStart{}, fmt.Errorf("probe: %w", game.ErrCanceled)
 	}
 	if _, hit := m.get(p, canceled); hit {
 		t.Fatal("first canceled probe cannot be a hit")
 	}
 	// The canceled probe must have been withdrawn: the next probe
 	// recomputes instead of serving the abandoned result.
-	d, hit := m.get(p, func() (demand, warmStart, error) {
+	d, hit := m.get(p, func() (warmStart, error) {
 		computes++
-		return demand{edge: 7, ok: true}, warmStart{}, nil
+		return warmStart{totals: numeric.Point2{E: 7}, ok: true}, nil
 	})
-	if hit || computes != 2 || !d.ok || d.edge != 7 {
+	if hit || computes != 2 || !d.ok || d.totals.E != 7 {
 		t.Fatalf("post-cancel probe: hit=%v computes=%d d=%+v; want a fresh compute", hit, computes, d)
 	}
 	// Ordinary (non-cancel) failures ARE cached — a pure function of the
 	// price point fails the same way every time.
 	pBad := Prices{Edge: 9}
 	fails := 0
-	fail := func() (demand, warmStart, error) {
+	fail := func() (warmStart, error) {
 		fails++
-		return demand{}, warmStart{}, errors.New("infeasible market")
+		return warmStart{}, errors.New("infeasible market")
 	}
 	m.get(pBad, fail)
 	if _, hit := m.get(pBad, fail); !hit || fails != 1 {

@@ -22,6 +22,7 @@ import (
 	"minegame/internal/miner"
 	"minegame/internal/netmodel"
 	"minegame/internal/numeric"
+	"minegame/internal/obs"
 )
 
 // marketTypes are a follower market's K weighted miner types, in the
@@ -79,6 +80,25 @@ func classedTypes(cfg Config, cp miner.ClassedPopulation) marketTypes {
 // classedMarket is the compressed market of a classed population.
 func classedMarket(cfg Config, cp miner.ClassedPopulation) *market {
 	return newMarket(classedTypes(cfg, cp))
+}
+
+// kind names the market in errors: "classed " when its types carry
+// counts, "" for the exact market.
+func (m *marketTypes) kind() string {
+	if m.counts != nil {
+		return "classed "
+	}
+	return ""
+}
+
+// spanFields tags a solve's spans with the market's size: its miners,
+// and its classes when its types carry counts.
+func (m *marketTypes) spanFields() obs.Fields {
+	f := obs.Fields{"miners": m.n}
+	if m.counts != nil {
+		f["classes"] = m.k
+	}
+	return f
 }
 
 // budget returns type k's budget.
@@ -144,8 +164,11 @@ type warmStart struct {
 // edge total still exceeds the capacity by more than rounding (the
 // closed form fills it exactly when it binds) is scaled to 0.9 of it.
 // exact reports a seed that is the equilibrium itself: one fork rate,
-// and every type on one face of the connected closed form, either
-// affording the free point or spending its whole budget.
+// and every type at the connected closed form's free point, which then
+// is every type's best response; or a single (β, budget) entry, the
+// homogeneous market that closed form solves on either face. Types of
+// several budgets that all spend them whole are not flagged: a large
+// budget may not bind at the root.
 func (m *market) seed(p Prices) (t numeric.Point2, exact bool) {
 	params := m.cfg.Params(p)
 	if m.cfg.Mode == netmodel.Connected {
@@ -177,7 +200,7 @@ func (m *market) seedAt(params miner.Params, form netmodel.Mode) (t numeric.Poin
 				nf, w := r.count(j, g.hi), r.weight(g.lo, j)
 				t.E += nf*f.E + w*perBudget.E
 				t.C += nf*f.C + w*perBudget.C
-				exact = exact && (j == g.lo || j == g.hi)
+				exact = exact && (j == g.lo || r.single())
 				continue
 			}
 		} else if sol, err := miner.HomogeneousStandalone(params, m.n, m.cfg.EdgeCapacity); err == nil {
@@ -195,8 +218,8 @@ func (m *market) seedAt(params miner.Params, form netmodel.Mode) (t numeric.Poin
 
 // solve is the follower body behind every miner-subgame entry point:
 // the share root of root, summarized per type.
-func (m *market) solve(p Prices, opts game.NEOptions, start warmStart, label string) (MinerEquilibrium, error) {
-	r, err := m.root(p, opts, start, label)
+func (m *market) solve(p Prices, opts game.NEOptions, start warmStart) (MinerEquilibrium, error) {
+	r, err := m.root(p, opts, start)
 	if err != nil {
 		return MinerEquilibrium{}, err
 	}
@@ -205,8 +228,8 @@ func (m *market) solve(p Prices, opts game.NEOptions, start warmStart, label str
 
 // probe is the leader stage's demand probe: the totals of the share
 // root, read off the root with no per-type points.
-func (m *market) probe(p Prices, opts game.NEOptions, start warmStart, label string) (numeric.Point2, error) {
-	r, err := m.root(p, opts, start, label)
+func (m *market) probe(p Prices, opts game.NEOptions, start warmStart) (numeric.Point2, error) {
+	r, err := m.root(p, opts, start)
 	if err != nil {
 		return numeric.Point2{}, err
 	}
@@ -226,9 +249,8 @@ type shareRoot struct {
 // game.SolveShares, warm-started at start's totals (or the seed at p).
 // Standalone mode prices a binding capacity with the common multiplier
 // μ (the variational equilibrium of the GNEP). The caller has validated
-// the config; root validates the prices. label names the market in
-// errors ("" or "classed ").
-func (m *market) root(p Prices, opts game.NEOptions, start warmStart, label string) (shareRoot, error) {
+// the config; root validates the prices.
+func (m *market) root(p Prices, opts game.NEOptions, start warmStart) (shareRoot, error) {
 	params := m.cfg.Params(p)
 	if err := params.Validate(); err != nil {
 		return shareRoot{}, err
@@ -243,7 +265,7 @@ func (m *market) root(p Prices, opts game.NEOptions, start warmStart, label stri
 	}
 	r := m.shares(params, capacity, start.totals, opts)
 	if r.res.Canceled {
-		return shareRoot{}, fmt.Errorf("%s %sminer subgame: %w", m.cfg.Mode, label, game.ErrCanceled)
+		return shareRoot{}, fmt.Errorf("%s %sminer subgame: %w", m.cfg.Mode, m.kind(), game.ErrCanceled)
 	}
 	return r, nil
 }

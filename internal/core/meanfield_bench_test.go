@@ -105,7 +105,7 @@ func BenchmarkClassedProbe(b *testing.B) {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.probe(hotpathPrices, game.NEOptions{}, warmStart{}, "classed "); err != nil {
+				if _, err := m.probe(hotpathPrices, game.NEOptions{}, warmStart{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -90,6 +90,10 @@ func newSortedRun(m *marketTypes) sortedRun {
 	return r
 }
 
+// single reports a run of one (β, budget) entry: one budget and one
+// fork rate, the homogeneous market.
+func (r *sortedRun) single() bool { return len(r.entries) == 2 }
+
 // count is the number of miners in entries [lo, hi).
 func (r *sortedRun) count(lo, hi int) float64 { return r.entries[hi].count - r.entries[lo].count }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"minegame/internal/game"
@@ -218,20 +219,22 @@ func TestSortedSeedMatchesPerClass(t *testing.T) {
 	}
 }
 
-// TestSeedExactOnOneFace pins seed's exact flag, which lets a bargain
-// probe take the seed over its chained warm start: a market on one fork
-// rate whose miners all spend their whole budgets, or all afford the
-// free point, is seeded at its root, which one outer pass clears; so is
-// a standalone market whose capacity stays slack. Markets with miners
-// on both faces, on two fork rates or against a binding capacity are
-// not flagged.
+// TestSeedExactOnOneFace pins seed's exact flag, which lets a probe
+// take the seed over its warm start, and a market of one (β, budget)
+// entry take it as the root: a market on one fork rate whose miners all
+// afford the free point, or whose one budget binds, is seeded at its
+// root, which one outer pass clears; so is a standalone market whose
+// capacity stays slack. Markets of several budgets that all bind, with
+// miners on both faces, on two fork rates or against a binding
+// capacity are not flagged.
 func TestSeedExactOnOneFace(t *testing.T) {
-	bound := priceMissConnected(5)
+	bound := priceMissConnected(5, 9, 9, 9, 9, 9)
+	bounds := priceMissConnected(5)
 	free := priceMissConnected(5, 400, 500, 600, 700, 800)
 	mixed := priceMissConnected(5, 8, 9, 10, 11, 800)
 	betas := priceMissConnected(5)
 	betas.Betas = []float64{0.5, 0.5, 0.5, 0.4, 0.4}
-	slack := priceMissConnected(5)
+	slack := free
 	slack.Mode, slack.EdgeCapacity = netmodel.Standalone, 1e6
 	tight := slack
 	tight.EdgeCapacity = 0.5
@@ -241,7 +244,8 @@ func TestSeedExactOnOneFace(t *testing.T) {
 		cfg   Config
 		exact bool
 	}{
-		{"budget-bound", bound, true},
+		{"budget-bound, one budget", bound, true},
+		{"budget-bound, several budgets", bounds, false},
 		{"free", free, true},
 		{"mixed", mixed, false},
 		{"two fork rates", betas, false},
@@ -256,7 +260,7 @@ func TestSeedExactOnOneFace(t *testing.T) {
 		if !exact {
 			continue
 		}
-		r, err := m.root(p, game.NEOptions{}, warmStart{}, "")
+		r, err := m.root(p, game.NEOptions{}, warmStart{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,6 +269,83 @@ func TestSeedExactOnOneFace(t *testing.T) {
 			t.Errorf("%s: seed %+v, root %+v after %d passes", tc.name, seed, root, r.res.Passes)
 		}
 	}
+}
+
+// checkSeedExact checks that cfg's exact market, where its seed at p
+// claims to be exact, is seeded at its root: a cold solve lands within
+// 1e-9 relative of the seed. A probe takes an exact seed of a single
+// (β, budget) entry as its answer, so a false claim there is a wrong
+// demand. Markets whose root does not converge are skipped.
+func checkSeedExact(t *testing.T, cfg Config, p Prices) {
+	t.Helper()
+	m := exactMarket(cfg)
+	seed, exact := m.seed(p)
+	if !exact {
+		return
+	}
+	r, err := m.root(p, game.NEOptions{}, warmStart{})
+	if err != nil || !r.res.Converged {
+		return
+	}
+	root := m.run.totals(r.params, r.res, r.split)
+	if d := seed.Sub(root).Norm(); !(d <= 1e-9*root.Norm()) {
+		t.Errorf("seed %+v claims exact, root %+v (relative distance %.3g): %v mode, budgets %v, E_max %v, prices %+v",
+			seed, root, d/root.Norm(), cfg.Mode, cfg.Budgets, cfg.EdgeCapacity, p)
+	}
+}
+
+// seedExactConfig is the market checkSeedExact sweeps: testConfig's
+// constants with the given budgets and capacity.
+func seedExactConfig(standalone bool, budgets []float64, capacity float64) Config {
+	cfg := testConfig()
+	cfg.N, cfg.Budgets, cfg.EdgeCapacity = len(budgets), budgets, capacity
+	if standalone {
+		cfg.Mode = netmodel.Standalone
+	}
+	return cfg
+}
+
+// TestSeedExactIsRoot sweeps exact markets of 2 to 13 miners with
+// budgets log-uniform over e^-2..e^6, in both modes, through
+// checkSeedExact. Several budgets that all bind used to be flagged
+// exact, though the largest need not bind at the root.
+func TestSeedExactIsRoot(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	logU := func(lo, hi float64) float64 { return math.Exp(lo + (hi-lo)*rng.Float64()) }
+	for i := 0; i < 2000; i++ {
+		budgets := make([]float64, 2+rng.Intn(12))
+		for k := range budgets {
+			budgets[k] = logU(-2, 6)
+		}
+		cfg := seedExactConfig(i%2 == 1, budgets, logU(0, 5))
+		checkSeedExact(t, cfg, Prices{Edge: logU(0, 4), Cloud: logU(0, 4)})
+	}
+}
+
+// FuzzSeedExact runs checkSeedExact over fuzzed prices, capacity and
+// budgets: b0 and b1, then one budget e^(8·x/255 − 2) per extra byte x.
+// Inputs outside [1e-3, 1e6] are skipped. The first seed is a
+// standalone market whose two budgets the all-bound face flagged exact
+// although the large miner does not spend its budget at the root.
+func FuzzSeedExact(f *testing.F) {
+	// standalone, P_e, P_c, E_max, b0, b1, extra
+	f.Add(true, 31.376857694989145, 10.151689525561624, 7.308657576595453, 3.5291709151710737, 195.99521783913679, []byte(nil))
+	f.Add(false, 8.0, 4.0, 60.0, 200.0, 200.0, []byte{200, 200, 200})
+	f.Add(false, 8.0, 4.0, 60.0, 5.0, 5.0, []byte(nil))
+	f.Add(false, 3.1, 1.7, 60.0, 400.0, 500.0, []byte{250, 255})
+	f.Add(true, 5.0, 4.5, 200.0, 100.0, 100.0, []byte(nil))
+	f.Add(false, 20.0, 3.0, 60.0, 10.0, 12.0, []byte{60, 70, 80})
+	f.Fuzz(func(t *testing.T, standalone bool, pe, pc, capacity, b0, b1 float64, extra []byte) {
+		sane := func(x float64) bool { return x >= 1e-3 && x <= 1e6 }
+		if !sane(pe) || !sane(pc) || !sane(capacity) || !sane(b0) || !sane(b1) || len(extra) > 12 {
+			return
+		}
+		budgets := []float64{b0, b1}
+		for _, x := range extra {
+			budgets = append(budgets, math.Exp(8*float64(x)/255-2))
+		}
+		checkSeedExact(t, seedExactConfig(standalone, budgets, capacity), Prices{Edge: pe, Cloud: pc})
+	})
 }
 
 // perTypeSolve is the reference solve of m at p: m's share system with
@@ -326,7 +407,7 @@ func TestClassedSolveMatchesPerType(t *testing.T) {
 		}
 		seed, _ := m.seed(tc.p)
 		start := warmStart{totals: seed, ok: true}
-		got, err := m.solve(tc.p, game.NEOptions{}, start, "classed ")
+		got, err := m.solve(tc.p, game.NEOptions{}, start)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -343,7 +424,7 @@ func TestClassedSolveMatchesPerType(t *testing.T) {
 			}
 		}
 		wantT := m.totals(want)
-		d, err := m.probe(tc.p, game.NEOptions{}, start, "classed ")
+		d, err := m.probe(tc.p, game.NEOptions{}, start)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,9 +23,6 @@ type StackelbergOptions struct {
 	MaxPriceE, MaxPriceC float64
 	// Starting prices. Zero values start just above cost.
 	StartE, StartC float64
-	// ForceNumericFollower disables the homogeneous closed-form demand
-	// fast path (useful for cross-checking it).
-	ForceNumericFollower bool
 	// Simultaneous switches the leader stage to the literal asynchronous
 	// best-response iteration of Algorithm 1. The default is the paper's
 	// Theorem 4 commitment structure (the ESP optimizes against the CSP's
@@ -61,8 +58,8 @@ type StackelbergOptions struct {
 	// SolveStackelberg call to the next, so a repeat query answers its
 	// probes from the cache.
 	// The cache must only ever be reused for the IDENTICAL market —
-	// same Config, same follower options, same exact/classed family
-	// (see DemandCache). Nil gets a fresh per-solve cache bounded by
+	// same Config and population, same follower options (see
+	// DemandCache). Nil gets a fresh per-solve cache bounded by
 	// DefaultDemandCacheCap.
 	DemandCache *DemandCache
 	// Ctx, when non-nil, cancels the whole two-stage solve
@@ -127,21 +124,12 @@ func (o StackelbergOptions) observer() *obs.Observer {
 
 // StackelbergResult is a solved two-stage game.
 type StackelbergResult struct {
-	Prices   Prices
-	Follower MinerEquilibrium
-	ProfitE  float64 // V_e = (P_e − C_e)·E
-	ProfitC  float64 // V_c = (P_c − C_c)·C
-	// ClosedFormDemand reports whether the leader search used the
-	// homogeneous closed-form demand oracle.
-	ClosedFormDemand bool
-	Iterations       int
-	Converged        bool
-}
-
-// demand is the aggregate follower reaction the leaders anticipate.
-type demand struct {
-	edge, cloud float64
-	ok          bool
+	Prices     Prices
+	Follower   MinerEquilibrium
+	ProfitE    float64 // V_e = (P_e − C_e)·E
+	ProfitC    float64 // V_c = (P_c − C_c)·C
+	Iterations int
+	Converged  bool
 }
 
 // canceled reports whether the solve's context (if any) is done.
@@ -153,59 +141,70 @@ func (o StackelbergOptions) canceled() bool {
 // stage iterates asynchronous best responses (Algorithm 1 in connected
 // mode; the SP stage of the Algorithm 2 price bargaining in standalone
 // mode), each price evaluation anticipating the miner subgame equilibrium
-// underneath. Homogeneous scalar-β populations use the closed-form demand
-// oracle (Theorem 3 / Table II) for speed; heterogeneous ones — budgets
-// or per-miner fork rates (cfg.Betas) — solve the follower subgame
-// numerically at every probe.
+// underneath. A market of one budget and one fork rate answers a probe
+// with the closed form (Theorem 3 / Table II) where its seed is the
+// equilibrium; every other probe solves the follower subgame
+// numerically. SolveStackelbergClassed runs the same body over a
+// classed population, so a single-class population returns this
+// result bit for bit.
 func SolveStackelberg(cfg Config, opts StackelbergOptions) (StackelbergResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return StackelbergResult{}, err
 	}
-	opts = opts.withDefaults(cfg)
-	useClosedForm := cfg.Homogeneous() && cfg.Betas == nil && !opts.ForceNumericFollower
-	ob := opts.observer()
-	span := ob.StartSpan("core.stackelberg", obs.Fields{
-		"mode": cfg.Mode.String(), "miners": cfg.N, "closed_form": useClosedForm,
-	})
-	var uniformBudget float64
-	if cfg.Homogeneous() {
-		uniformBudget = cfg.Budget(0)
+	var certify func(Prices, MinerEquilibrium) error
+	if opts.CertifyAfterSolve != nil {
+		certify = func(p Prices, eq MinerEquilibrium) error { return opts.CertifyAfterSolve(cfg, p, eq) }
 	}
-	stage := leaderStage{
-		cfg:           cfg,
-		opts:          opts,
-		follower:      exactMarket(cfg),
-		closedForm:    useClosedForm,
-		uniformBudget: uniformBudget,
-		bargainFields: obs.Fields{"miners": cfg.N, "capacity": cfg.EdgeCapacity},
-	}
-	lead, start, err := stage.run(span)
+	prices, follower, lead, err := solveStackelberg(exactMarket(cfg), opts, certify)
 	if err != nil {
 		return StackelbergResult{}, err
 	}
+	return StackelbergResult{
+		Prices:     prices,
+		Follower:   follower,
+		ProfitE:    lead.ProfitA,
+		ProfitC:    lead.ProfitB,
+		Iterations: lead.Iterations,
+		Converged:  lead.Converged,
+	}, nil
+}
+
+// solveStackelberg is the two-stage body behind SolveStackelberg and
+// SolveStackelbergClassed, over the follower market m of a validated
+// config: the leader stage, then the follower solve at its prices,
+// checked by certify when non-nil. It returns the prices, the follower
+// equilibrium (one request per type) and the leader result, whose
+// profits it sets to the providers' profits at that equilibrium.
+func solveStackelberg(m *market, opts StackelbergOptions, certify func(Prices, MinerEquilibrium) error) (Prices, MinerEquilibrium, game.LeadersResult, error) {
+	cfg := m.cfg
+	opts = opts.withDefaults(cfg)
+	name, fields := "core.stackelberg", m.spanFields()
+	if m.counts != nil {
+		name = "core.stackelberg_classed"
+	}
+	fields["mode"] = cfg.Mode.String()
+	span := opts.observer().StartSpan(name, fields)
+	stage := leaderStage{opts: opts, follower: m}
+	lead, start, err := stage.run(span)
+	if err != nil {
+		return Prices{}, MinerEquilibrium{}, game.LeadersResult{}, err
+	}
 	prices := Prices{Edge: lead.PriceA, Cloud: lead.PriceB}
-	follower, err := stage.follower.solve(prices, opts.Follower, start, "")
+	eq, err := m.solve(prices, opts.Follower, start)
 	if err != nil {
 		span.End(obs.Fields{"failed": true})
-		return StackelbergResult{}, fmt.Errorf("follower stage at equilibrium prices %+v: %w", prices, err)
+		return Prices{}, MinerEquilibrium{}, game.LeadersResult{}, fmt.Errorf("%sfollower stage at equilibrium prices %+v: %w", m.kind(), prices, err)
 	}
-	if opts.CertifyAfterSolve != nil {
-		if err := opts.CertifyAfterSolve(cfg, prices, follower); err != nil {
+	if certify != nil {
+		if err := certify(prices, eq); err != nil {
 			span.End(obs.Fields{"failed": true})
-			return StackelbergResult{}, fmt.Errorf("certify follower equilibrium at prices %+v: %w", prices, err)
+			return Prices{}, MinerEquilibrium{}, game.LeadersResult{}, fmt.Errorf("certify %sfollower equilibrium at prices %+v: %w", m.kind(), prices, err)
 		}
 	}
-	res := StackelbergResult{
-		Prices:           prices,
-		Follower:         follower,
-		ProfitE:          (prices.Edge - cfg.CostE) * follower.EdgeDemand,
-		ProfitC:          (prices.Cloud - cfg.CostC) * follower.CloudDemand,
-		ClosedFormDemand: useClosedForm,
-		Iterations:       lead.Iterations,
-		Converged:        lead.Converged,
-	}
-	stage.end(span, res.Prices, res.ProfitE, res.ProfitC, lead)
-	return res, nil
+	lead.ProfitA = (prices.Edge - cfg.CostE) * eq.EdgeDemand
+	lead.ProfitB = (prices.Cloud - cfg.CostC) * eq.CloudDemand
+	stage.end(span, lead)
+	return prices, eq, lead, nil
 }
 
 // relativeDistance is |a − b|/|b|: how far a probe's start a sat
@@ -226,36 +225,33 @@ func relativeDistance(a, b numeric.Point2) float64 {
 // Algorithm 2 bargain, or the default Theorem 4 commitment. The follower
 // representation enters only through the follower market.
 type leaderStage struct {
-	cfg  Config
 	opts StackelbergOptions // with defaults applied
-	// label prefixes error messages ("" for the exact solver).
-	label string
 	// follower is the market the probes solve, built once per solve.
 	follower *market
-	// closedForm answers probes with the Table II demand where it applies.
-	closedForm bool
-	// uniformBudget is the one budget of a single-budget population,
-	// which admits the closed-form clearing price; 0 when budgets differ.
-	uniformBudget float64
-	// bargainFields tags the standalone bargain's span.
-	bargainFields obs.Fields
-	// probes and warmDist count the stage's follower solves and the
-	// distance of each from its start; run resolves them.
+	// probes counts the stage's demand probes, and warmDist the
+	// distance of each follower solve from its start; run resolves them.
 	probes   *obs.Counter
 	warmDist *obs.Histogram
 }
 
-// probe solves the follower market m at p and returns the totals of
-// its root. It starts from the seed at p when that is exact, where one
-// pass clears it, or when start is not ok, and from start otherwise. It
-// counts the solve on core.demand_probes_total and its start's distance
-// from the root on core.warm_start_distance.
+// probe returns the totals of the follower market m's root at p. A
+// market of one budget and one fork rate whose seed at p is exact
+// returns the seed, the closed-form equilibrium itself, and solves
+// nothing. Any other probe solves the root, starting from the seed at p
+// when that is exact, where one pass clears it, or when start is not
+// ok, and from start otherwise. Every probe counts on
+// core.demand_probes_total, and a solve's start's distance from its
+// root on core.warm_start_distance.
 func (s *leaderStage) probe(m *market, p Prices, start warmStart) (warmStart, error) {
 	s.probes.Inc()
-	if seed, exact := m.seed(p); exact || !start.ok {
+	seed, exact := m.seed(p)
+	if exact && m.run.single() {
+		return warmStart{totals: seed, ok: true}, nil
+	}
+	if exact || !start.ok {
 		start = warmStart{totals: seed, ok: true}
 	}
-	root, err := m.probe(p, s.opts.Follower, start, s.label)
+	root, err := m.probe(p, s.opts.Follower, start)
 	if err != nil {
 		return warmStart{}, err
 	}
@@ -274,7 +270,7 @@ func (s *leaderStage) probe(m *market, p Prices, start warmStart) (warmStart, er
 // its price point: neither worker count, arrival order nor a resident
 // cache's earlier solves can reach it.
 func (s *leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error) {
-	cfg, opts := s.cfg, s.opts
+	cfg, opts := s.follower.cfg, s.opts
 	ob := opts.observer()
 	s.probes = ob.Counter("core.demand_probes_total")
 	s.warmDist = ob.Histogram("core.warm_start_distance")
@@ -285,22 +281,12 @@ func (s *leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error)
 	}
 	if opts.canceled() {
 		span.End(obs.Fields{"canceled": true})
-		return game.LeadersResult{}, warmStart{}, fmt.Errorf("%sstackelberg %s mode: %w", s.label, cfg.Mode, game.ErrCanceled)
+		return game.LeadersResult{}, warmStart{}, fmt.Errorf("%sstackelberg %s mode: %w", s.follower.kind(), cfg.Mode, game.ErrCanceled)
 	}
 
-	oracle := func(p Prices) demand {
-		d, hit := memo.get(p, func() (demand, warmStart, error) {
-			if s.closedForm {
-				if d := cfg.closedFormDemand(p); d.ok {
-					s.probes.Inc()
-					return d, warmStart{}, nil
-				}
-			}
-			start, err := s.probe(s.follower, p, warmStart{})
-			if err != nil {
-				return demand{}, warmStart{}, err
-			}
-			return demand{edge: start.totals.E, cloud: start.totals.C, ok: true}, start, nil
+	oracle := func(p Prices) warmStart {
+		d, hit := memo.get(p, func() (warmStart, error) {
+			return s.probe(s.follower, p, warmStart{})
 		})
 		if hit {
 			memoHits.Inc()
@@ -315,7 +301,7 @@ func (s *leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error)
 			if !d.ok {
 				return math.Inf(-1)
 			}
-			return (own - cfg.CostE) * d.edge
+			return (own - cfg.CostE) * d.totals.E
 		},
 		Bracket: func(other float64) (float64, float64) {
 			lo := cfg.CostE + 1e-6
@@ -334,7 +320,7 @@ func (s *leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error)
 			if !d.ok {
 				return math.Inf(-1)
 			}
-			return (own - cfg.CostC) * d.cloud
+			return (own - cfg.CostC) * d.totals.C
 		},
 		Bracket: func(other float64) (float64, float64) {
 			return cfg.CostC + 1e-6, opts.MaxPriceC
@@ -359,14 +345,14 @@ func (s *leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error)
 	}
 	if err != nil {
 		span.End(obs.Fields{"failed": true})
-		return game.LeadersResult{}, warmStart{}, fmt.Errorf("%sleader stage: %w", s.label, err)
+		return game.LeadersResult{}, warmStart{}, fmt.Errorf("%sleader stage: %w", s.follower.kind(), err)
 	}
 	// A cancellation that landed mid-grid leaves the leader result
 	// computed from abandoned (-Inf) probes: discard it rather than
 	// solving a follower stage at meaningless prices.
 	if opts.canceled() {
 		span.End(obs.Fields{"canceled": true})
-		return game.LeadersResult{}, warmStart{}, fmt.Errorf("%sstackelberg %s mode: %w", s.label, cfg.Mode, game.ErrCanceled)
+		return game.LeadersResult{}, warmStart{}, fmt.Errorf("%sstackelberg %s mode: %w", s.follower.kind(), cfg.Mode, game.ErrCanceled)
 	}
 	// The leader search almost always probed the winning price pair: its
 	// memoized totals warm-start the final follower solve, which
@@ -377,16 +363,16 @@ func (s *leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error)
 
 // end closes a solved two-stage span and flags a leader stage that
 // stopped short of convergence.
-func (s *leaderStage) end(span *obs.Span, prices Prices, profitE, profitC float64, lead game.LeadersResult) {
+func (s *leaderStage) end(span *obs.Span, lead game.LeadersResult) {
 	span.End(obs.Fields{
-		"price_e": prices.Edge, "price_c": prices.Cloud,
-		"profit_e": profitE, "profit_c": profitC,
+		"price_e": lead.PriceA, "price_c": lead.PriceB,
+		"profit_e": lead.ProfitA, "profit_c": lead.ProfitB,
 		"leader_iterations": lead.Iterations, "converged": lead.Converged,
 	})
 	if !lead.Converged {
 		s.opts.observer().ReportAnomaly("leader_not_converged", obs.Fields{
-			"mode": s.cfg.Mode.String(), "iterations": lead.Iterations,
-			"price_e": prices.Edge, "price_c": prices.Cloud,
+			"mode": s.follower.cfg.Mode.String(), "iterations": lead.Iterations,
+			"price_e": lead.PriceA, "price_c": lead.PriceB,
 		})
 	}
 }
@@ -394,18 +380,20 @@ func (s *leaderStage) end(span *obs.Span, prices Prices, profitE, profitC float6
 // bargain implements the SP stage of Algorithm 2 under Problem 2c's
 // constraint E = E_max: for each CSP price the ESP charges the
 // market-clearing edge price, and the CSP maximizes its profit along
-// that clearing curve. With single-budget sufficient-budget miners the
+// that clearing curve. With miners of one budget, all sufficient, the
 // clearing price has a closed form (miner.ClearingPriceEdge); otherwise
 // it is the root of the capacity-unconstrained edge demand, which is
 // decreasing in P_e, less the capacity (numeric.BrentRoot).
 func (s *leaderStage) bargain() (game.LeadersResult, error) {
-	c, opts := s.cfg, s.opts
+	c, opts := s.follower.cfg, s.opts
 	ob := opts.observer()
-	span := ob.StartSpan("core.standalone_bargain", s.bargainFields)
+	fields := s.follower.spanFields()
+	fields["capacity"] = c.EdgeCapacity
+	span := ob.StartSpan("core.standalone_bargain", fields)
 	clearingSolves := ob.Counter("core.clearing_price_solves_total")
 	fail := func(err error) (game.LeadersResult, error) {
 		span.End(obs.Fields{"failed": true})
-		return game.LeadersResult{}, fmt.Errorf("standalone %sSP stage: %w", s.label, err)
+		return game.LeadersResult{}, fmt.Errorf("standalone %sSP stage: %w", s.follower.kind(), err)
 	}
 	// The capacity-free twin of the market, whose edge demand the
 	// clearing price clears; its config is validated once, here.
@@ -425,7 +413,7 @@ func (s *leaderStage) bargain() (game.LeadersResult, error) {
 	// worker-count independent.
 	clearing := func(pc float64) (float64, warmStart, bool) {
 		clearingSolves.Inc()
-		if s.uniformBudget > 0 {
+		if run := &s.follower.run; run.single() {
 			pe := miner.ClearingPriceEdge(c.Reward, c.Beta, pc, c.N, c.EdgeCapacity)
 			params := c.Params(Prices{Edge: pe, Cloud: pc})
 			// A clearing price at or below the ESP's cost means capacity is
@@ -437,7 +425,7 @@ func (s *leaderStage) bargain() (game.LeadersResult, error) {
 			// return P_e < C_e with negative ESP profit).
 			if params.Validate() == nil && pe > pc && pe > c.CostE && pc < (1-c.Beta)*pe {
 				sol, err := miner.HomogeneousStandalone(params, c.N, c.EdgeCapacity)
-				if err == nil && params.Spend(sol.Request) <= s.uniformBudget {
+				if err == nil && params.Spend(sol.Request) <= run.entries[0].budget {
 					return pe, warmStart{}, true
 				}
 			}
@@ -503,43 +491,6 @@ func (s *leaderStage) bargain() (game.LeadersResult, error) {
 		Iterations: 1,
 		Converged:  true,
 	}, nil
-}
-
-// closedFormDemand returns aggregate homogeneous demand at the prices,
-// when a closed form covers the regime.
-func (c Config) closedFormDemand(p Prices) demand {
-	params := c.Params(p)
-	if params.Validate() != nil {
-		return demand{}
-	}
-	n := float64(c.N)
-	budget := c.Budget(0)
-	switch c.Mode {
-	case netmodel.Connected:
-		sol, err := miner.HomogeneousConnected(params, c.N, budget)
-		if err != nil {
-			return demand{}
-		}
-		return demand{edge: n * sol.Request.E, cloud: n * sol.Request.C, ok: true}
-	default:
-		sol, err := miner.HomogeneousStandalone(params, c.N, c.EdgeCapacity)
-		if err != nil {
-			// Cloud priced out of the market: the all-edge contest
-			// E = R(n−1)/(n·P_e) capped by capacity and budgets.
-			if p.Edge > p.Cloud && p.Cloud >= (1-c.Beta)*p.Edge {
-				e := c.Reward * (n - 1) / (n * p.Edge)
-				e = math.Min(e, c.EdgeCapacity)
-				e = math.Min(e, n*budget/p.Edge)
-				return demand{edge: e, ok: true}
-			}
-			return demand{}
-		}
-		if params.Spend(sol.Request) > budget {
-			// The Table II regime assumes sufficient budgets.
-			return demand{}
-		}
-		return demand{edge: n * sol.Request.E, cloud: n * sol.Request.C, ok: true}
-	}
 }
 
 // ModeComparison contrasts the Stackelberg outcomes of the two ESP

@@ -6,21 +6,27 @@ import (
 	"runtime"
 	"testing"
 
+	"minegame/internal/game"
 	"minegame/internal/miner"
 	"minegame/internal/netmodel"
+	"minegame/internal/numeric"
+	"minegame/internal/obs"
 )
 
 func TestSolveStackelbergConnected(t *testing.T) {
 	cfg := testConfig()
-	res, err := SolveStackelberg(cfg, StackelbergOptions{})
+	ob := obs.New()
+	res, err := SolveStackelberg(cfg, StackelbergOptions{Observer: ob})
 	if err != nil {
 		t.Fatalf("SolveStackelberg: %v", err)
 	}
 	if !res.Converged {
 		t.Fatalf("leader stage did not converge: %+v", res)
 	}
-	if !res.ClosedFormDemand {
-		t.Error("homogeneous config should use the closed-form demand oracle")
+	// One budget, one fork rate: every probe is the closed form, and the
+	// leader stage solves no follower market.
+	if probes, solves := ob.Counter("core.demand_probes_total").Value(), ob.Histogram("core.warm_start_distance").Stat().Count; probes == 0 || solves != 0 {
+		t.Errorf("homogeneous config: %d probes, %d follower solves; want every probe in closed form", probes, solves)
 	}
 	if res.Prices.Edge <= res.Prices.Cloud {
 		t.Errorf("P_e = %g should exceed P_c = %g (edge has no delay and limited capacity)",
@@ -100,39 +106,70 @@ func TestSolveStackelbergStandalone(t *testing.T) {
 	}
 }
 
-func TestClosedFormDemandAgreesWithNumeric(t *testing.T) {
-	cfg := testConfig()
-	for _, p := range []Prices{{Edge: 8, Cloud: 4}, {Edge: 12, Cloud: 3}, {Edge: 6, Cloud: 5}} {
-		d := cfg.closedFormDemand(p)
-		if !d.ok {
-			t.Fatalf("closed form unavailable at %+v", p)
-		}
-		eq, err := SolveMinerEquilibrium(cfg, p, StackelbergOptions{}.Follower)
-		if err != nil {
-			t.Fatalf("numeric at %+v: %v", p, err)
-		}
-		if math.Abs(d.edge-eq.EdgeDemand) > 0.01*(1+eq.EdgeDemand) {
-			t.Errorf("at %+v: closed-form E %g vs numeric %g", p, d.edge, eq.EdgeDemand)
-		}
-		if math.Abs(d.cloud-eq.CloudDemand) > 0.01*(1+eq.CloudDemand) {
-			t.Errorf("at %+v: closed-form C %g vs numeric %g", p, d.cloud, eq.CloudDemand)
+// seedAndRoot returns the seed of cfg's exact market at p, whether it
+// is exact, and the totals of a cold solve's root there.
+func seedAndRoot(t *testing.T, cfg Config, p Prices) (seed numeric.Point2, exact bool, root numeric.Point2) {
+	t.Helper()
+	m := exactMarket(cfg)
+	seed, exact = m.seed(p)
+	eq, err := SolveMinerEquilibrium(cfg, p, game.NEOptions{})
+	if err != nil {
+		t.Fatalf("solve at %+v: %v", p, err)
+	}
+	return seed, exact, numeric.Point2{E: eq.EdgeDemand, C: eq.CloudDemand}
+}
+
+// TestSeedAgreesWithRoot pins the closed form a homogeneous market
+// answers its probes with: its seed is flagged exact and lands on the
+// numeric root, on the interior and on the budget face.
+func TestSeedAgreesWithRoot(t *testing.T) {
+	for _, budget := range []float64{200, 20} {
+		cfg := testConfig()
+		cfg.Budgets = []float64{budget}
+		for _, p := range []Prices{{Edge: 8, Cloud: 4}, {Edge: 12, Cloud: 3}, {Edge: 6, Cloud: 5}} {
+			seed, exact, root := seedAndRoot(t, cfg, p)
+			if !exact {
+				t.Fatalf("budget %g: seed at %+v not exact", budget, p)
+			}
+			if d := seed.Sub(root).Norm(); !(d <= 1e-9*root.Norm()) {
+				t.Errorf("budget %g at %+v: seed %+v vs root %+v", budget, p, seed, root)
+			}
 		}
 	}
 }
 
-func TestClosedFormDemandPureEdgeRegime(t *testing.T) {
+// TestSeedPureEdgeRegime covers a standalone market whose cloud is
+// priced out, P_c ≥ (1−β)·P_e: with its capacity slack the seed is the
+// all-edge contest, exact, with no cloud demand, on the free and the
+// budget face alike. With the capacity binding the seed is not exact:
+// the root sells the capacity at the edge, and its scarcity price
+// sends the rest of the demand to the cloud.
+func TestSeedPureEdgeRegime(t *testing.T) {
+	p := Prices{Edge: 5, Cloud: 4.5}
+	for _, budget := range []float64{200, 100} {
+		cfg := testConfig()
+		cfg.Mode = netmodel.Standalone
+		cfg.EdgeCapacity = 200
+		cfg.Budgets = []float64{budget}
+		seed, exact, root := seedAndRoot(t, cfg, p)
+		if !exact || seed.C != 0 {
+			t.Errorf("budget %g: seed %+v (exact %v), want exact with no cloud demand", budget, seed, exact)
+		}
+		if d := seed.Sub(root).Norm(); !(d <= 1e-9*root.Norm()) {
+			t.Errorf("budget %g: seed %+v vs root %+v", budget, seed, root)
+		}
+		if seed.E <= 0 || seed.E > cfg.EdgeCapacity {
+			t.Errorf("budget %g: edge demand = %g, want in (0, %g]", budget, seed.E, cfg.EdgeCapacity)
+		}
+	}
 	cfg := testConfig()
 	cfg.Mode = netmodel.Standalone
-	// Cloud priced out: P_c ≥ (1−β)·P_e.
-	d := cfg.closedFormDemand(Prices{Edge: 5, Cloud: 4.5})
-	if !d.ok {
-		t.Fatal("pure-edge regime should have a closed form")
+	_, exact, root := seedAndRoot(t, cfg, p)
+	if exact {
+		t.Error("binding capacity: seed flagged exact")
 	}
-	if d.cloud != 0 {
-		t.Errorf("cloud demand = %g, want 0", d.cloud)
-	}
-	if d.edge <= 0 || d.edge > cfg.EdgeCapacity {
-		t.Errorf("edge demand = %g, want in (0, %g]", d.edge, cfg.EdgeCapacity)
+	if math.Abs(root.E-cfg.EdgeCapacity) > 1e-9*cfg.EdgeCapacity || !(root.C > 0) {
+		t.Errorf("binding capacity: root %+v, want E = %g and C > 0", root, cfg.EdgeCapacity)
 	}
 }
 

@@ -206,7 +206,7 @@ func TestSinklessProbeAllocatesAsDisabled(t *testing.T) {
 	allocs := func(ob *obs.Observer) float64 {
 		opts := game.NEOptions{Observer: ob}
 		probe := func() {
-			if _, err := m.probe(p, opts, warmStart{}, ""); err != nil {
+			if _, err := m.probe(p, opts, warmStart{}); err != nil {
 				t.Fatal(err)
 			}
 		}

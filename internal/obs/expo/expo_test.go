@@ -1,6 +1,7 @@
 package expo
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -129,6 +130,27 @@ func TestDebugHandlerServesJSON(t *testing.T) {
 	}
 	if body := rec.Body.String(); !strings.Contains(body, "\"core.demand_probes_total\": 42") {
 		t.Errorf("JSON body missing raw-named counter:\n%s", body)
+	}
+}
+
+// TestDebugHandlerServesUnsetGauge pins /debug/obs on a registry
+// holding a registered but unset gauge (NaN): the body is one whole
+// JSON object, without that gauge.
+func TestDebugHandlerServesUnsetGauge(t *testing.T) {
+	h := DebugHandler(func() obs.Snapshot {
+		o := obs.New()
+		o.Gauge("serve.cache_hit_ratio")
+		o.Count("core.demand_probes_total", 1)
+		return o.Snapshot()
+	})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/obs", nil))
+	var snap obs.Snapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatalf("body is not JSON: %v\n%s", err, rec.Body.String())
+	}
+	if _, ok := snap.Gauges["serve.cache_hit_ratio"]; ok || snap.Counters["core.demand_probes_total"] != 1 {
+		t.Errorf("snapshot = %+v, want the counter and no unset gauge", snap)
 	}
 }
 

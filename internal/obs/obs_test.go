@@ -165,6 +165,28 @@ func TestSnapshotTextAndJSON(t *testing.T) {
 	}
 }
 
+// TestSnapshotJSONOmitsUnsetGauges pins the JSON dump of a registry
+// holding gauges JSON cannot carry: one registered but never set (NaN)
+// and one set to infinity. Both are left out, the dump still encodes,
+// and the set gauges round-trip.
+func TestSnapshotJSONOmitsUnsetGauges(t *testing.T) {
+	o := New()
+	o.Gauge("unset.gauge")
+	o.SetGauge("inf.gauge", math.Inf(1))
+	o.SetGauge("set.gauge", 0.25)
+	var buf bytes.Buffer
+	if err := o.Snapshot().WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatalf("JSON dump does not parse: %v", err)
+	}
+	if len(snap.Gauges) != 1 || snap.Gauges["set.gauge"] != 0.25 {
+		t.Errorf("gauges = %v, want only set.gauge = 0.25", snap.Gauges)
+	}
+}
+
 func TestSetDefaultSwapsAndRestores(t *testing.T) {
 	orig := Default()
 	o := New()

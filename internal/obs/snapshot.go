@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 )
@@ -59,8 +60,17 @@ func (s Snapshot) Empty() bool {
 	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0
 }
 
-// WriteJSON emits the snapshot as one indented JSON object.
+// WriteJSON emits the snapshot as one indented JSON object. JSON has
+// no NaN or infinity, so a gauge holding one — an unset gauge holds
+// NaN — is left out.
 func (s Snapshot) WriteJSON(w io.Writer) error {
+	gauges := make(map[string]float64, len(s.Gauges))
+	for k, v := range s.Gauges {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			gauges[k] = v
+		}
+	}
+	s.Gauges = gauges
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
