@@ -1,6 +1,6 @@
 // Command minegamed is the resident solver daemon: it keeps the
-// warm-start caches of internal/serve alive across requests and
-// exposes the repository's solvers as a batched JSON API.
+// single-flight result cache of internal/serve alive across requests
+// and exposes the repository's solvers as a batched JSON API.
 //
 //	POST /v1/solve    miner subgame at fixed prices (items carry pe/pc)
 //	POST /v1/price    full two-stage Stackelberg solve
@@ -8,7 +8,7 @@
 //	GET  /metrics /healthz /readyz /debug/obs
 //
 // Responses are byte-identical to single-shot `minegame -json` solves
-// of the same markets; the resident caches change only latency, never
+// of the same markets; the resident cache changes only latency, never
 // results. SIGINT/SIGTERM triggers a graceful drain: /readyz flips to
 // 503, -drain-grace elapses so load balancers stop routing, then
 // in-flight requests finish.
@@ -16,7 +16,6 @@
 // Usage:
 //
 //	minegamed [-addr :8080] [-workers n] [-max-batch n]
-//	          [-demand-cache n] [-market-cache n] [-result-cache n]
 //	          [-drain-grace d] [-shutdown-timeout d]
 package main
 
@@ -39,11 +38,8 @@ func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("minegamed", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "default per-request batch fan-out (0 = GOMAXPROCS pool)")
+	workers := fs.Int("workers", 0, "per-request batch fan-out, and its cap on requests that set their own (0 = GOMAXPROCS pool)")
 	maxBatch := fs.Int("max-batch", 0, "max items per request (0 = 1024)")
-	demandCache := fs.Int("demand-cache", 0, "demand-cache entries per market (0 = default)")
-	marketCache := fs.Int("market-cache", 0, "resident market caches (0 = 256)")
-	resultCache := fs.Int("result-cache", 0, "marshaled-result cache entries (0 = default)")
 	drainGrace := fs.Duration("drain-grace", 2*time.Second, "how long /readyz reports draining before the listener closes")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "bound on the in-flight request drain")
 	if err := fs.Parse(args); err != nil {
@@ -53,9 +49,6 @@ func run(args []string, out, errw io.Writer) int {
 		Addr:            *addr,
 		Workers:         *workers,
 		MaxBatch:        *maxBatch,
-		DemandCacheCap:  *demandCache,
-		MarketCacheCap:  *marketCache,
-		ResultCacheCap:  *resultCache,
 		DrainGrace:      *drainGrace,
 		ShutdownTimeout: *shutdownTimeout,
 		OnListen: func(a string) {

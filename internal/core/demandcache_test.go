@@ -23,7 +23,10 @@ func probe(t *testing.T, m *DemandCache, p Prices) (hit bool, computed bool) {
 	return hit, computed
 }
 
-func TestDemandCacheLRUEviction(t *testing.T) {
+// TestDemandCacheAdmissionBound pins the cache's bound: it admits up to
+// its cap of probes, and past that a new price point computes on every
+// probe without displacing an admitted one.
+func TestDemandCacheAdmissionBound(t *testing.T) {
 	ob := obs.New()
 	m := NewDemandCache(2, ob)
 	p1, p2, p3 := Prices{Edge: 1}, Prices{Edge: 2}, Prices{Edge: 3}
@@ -33,30 +36,24 @@ func TestDemandCacheLRUEviction(t *testing.T) {
 			t.Fatalf("first probe of %+v: hit=%v computed=%v", p, hit, computed)
 		}
 	}
-	// Touch p1 so p2 becomes least recently used, then overflow the cap.
-	if hit, _ := probe(t, m, p1); !hit {
-		t.Fatal("repeat probe of p1 should hit")
+	for round := 0; round < 3; round++ {
+		for _, p := range []Prices{p1, p2} {
+			if hit, computed := probe(t, m, p); !hit || computed {
+				t.Fatalf("round %d: repeat probe of admitted %+v: hit=%v computed=%v", round, p, hit, computed)
+			}
+		}
+		if hit, computed := probe(t, m, p3); hit || !computed {
+			t.Fatalf("round %d: probe of %+v past the cap: hit=%v computed=%v; want a compute every time", round, p3, hit, computed)
+		}
+		if st := m.Stats(); st.Entries != 2 {
+			t.Fatalf("round %d: entries = %d, want 2", round, st.Entries)
+		}
 	}
-	if hit, _ := probe(t, m, p3); hit {
-		t.Fatal("first probe of p3 should miss")
+	if st := m.Stats(); st.Hits != 6 || st.Misses != 5 {
+		t.Fatalf("stats = %+v, want 6 hits and 5 misses", st)
 	}
-	st := m.Stats()
-	if st.Evictions != 1 || st.Entries != 2 {
-		t.Fatalf("after overflow: want 1 eviction and 2 entries, got %+v", st)
-	}
-	// The recently-touched p1 survived; the LRU p2 was evicted and
-	// recomputes on its next probe.
-	if hit, _ := probe(t, m, p1); !hit {
-		t.Fatal("p1 was touched most recently before the overflow; it must survive eviction")
-	}
-	if hit, computed := probe(t, m, p2); hit || !computed {
-		t.Fatalf("p2 was the LRU entry; it must have been evicted (hit=%v computed=%v)", hit, computed)
-	}
-	if got := ob.Counter("serve.cache_evictions_total").Value(); got != 2 {
-		t.Fatalf("serve.cache_evictions_total = %d, want 2 (p2 evicted, then p3 evicted by p2's re-probe)", got)
-	}
-	if got := ob.Counter("serve.cache_hits_total").Value(); got != 2 {
-		t.Fatalf("serve.cache_hits_total = %d, want 2", got)
+	if got := ob.Counter("serve.cache_hits_total").Value(); got != 6 {
+		t.Fatalf("serve.cache_hits_total = %d, want 6", got)
 	}
 	if ratio := ob.Gauge("serve.cache_hit_ratio").Value(); ratio <= 0 || ratio >= 1 {
 		t.Fatalf("serve.cache_hit_ratio = %v, want strictly between 0 and 1", ratio)
@@ -100,13 +97,13 @@ func TestDemandCacheCanceledProbeNotCached(t *testing.T) {
 	}
 }
 
-// TestDemandCacheDefaultCap pins that a zero cap (serve.Config's unset
-// DemandCacheCap) resolves to the documented default rather than an
-// unbounded table.
+// TestDemandCacheDefaultCap pins that a zero cap (the per-solve cache
+// SolveStackelberg builds when StackelbergOptions.DemandCache is nil)
+// resolves to the documented default rather than an unbounded table.
 func TestDemandCacheDefaultCap(t *testing.T) {
 	m := NewDemandCache(0, nil)
-	if m.cap != DefaultDemandCacheCap {
-		t.Fatalf("cap = %d, want DefaultDemandCacheCap (%d)", m.cap, DefaultDemandCacheCap)
+	if m.cap != defaultDemandCap {
+		t.Fatalf("cap = %d, want defaultDemandCap (%d)", m.cap, defaultDemandCap)
 	}
 }
 

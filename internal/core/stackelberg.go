@@ -18,11 +18,6 @@ import (
 type StackelbergOptions struct {
 	Leader   game.LeaderOptions
 	Follower game.NEOptions
-	// Price brackets for the leader search. Zero values pick defaults
-	// scaled from the providers' costs.
-	MaxPriceE, MaxPriceC float64
-	// Starting prices. Zero values start just above cost.
-	StartE, StartC float64
 	// Simultaneous switches the leader stage to the literal asynchronous
 	// best-response iteration of Algorithm 1. The default is the paper's
 	// Theorem 4 commitment structure (the ESP optimizes against the CSP's
@@ -53,14 +48,13 @@ type StackelbergOptions struct {
 	// signature wants. Same contract: runs once, on the final follower
 	// solve, and an error fails the whole solve.
 	CertifyClassedAfterSolve ClassedCertifier
-	// DemandCache, when non-nil, is an external warm-start cache kept
-	// resident across solves: per-price demand probes survive from one
+	// DemandCache, when non-nil, is an external warm-start cache that
+	// outlives the solve: per-price demand probes survive from one
 	// SolveStackelberg call to the next, so a repeat query answers its
 	// probes from the cache.
 	// The cache must only ever be reused for the IDENTICAL market —
 	// same Config and population, same follower options (see
-	// DemandCache). Nil gets a fresh per-solve cache bounded by
-	// DefaultDemandCacheCap.
+	// DemandCache). Nil gets a fresh per-solve cache.
 	DemandCache *DemandCache
 	// Ctx, when non-nil, cancels the whole two-stage solve
 	// cooperatively: it is threaded into the follower options (making
@@ -81,20 +75,19 @@ type ClassedCertifier func(cfg Config, cp miner.ClassedPopulation, p Prices, eq 
 // error means the equilibrium failed certification.
 type Certifier func(cfg Config, p Prices, eq MinerEquilibrium) error
 
-func (o StackelbergOptions) withDefaults(cfg Config) StackelbergOptions {
-	scale := math.Max(1, math.Max(cfg.CostE, cfg.CostC))
-	if o.MaxPriceE <= 0 {
-		o.MaxPriceE = 40 * scale
-	}
-	if o.MaxPriceC <= 0 {
-		o.MaxPriceC = 40 * scale
-	}
-	if o.StartE <= 0 {
-		o.StartE = 2*cfg.CostE + 1
-	}
-	if o.StartC <= 0 {
-		o.StartC = 2*cfg.CostC + 1
-	}
+// maxLeaderPrice is the upper end of both leaders' price brackets,
+// scaled from the providers' costs.
+func (c Config) maxLeaderPrice() float64 {
+	return 40 * math.Max(1, math.Max(c.CostE, c.CostC))
+}
+
+// startPrices are the (edge, cloud) prices that Algorithm 1's
+// simultaneous iteration starts from, just above cost.
+func (c Config) startPrices() (float64, float64) {
+	return 2*c.CostE + 1, 2*c.CostC + 1
+}
+
+func (o StackelbergOptions) withDefaults() StackelbergOptions {
 	o.Leader = o.Leader.WithDefaults()
 	if o.Leader.Pool == nil {
 		o.Leader.Pool = parallel.New(o.Workers).WithObserver(o.Observer)
@@ -177,7 +170,7 @@ func SolveStackelberg(cfg Config, opts StackelbergOptions) (StackelbergResult, e
 // profits it sets to the providers' profits at that equilibrium.
 func solveStackelberg(m *market, opts StackelbergOptions, certify func(Prices, MinerEquilibrium) error) (Prices, MinerEquilibrium, game.LeadersResult, error) {
 	cfg := m.cfg
-	opts = opts.withDefaults(cfg)
+	opts = opts.withDefaults()
 	name, fields := "core.stackelberg", m.spanFields()
 	if m.counts != nil {
 		name = "core.stackelberg_classed"
@@ -277,7 +270,7 @@ func (s *leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error)
 	memoHits := ob.Counter("core.demand_memo_hits_total")
 	memo := opts.DemandCache
 	if memo == nil {
-		memo = NewDemandCache(DefaultDemandCacheCap, opts.Observer)
+		memo = NewDemandCache(0, opts.Observer)
 	}
 	if opts.canceled() {
 		span.End(obs.Fields{"canceled": true})
@@ -310,7 +303,7 @@ func (s *leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error)
 				// capacity-limited ESP: it sells out either way.
 				lo = other * (1 + 1e-6)
 			}
-			return lo, math.Max(opts.MaxPriceE, lo*1.5)
+			return lo, math.Max(cfg.maxLeaderPrice(), lo*1.5)
 		},
 	}
 	csp := game.Leader{
@@ -323,7 +316,7 @@ func (s *leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error)
 			return (own - cfg.CostC) * d.totals.C
 		},
 		Bracket: func(other float64) (float64, float64) {
-			return cfg.CostC + 1e-6, opts.MaxPriceC
+			return cfg.CostC + 1e-6, cfg.maxLeaderPrice()
 		},
 	}
 
@@ -333,7 +326,8 @@ func (s *leaderStage) run(span *obs.Span) (game.LeadersResult, warmStart, error)
 	)
 	switch {
 	case opts.Simultaneous:
-		lead, err = game.SolveLeaders(esp, csp, opts.StartE, opts.StartC, opts.Leader)
+		startE, startC := cfg.startPrices()
+		lead, err = game.SolveLeaders(esp, csp, startE, startC, opts.Leader)
 	case cfg.Mode == netmodel.Standalone:
 		// Problem 2c pins E = E_max at the SP equilibrium: the ESP plays
 		// the market-clearing price (the highest price that still sells
@@ -441,7 +435,7 @@ func (s *leaderStage) bargain() (game.LeadersResult, error) {
 			return next.totals.E
 		}
 		lo := math.Max(pc*(1+1e-6), c.CostE+1e-9)
-		hi := math.Max(opts.MaxPriceE, lo*1.5)
+		hi := math.Max(c.maxLeaderPrice(), lo*1.5)
 		if demandAt(lo) < c.EdgeCapacity {
 			return 0, warmStart{}, false // capacity never binds; no clearing price
 		}
@@ -467,7 +461,8 @@ func (s *leaderStage) bargain() (game.LeadersResult, error) {
 		}
 		return (pc - c.CostC) * d.totals.C
 	}
-	pcStar, vc, err := numeric.MaximizeGridPool(profitC, c.CostC+1e-6, opts.MaxPriceC, opts.Leader.GridN, opts.MaxPriceC*1e-7, opts.Leader.Pool)
+	maxPC := c.maxLeaderPrice()
+	pcStar, vc, err := numeric.MaximizeGridPool(profitC, c.CostC+1e-6, maxPC, opts.Leader.GridN, maxPC*1e-7, opts.Leader.Pool)
 	if err != nil {
 		return fail(err)
 	}
@@ -511,7 +506,7 @@ func CompareModes(cfg Config, opts StackelbergOptions) (ModeComparison, error) {
 	conn.Mode = netmodel.Connected
 	alone := cfg
 	alone.Mode = netmodel.Standalone
-	// A resident DemandCache is keyed to ONE market; the two mode
+	// A shared DemandCache is keyed to ONE market; the two mode
 	// variants are different markets, so never share a cache across
 	// them — each mode solve builds its own per-solve cache.
 	opts.DemandCache = nil

@@ -40,7 +40,7 @@ func scanBest(f func(float64) (float64, bool), lo, hi float64, points int) (best
 	return bestP, bestV
 }
 
-// maxPriceC is the CSP's default price ceiling (core's StackelbergOptions).
+// maxPriceC is the top of the CSP's price bracket in core's leader stage.
 func maxPriceC(cfg core.Config) float64 {
 	return 40 * math.Max(1, math.Max(cfg.CostE, cfg.CostC))
 }
@@ -57,7 +57,7 @@ func checkCSPBestResponse(t *testing.T, p core.Prices, profitC, bestP, bestV flo
 
 // TestLeaderCSPBestResponse: under the Theorem 4 commitment the CSP
 // plays its best response to the ESP's price, so at the returned P_e no
-// CSP price on a 2,000-point scan of [C_c, MaxPriceC] may earn more than
+// CSP price on a 2,000-point scan of [C_c, maxPriceC] may earn more than
 // the returned P_c, beyond 1e-6 relative. Standalone markets run the same
 // check along the market-clearing curve of the Algorithm 2 bargain, with
 // 400 points.

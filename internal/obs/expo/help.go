@@ -58,13 +58,10 @@ var DefaultHelp = map[string]string{
 	"serve.items_total":                  "Batch items resolved across all requests",
 	"serve.item_errors_total":            "Batch items that resolved to an error",
 	"serve.request_latency_ms":           "Per-request wall time across the /v1 endpoints",
-	"serve.cache_hits_total":             "Demand-cache lookups answered from a resident entry",
+	"serve.cache_hits_total":             "Demand-cache lookups answered from a stored or in-flight probe",
 	"serve.cache_misses_total":           "Demand-cache lookups that ran a fresh follower solve",
-	"serve.cache_evictions_total":        "Demand-cache entries dropped by the per-market LRU bound",
-	"serve.cache_hit_ratio":              "Resident demand-cache hit ratio since process start",
+	"serve.cache_hit_ratio":              "Hit ratio of the demand cache that probed last",
 	"serve.result_cache_hits_total":      "Item responses answered from the marshaled-result cache",
 	"serve.result_cache_misses_total":    "Item responses that ran a solve",
 	"serve.result_cache_evictions_total": "Marshaled responses dropped by the result-cache LRU bound",
-	"serve.market_cache_evictions_total": "Whole market caches dropped by the registry LRU bound",
-	"serve.market_caches":                "Resident per-market demand caches currently alive",
 }

@@ -1,16 +1,18 @@
-// Package serve is the resident warm-start serving layer behind
-// cmd/minegamed: a stdlib-net/http daemon exposing the repository's
-// solvers as a batched JSON API (/v1/solve, /v1/price, /v1/certify)
-// with per-market-signature demand caches kept warm across requests, a
-// single-flight marshaled-result cache, context cancellation threaded
-// into the solver sweep loops, and graceful drain on shutdown.
+// Package serve is the resident serving layer behind cmd/minegamed: a
+// stdlib-net/http daemon exposing the repository's solvers as a
+// batched JSON API (/v1/solve, /v1/price, /v1/certify) with one cache
+// kept across requests, a single-flight marshaled-result cache, plus
+// context cancellation threaded into the solver sweep loops and
+// graceful drain on shutdown. Each two-stage solve memoizes its
+// demand probes in its own per-solve core.DemandCache.
 //
-// The load-bearing invariant is purity: every cached value — per-price
-// demand probes, each seeded at its own prices, and marshaled
-// responses — is a pure function of its key, so cache reuse changes
-// only how fast a request is answered, never what it is answered with. Responses are
-// byte-identical to single-shot CLI solves at any worker count, batch
-// composition, and cache state (pinned by the determinism tests).
+// The load-bearing invariant is purity: every cached value — marshaled
+// responses, and the per-price demand probes inside a solve, each
+// seeded at its own prices — is a pure function of its key, so cache
+// reuse changes only how fast a request is answered, never what it is
+// answered with. Responses are byte-identical to single-shot CLI
+// solves at any worker count, batch composition, and cache state
+// (pinned by the determinism tests).
 //
 // Concurrency ownership: this package is on the minelint concurrency
 // allowlist (see internal/analysis.DefaultPackageSkips) — it owns the
@@ -86,7 +88,8 @@ type Item struct {
 type Request struct {
 	Items []Item `json:"items"`
 	// Workers bounds the batch fan-out for this request: 0 picks the
-	// server default, 1 forces sequential.
+	// server default, 1 forces sequential, and any value is capped at
+	// the server's Config.Workers budget.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -129,19 +132,6 @@ func (m Market) coreConfig() (core.Config, miner.ClassedPopulation, bool, error)
 	cfg.N = cp.N()
 	cfg.Budgets = []float64{m.Budget}
 	return cfg, cp, true, nil
-}
-
-// signature is the market's cache key: the compact JSON of the wire
-// struct. Two requests share warm-start state exactly when their
-// markets serialize identically — a conservative key (a reordered
-// Budgets slice is a different market) that can only split caches,
-// never alias two different markets onto one.
-func (m Market) signature() (string, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
 }
 
 // itemKey is the result-cache key for one batch item on one endpoint.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"sync"
 
-	"minegame/internal/core"
 	"minegame/internal/game"
 	"minegame/internal/obs"
 )
@@ -32,7 +31,6 @@ func notCacheable(err error) bool {
 // waiters transparently retry under their own context.
 type resultCache struct {
 	mu      sync.Mutex
-	cap     int
 	entries map[string]*resultEntry
 	lru     *list.List // front = most recent; values are string keys
 
@@ -48,15 +46,14 @@ type resultEntry struct {
 	elem     *list.Element // LRU slot; nil while in flight
 }
 
-func newResultCache(capEntries int, ob *obs.Observer) *resultCache {
-	if capEntries <= 0 {
-		capEntries = core.DefaultDemandCacheCap
-	}
+// resultCacheCap bounds the result cache's entries.
+const resultCacheCap = 4096
+
+func newResultCache(ob *obs.Observer) *resultCache {
 	if ob == nil {
 		ob = obs.Default()
 	}
 	return &resultCache{
-		cap:     capEntries,
 		entries: make(map[string]*resultEntry),
 		lru:     list.New(),
 		hitsC:   ob.Counter("serve.result_cache_hits_total"),
@@ -98,7 +95,7 @@ func (c *resultCache) do(key string, compute func() ([]byte, error)) ([]byte, er
 			delete(c.entries, key)
 		} else {
 			e.elem = c.lru.PushFront(key)
-			for c.lru.Len() > c.cap {
+			for c.lru.Len() > resultCacheCap {
 				back := c.lru.Back()
 				delete(c.entries, back.Value.(string))
 				c.lru.Remove(back)
@@ -117,64 +114,4 @@ func (c *resultCache) stats() (hits, misses, evictions int64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evictions, len(c.entries)
-}
-
-// marketCaches keys resident core.DemandCache instances by market
-// signature, bounded LRU-style so a server scanning an unbounded
-// market stream cannot grow without limit. Evicting a market cache
-// only costs warmth — the next request for that market cold-starts
-// exactly like its first ever request did.
-type marketCaches struct {
-	mu       sync.Mutex
-	cap      int
-	entryCap int
-	ob       *obs.Observer
-	m        map[string]*core.DemandCache
-	lru      *list.List
-	elems    map[string]*list.Element
-	evictsC  *obs.Counter
-	countG   *obs.Gauge
-}
-
-func newMarketCaches(capMarkets, entryCap int, ob *obs.Observer) *marketCaches {
-	if capMarkets <= 0 {
-		capMarkets = 256
-	}
-	if ob == nil {
-		ob = obs.Default()
-	}
-	return &marketCaches{
-		cap:      capMarkets,
-		entryCap: entryCap,
-		ob:       ob,
-		m:        make(map[string]*core.DemandCache),
-		lru:      list.New(),
-		elems:    make(map[string]*list.Element),
-		evictsC:  ob.Counter("serve.market_cache_evictions_total"),
-		countG:   ob.Gauge("serve.market_caches"),
-	}
-}
-
-// For returns the resident demand cache for one market signature,
-// creating it on first sight.
-func (mc *marketCaches) For(sig string) *core.DemandCache {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	if c, ok := mc.m[sig]; ok {
-		mc.lru.MoveToFront(mc.elems[sig])
-		return c
-	}
-	c := core.NewDemandCache(mc.entryCap, mc.ob)
-	mc.m[sig] = c
-	mc.elems[sig] = mc.lru.PushFront(sig)
-	for mc.lru.Len() > mc.cap {
-		back := mc.lru.Back()
-		old := back.Value.(string)
-		delete(mc.m, old)
-		delete(mc.elems, old)
-		mc.lru.Remove(back)
-		mc.evictsC.Inc()
-	}
-	mc.countG.Set(float64(mc.lru.Len()))
-	return c
 }

@@ -31,20 +31,12 @@ type Config struct {
 	// gets a fresh enabled observer (a daemon without metrics is
 	// blind).
 	Observer *obs.Observer
-	// Workers is the default per-request batch fan-out when a request
-	// does not set its own (0 = process default).
+	// Workers is the per-request batch fan-out budget: the fan-out of
+	// a request that does not set its own, and the cap on one that does
+	// (0 = process default).
 	Workers int
 	// MaxBatch caps the items of one request; 0 picks 1024.
 	MaxBatch int
-	// DemandCacheCap bounds each market's resident demand cache
-	// (entries per market; 0 picks core.DefaultDemandCacheCap).
-	DemandCacheCap int
-	// MarketCacheCap bounds how many distinct market signatures keep
-	// resident demand caches (0 picks 256).
-	MarketCacheCap int
-	// ResultCacheCap bounds the marshaled-response cache (0 picks
-	// core.DefaultDemandCacheCap).
-	ResultCacheCap int
 	// DrainGrace is how long the daemon keeps serving after readiness
 	// flips to 503 on shutdown, giving load balancers time to stop
 	// routing before in-flight work is drained.
@@ -70,8 +62,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the resident solver daemon: three batched solver endpoints
-// plus the expo telemetry surface, backed by warm-start caches that
-// survive across requests.
+// plus the expo telemetry surface, backed by one single-flight result
+// cache that survives across requests.
 //
 //	POST /v1/solve    miner subgame at fixed prices (items need pe/pc)
 //	POST /v1/price    full two-stage Stackelberg solve
@@ -81,7 +73,6 @@ type Server struct {
 	cfg     Config
 	ob      *obs.Observer
 	mux     *http.ServeMux
-	markets *marketCaches
 	results *resultCache
 	ready   atomic.Bool
 
@@ -97,8 +88,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		ob:       ob,
-		markets:  newMarketCaches(cfg.MarketCacheCap, cfg.DemandCacheCap, ob),
-		results:  newResultCache(cfg.ResultCacheCap, ob),
+		results:  newResultCache(ob),
 		reqC:     ob.Counter("serve.requests_total"),
 		reqErrC:  ob.Counter("serve.request_errors_total"),
 		itemC:    ob.Counter("serve.items_total"),
@@ -176,9 +166,11 @@ func (s *Server) batchHandler(endpoint string) http.HandlerFunc {
 			http.Error(w, fmt.Sprintf("batch of %d exceeds the %d-item cap", len(req.Items), s.cfg.MaxBatch), http.StatusRequestEntityTooLarge)
 			return
 		}
-		workers := req.Workers
-		if workers <= 0 {
-			workers = s.cfg.Workers
+		// The server's budget caps what a request may ask for.
+		budget := parallel.New(s.cfg.Workers).Workers()
+		workers := budget
+		if req.Workers > 0 {
+			workers = min(req.Workers, budget)
 		}
 		pool := parallel.New(workers).WithObserver(s.ob)
 		outs, err := parallel.Map(pool, req.Items, func(i int, it Item) (outcome, error) {
@@ -286,10 +278,7 @@ func (s *Server) computeItem(ctx context.Context, endpoint string, it Item) ([]b
 		}
 		return encodeResult(eq)
 	case "price":
-		opts, err := s.stackelbergOpts(ctx, it.Market)
-		if err != nil {
-			return nil, err
-		}
+		opts := s.stackelbergOpts(ctx)
 		if classed {
 			res, err := core.SolveStackelbergClassed(cfg, cp, opts)
 			if err != nil {
@@ -303,26 +292,17 @@ func (s *Server) computeItem(ctx context.Context, endpoint string, it Item) ([]b
 		}
 		return encodeResult(res)
 	case "certify":
-		return s.computeCertify(ctx, cfg, cp, classed, it, prices, fixedPrices)
+		return s.computeCertify(ctx, cfg, cp, classed, prices, fixedPrices)
 	default:
 		return nil, fmt.Errorf("unknown endpoint %q", endpoint)
 	}
 }
 
-// stackelbergOpts assembles the two-stage options for one market: one
-// in-solve worker (batch items are the parallel axis), the request's
-// context, and the market's resident warm-start cache.
-func (s *Server) stackelbergOpts(ctx context.Context, m Market) (core.StackelbergOptions, error) {
-	sig, err := m.signature()
-	if err != nil {
-		return core.StackelbergOptions{}, err
-	}
-	return core.StackelbergOptions{
-		Workers:     1,
-		Ctx:         ctx,
-		Observer:    s.ob,
-		DemandCache: s.markets.For(sig),
-	}, nil
+// stackelbergOpts assembles the two-stage options for one item: one
+// in-solve worker (batch items are the parallel axis) and the
+// request's context. The solve builds its own per-solve demand cache.
+func (s *Server) stackelbergOpts(ctx context.Context) core.StackelbergOptions {
+	return core.StackelbergOptions{Workers: 1, Ctx: ctx, Observer: s.ob}
 }
 
 // certified pairs a fixed-price equilibrium with its certificate on
@@ -343,7 +323,7 @@ type certifiedFull[R any] struct {
 // fixed-price follower subgame; otherwise the full two-stage solve
 // (classed two-stage results certify the follower at the winning
 // prices — there is no classed leader certifier yet).
-func (s *Server) computeCertify(ctx context.Context, cfg core.Config, cp miner.ClassedPopulation, classed bool, it Item, prices core.Prices, fixedPrices bool) ([]byte, error) {
+func (s *Server) computeCertify(ctx context.Context, cfg core.Config, cp miner.ClassedPopulation, classed bool, prices core.Prices, fixedPrices bool) ([]byte, error) {
 	vopts := verify.Options{}
 	if fixedPrices {
 		if classed {
@@ -367,10 +347,7 @@ func (s *Server) computeCertify(ctx context.Context, cfg core.Config, cp miner.C
 		}
 		return encodeResult(certified[core.MinerEquilibrium]{Equilibrium: eq, Certificate: cert})
 	}
-	opts, err := s.stackelbergOpts(ctx, it.Market)
-	if err != nil {
-		return nil, err
-	}
+	opts := s.stackelbergOpts(ctx)
 	if classed {
 		res, err := core.SolveStackelbergClassed(cfg, cp, opts)
 		if err != nil {

@@ -223,6 +223,38 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestRequestWorkersCappedByServer pins the server's worker budget as a
+// cap: a request asking for 64 workers on a Workers: 2 server fans out
+// over at most 2, and answers with the bytes of a sequential request.
+func TestRequestWorkersCappedByServer(t *testing.T) {
+	ob := obs.New()
+	s, err := New(Config{Observer: ob, Workers: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	items := make([]Item, 8)
+	for i := range items {
+		items[i] = Item{Market: testMarket(), PriceE: 4 + float64(i), PriceC: 3}
+	}
+	status, got := post(t, ts.URL, "/v1/solve", Request{Items: items, Workers: 64})
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, got)
+	}
+	if size := ob.Gauge("parallel.pool_size").Value(); size > 2 {
+		t.Errorf("parallel.pool_size = %v, want at most the server's 2 workers", size)
+	}
+	_, refTS := newTestServer(t)
+	status, want := post(t, refTS.URL, "/v1/solve", Request{Items: items, Workers: 1})
+	if status != http.StatusOK {
+		t.Fatalf("reference status %d: %s", status, want)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("workers=64 response differs from the workers=1 response")
+	}
+}
+
 // TestRaceHammerSingleFlight hammers one server from many goroutines
 // with overlapping items and pins, by counter, that the single-flight
 // result cache never ran a duplicate solve — and that every response is
@@ -510,46 +542,6 @@ func TestDrainFlipsReadiness(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run never returned after drain")
-	}
-}
-
-// TestMarketSignatureSplitsCaches pins that distinct markets never
-// share a demand cache and identical markets do.
-func TestMarketSignatureSplitsCaches(t *testing.T) {
-	mc := newMarketCaches(0, 0, obs.Default())
-	a1, err := testMarket().signature()
-	if err != nil {
-		t.Fatalf("signature: %v", err)
-	}
-	m2 := testMarket()
-	m2.Reward = 101
-	a2, err := m2.signature()
-	if err != nil {
-		t.Fatalf("signature: %v", err)
-	}
-	if a1 == a2 {
-		t.Fatal("distinct markets share a signature")
-	}
-	if mc.For(a1) != mc.For(a1) {
-		t.Error("same signature resolved to different caches")
-	}
-	if mc.For(a1) == mc.For(a2) {
-		t.Error("different signatures share a cache")
-	}
-}
-
-// TestMarketCachesEviction pins the bounded market registry: the LRU
-// market's warm state is dropped once the cap is exceeded.
-func TestMarketCachesEviction(t *testing.T) {
-	mc := newMarketCaches(2, 0, obs.Default())
-	c1 := mc.For("a")
-	mc.For("b")
-	mc.For("c") // evicts "a"
-	if mc.For("a") == c1 {
-		t.Error("evicted market cache came back identical; want a fresh cold cache")
-	}
-	if got := mc.lru.Len(); got != 2 {
-		t.Errorf("registry holds %d caches, want cap 2", got)
 	}
 }
 

@@ -115,7 +115,7 @@ func CertifyExpandedSample(cfg core.Config, cp miner.ClassedPopulation, p core.P
 
 	if full.Edge+full.Cloud > 0 {
 		wFull := numeric.Sum(miner.WinProbsFull(cfg.Beta, prof))
-		cert.add("winprob_sum_full", math.Abs(wFull-1), opts.ProbTol,
+		cert.add("winprob_sum_full", math.Abs(wFull-1), probTol,
 			"Theorem 1 over the full expansion")
 	}
 
@@ -158,8 +158,8 @@ func CertifyExpandedSample(cfg core.Config, cp miner.ClassedPopulation, p core.P
 	}
 	cert.add("sample_rows_match", rowMismatch, 0,
 		fmt.Sprintf("%d of %d sampled rows differ from their class representative", int(rowMismatch), checked))
-	cert.add("nonneg", nonneg, opts.FeasTol, "negative request coordinates in the sample")
-	cert.add("budget", budget, opts.FeasTol, "relative budget overspend across the sample")
+	cert.add("nonneg", nonneg, feasibilityTol, "negative request coordinates in the sample")
+	cert.add("budget", budget, feasibilityTol, "relative budget overspend across the sample")
 	cert.Epsilon = eps
 	cert.EpsilonRel = eps / cfg.Reward
 	cert.add("deviation", worst, opts.GainTol,

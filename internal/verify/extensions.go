@@ -53,8 +53,8 @@ func CertifyMultiESP(cfg multiesp.Config, eq multiesp.Equilibrium, opts Options)
 		}
 		budRes = math.Max(budRes, (prices.Dot(x)-cfg.Budget)/(1+cfg.Budget))
 	}
-	cert.add("nonneg", math.Max(0, negRes), opts.FeasTol, "request coordinates must be non-negative")
-	cert.add("budget", math.Max(0, budRes), opts.FeasTol, "relative budget overspend across miners")
+	cert.add("nonneg", math.Max(0, negRes), feasibilityTol, "request coordinates must be non-negative")
+	cert.add("budget", math.Max(0, budRes), feasibilityTol, "relative budget overspend across miners")
 
 	// ε-Nash: at fixed totals a miner's utility is linear in how its edge
 	// request splits across ESPs, so a best response buys edge from one
@@ -108,7 +108,7 @@ func CertifyMultiESP(cfg multiesp.Config, eq multiesp.Equilibrium, opts Options)
 	uRes, uScale := sliceResidual(utilWant, eq.Utilities)
 	cert.add("utilities", uRes/uScale, opts.ConsistTol, "reported utilities vs recomputed utilities")
 	wRes, _ := sliceResidual(probWant, eq.WinProbs)
-	cert.add("winprobs_reported", wRes, opts.ProbTol, "reported win probabilities vs recomputed values")
+	cert.add("winprobs_reported", wRes, probTol, "reported win probabilities vs recomputed values")
 	opts.recordCert(cert)
 	return cert, nil
 }
@@ -144,9 +144,9 @@ func CertifyPopulation(
 
 	x := eq.Request
 	spend := p.Spend(x)
-	cert.add("nonneg", math.Max(0, math.Max(-x.E, -x.C)), opts.FeasTol,
+	cert.add("nonneg", math.Max(0, math.Max(-x.E, -x.C)), feasibilityTol,
 		"strategy coordinates must be non-negative")
-	cert.add("budget", math.Max(0, (spend-budget)/(1+budget)), opts.FeasTol,
+	cert.add("budget", math.Max(0, (spend-budget)/(1+budget)), feasibilityTol,
 		"relative budget overspend of the common strategy")
 
 	// Symmetric ε: the gain one miner gets by deviating from the common

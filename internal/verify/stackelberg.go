@@ -26,7 +26,7 @@ import (
 //   - price_floor: both prices at or above the providers' unit costs;
 //   - leader first-order residuals (unless opts.SkipLeader): in
 //     connected mode, small relative own-price perturbations of either
-//     leader must not raise its profit beyond opts.LeaderGainTol
+//     leader must not raise its profit beyond leaderGainTol
 //     (follower demand re-solved at every probe); in standalone mode
 //     with binding capacity, the paper's Problem 2c structure instead —
 //     P_e is market-clearing (unconstrained edge demand covers E_max at
@@ -60,7 +60,7 @@ func certifyStackelberg(cfg core.Config, res core.StackelbergResult, opts Option
 		"reported leader profits vs margin × demand")
 
 	floor := math.Max(cfg.CostE-res.Prices.Edge, cfg.CostC-res.Prices.Cloud)
-	cert.add("price_floor", math.Max(0, floor), opts.FeasTol*(1+cfg.CostE+cfg.CostC),
+	cert.add("price_floor", math.Max(0, floor), feasibilityTol*(1+cfg.CostE+cfg.CostC),
 		"equilibrium prices must not undercut provider costs")
 
 	if opts.SkipLeader {
@@ -77,7 +77,7 @@ func certifyStackelberg(cfg core.Config, res core.StackelbergResult, opts Option
 	}
 
 	capacityBinds := cfg.Mode == netmodel.Standalone && !math.IsInf(cfg.EdgeCapacity, 1) &&
-		res.Follower.EdgeDemand >= cfg.EdgeCapacity*(1-opts.SlackTol)
+		res.Follower.EdgeDemand >= cfg.EdgeCapacity*(1-slackTol)
 	if capacityBinds {
 		certifyClearingLeaders(&cert, cfg, res, opts, profitAt)
 		return cert, nil
@@ -90,8 +90,8 @@ func certifyStackelberg(cfg core.Config, res core.StackelbergResult, opts Option
 	// price the gain grows linearly with the rung.
 	var gainE, gainC float64
 	for _, d := range [...]float64{
-		-4 * opts.LeaderProbe, -opts.LeaderProbe, -opts.LeaderProbe / 4,
-		opts.LeaderProbe / 4, opts.LeaderProbe, 4 * opts.LeaderProbe,
+		-4 * leaderMove, -leaderMove, -leaderMove / 4,
+		leaderMove / 4, leaderMove, 4 * leaderMove,
 	} {
 		if ve, _, ok := profitAt(core.Prices{Edge: res.Prices.Edge * (1 + d), Cloud: res.Prices.Cloud}); ok {
 			gainE = math.Max(gainE, ve-res.ProfitE)
@@ -100,10 +100,10 @@ func certifyStackelberg(cfg core.Config, res core.StackelbergResult, opts Option
 			gainC = math.Max(gainC, vc-res.ProfitC)
 		}
 	}
-	cert.add("leader_foc_esp", gainE/profitScale, opts.LeaderGainTol,
-		fmt.Sprintf("ESP profit gain from ±%.2g%% own-price probes", 100*opts.LeaderProbe))
-	cert.add("leader_foc_csp", gainC/profitScale, opts.LeaderGainTol,
-		fmt.Sprintf("CSP profit gain from ±%.2g%% own-price probes", 100*opts.LeaderProbe))
+	cert.add("leader_foc_esp", gainE/profitScale, leaderGainTol,
+		fmt.Sprintf("ESP profit gain from ±%.2g%% own-price probes", 100*leaderMove))
+	cert.add("leader_foc_csp", gainC/profitScale, leaderGainTol,
+		fmt.Sprintf("CSP profit gain from ±%.2g%% own-price probes", 100*leaderMove))
 	return cert, nil
 }
 
@@ -132,11 +132,11 @@ func certifyClearingLeaders(
 	// capacity; at P_e(1+probe) they would not — P_e is (within the probe
 	// resolution) the highest price that still sells out.
 	if e, ok := demandUnconstrained(res.Prices); ok {
-		cert.add("esp_clearing_lo", math.Max(0, (cfg.EdgeCapacity-e)/cfg.EdgeCapacity), opts.SlackTol,
+		cert.add("esp_clearing_lo", math.Max(0, (cfg.EdgeCapacity-e)/cfg.EdgeCapacity), slackTol,
 			fmt.Sprintf("unconstrained edge demand %g must cover capacity %g at P_e", e, cfg.EdgeCapacity))
 	}
-	if e, ok := demandUnconstrained(core.Prices{Edge: res.Prices.Edge * (1 + opts.LeaderProbe), Cloud: res.Prices.Cloud}); ok {
-		cert.add("esp_clearing_hi", math.Max(0, (e-cfg.EdgeCapacity)/cfg.EdgeCapacity), opts.SlackTol,
+	if e, ok := demandUnconstrained(core.Prices{Edge: res.Prices.Edge * (1 + leaderMove), Cloud: res.Prices.Cloud}); ok {
+		cert.add("esp_clearing_hi", math.Max(0, (e-cfg.EdgeCapacity)/cfg.EdgeCapacity), slackTol,
 			fmt.Sprintf("unconstrained edge demand %g must fall below capacity %g just above P_e", e, cfg.EdgeCapacity))
 	}
 
@@ -146,7 +146,7 @@ func certifyClearingLeaders(
 	// cannot be credited with a gain from leaving the Problem 2c regime.
 	var gainC float64
 	probed := false
-	for _, d := range [...]float64{-4 * opts.LeaderProbe, -opts.LeaderProbe, opts.LeaderProbe, 4 * opts.LeaderProbe} {
+	for _, d := range [...]float64{-4 * leaderMove, -leaderMove, leaderMove, 4 * leaderMove} {
 		pc := res.Prices.Cloud * (1 + d)
 		pe, ok := clearingPriceAt(cfg, pc, res, opts, demandUnconstrained)
 		if !ok {
@@ -159,8 +159,8 @@ func certifyClearingLeaders(
 	}
 	if probed {
 		scale := 1 + math.Abs(res.ProfitC)
-		cert.add("leader_foc_csp", gainC/scale, opts.LeaderGainTol,
-			fmt.Sprintf("CSP profit gain from ±%.2g%% probes along the market-clearing curve", 100*opts.LeaderProbe))
+		cert.add("leader_foc_csp", gainC/scale, leaderGainTol,
+			fmt.Sprintf("CSP profit gain from ±%.2g%% probes along the market-clearing curve", 100*leaderMove))
 	}
 }
 

@@ -26,6 +26,28 @@ import (
 	"minegame/internal/obs"
 )
 
+// Fixed certification tolerances.
+const (
+	// feasibilityTol is the relative feasibility tolerance on the
+	// budget, the non-negativity and the shared-capacity constraints.
+	feasibilityTol = 1e-6
+	// probTol bounds the winning-probability identity residuals
+	// (Theorem 1 and the connected-mode mass identity).
+	probTol = 1e-6
+	// slackTol bounds the standalone shared-capacity residuals: the
+	// relative overshoot E − E_max of the profile, and the
+	// complementary slackness of the multiplier (with μ > 0 the
+	// capacity must clear to within slackTol·E_max). The variational
+	// solver's own market-clearing tolerance is 1e-4·E_max, in either
+	// direction.
+	slackTol = 1e-3
+	// leaderMove is the relative price perturbation used for the
+	// leader first-order residuals, and leaderGainTol the relative
+	// profit gain tolerated at the probes.
+	leaderMove    = 1e-2
+	leaderGainTol = 2e-2
+)
+
 // Options tunes certification tolerances. The zero value picks defaults
 // calibrated so every equilibrium the iterating solvers produce at their
 // default tolerances certifies cleanly, while a strategy perturbation
@@ -37,30 +59,14 @@ type Options struct {
 	// is accepted as an ε-Nash equilibrium when every gain_i ≤
 	// GainTol·max(R·W_i, spend_i, R/N). Default 1e-4.
 	GainTol float64
-	// FeasTol is the relative feasibility tolerance on the budget, the
-	// non-negativity and the shared-capacity constraints. Default 1e-6.
-	FeasTol float64
-	// ProbTol bounds the winning-probability identity residuals
-	// (Theorem 1 and the connected-mode mass identity). Default 1e-6.
-	ProbTol float64
 	// ConsistTol is the relative tolerance on internal consistency of a
 	// result struct (reported utilities, aggregates and profits vs
 	// recomputation). Default 1e-9.
 	ConsistTol float64
-	// SlackTol bounds the standalone shared-capacity residuals: the
-	// relative overshoot E − E_max of the profile, and the complementary
-	// slackness of the multiplier (with μ > 0 the capacity must clear to
-	// within SlackTol·E_max). Default 1e-3 — the variational solver's
-	// own market-clearing tolerance is 1e-4·E_max, in either direction.
-	SlackTol float64
-	// LeaderProbe is the relative price perturbation used for the leader
-	// first-order residuals, and LeaderGainTol the relative profit gain
-	// tolerated at the probes. Defaults 1e-2 and 2e-2. SkipLeader drops
-	// the leader checks entirely (they re-solve the follower subgame at
-	// each probe, which costs a few miner-equilibrium solves).
-	LeaderProbe   float64
-	LeaderGainTol float64
-	SkipLeader    bool
+	// SkipLeader drops the leader checks entirely (they re-solve the
+	// follower subgame at each probe, which costs a few
+	// miner-equilibrium solves).
+	SkipLeader bool
 	// Observer receives certification telemetry: one
 	// "verify.certificates_total" tick and a "verify.epsilon_rel" sample
 	// per certificate, a "verify.failures_total" tick plus a
@@ -105,23 +111,8 @@ func (o Options) withDefaults() Options {
 	if o.GainTol <= 0 {
 		o.GainTol = 1e-4
 	}
-	if o.FeasTol <= 0 {
-		o.FeasTol = 1e-6
-	}
-	if o.ProbTol <= 0 {
-		o.ProbTol = 1e-6
-	}
 	if o.ConsistTol <= 0 {
 		o.ConsistTol = 1e-9
-	}
-	if o.SlackTol <= 0 {
-		o.SlackTol = 1e-3
-	}
-	if o.LeaderProbe <= 0 {
-		o.LeaderProbe = 1e-2
-	}
-	if o.LeaderGainTol <= 0 {
-		o.LeaderGainTol = 2e-2
 	}
 	return o
 }
@@ -329,13 +320,13 @@ func certifyMarket(cfg core.Config, p core.Prices, m market, eq *core.MinerEquil
 		tot.Edge += w * r.E
 		tot.Cloud += w * r.C
 	}
-	cert.add("nonneg", nonneg, opts.FeasTol, "negative request coordinates")
-	cert.add("budget", budget, opts.FeasTol, m.text.budget)
+	cert.add("nonneg", nonneg, feasibilityTol, "negative request coordinates")
+	cert.add("budget", budget, feasibilityTol, m.text.budget)
 	if cfg.Mode == netmodel.Standalone && !math.IsInf(cfg.EdgeCapacity, 1) {
 		// The variational solver clears the shared market to 1e-4·E_max by
 		// contract, so the overshoot bound is SlackTol, not the (tighter)
 		// per-miner feasibility tolerance.
-		cert.add("capacity", (tot.Edge-cfg.EdgeCapacity)/cfg.EdgeCapacity, opts.SlackTol,
+		cert.add("capacity", (tot.Edge-cfg.EdgeCapacity)/cfg.EdgeCapacity, slackTol,
 			fmt.Sprintf("relative shared-capacity overshoot, E=%g E_max=%g", tot.Edge, cfg.EdgeCapacity))
 	}
 
@@ -382,7 +373,7 @@ func certifyMarket(cfg core.Config, p core.Prices, m market, eq *core.MinerEquil
 		for _, w := range ws {
 			wRange = math.Max(wRange, math.Max(-w, w-1))
 		}
-		cert.add("winprob_range", wRange, opts.ProbTol, "every W_i must lie in [0, 1] under per-miner betas")
+		cert.add("winprob_range", wRange, probTol, "every W_i must lie in [0, 1] under per-miner betas")
 	case tot.Edge+tot.Cloud > 0:
 		var wFull, wConn float64
 		for k, r := range m.reqs {
@@ -390,13 +381,13 @@ func certifyMarket(cfg core.Config, p core.Prices, m market, eq *core.MinerEquil
 			wFull += w * miner.WinProbFull(cfg.Beta, r, tot.Env(r))
 			wConn += w * ws[k]
 		}
-		cert.add("winprob_sum_full", math.Abs(wFull-1), opts.ProbTol, m.text.winprobFull)
+		cert.add("winprob_sum_full", math.Abs(wFull-1), probTol, m.text.winprobFull)
 		if cfg.Mode == netmodel.Connected {
 			want := 1 - cfg.Beta
 			if tot.Edge > 1e-12 {
 				want += cfg.Beta * cfg.SatisfyProb
 			}
-			cert.add("winprob_sum_connected", math.Abs(wConn-want), opts.ProbTol,
+			cert.add("winprob_sum_connected", math.Abs(wConn-want), probTol,
 				"connected-mode mass identity ΣW = (1−β) + βh·1{E>0}")
 		}
 	}
@@ -428,7 +419,7 @@ func certifyMarket(cfg core.Config, p core.Prices, m market, eq *core.MinerEquil
 			if eq.Multiplier > opts.ConsistTol*params.PriceE {
 				res = slack / cfg.EdgeCapacity
 			}
-			cert.add("multiplier_slackness", res, opts.SlackTol,
+			cert.add("multiplier_slackness", res, slackTol,
 				fmt.Sprintf("mu=%g, capacity slack=%g", eq.Multiplier, slack))
 		}
 	}

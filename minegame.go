@@ -541,11 +541,14 @@ type (
 	// ServeConfig tunes the resident serving daemon.
 	ServeConfig = serve.Config
 	// ServeServer is the daemon: batched /v1 solver endpoints plus the
-	// /metrics–/readyz telemetry surface, backed by resident caches.
+	// /metrics–/readyz telemetry surface, backed by one resident
+	// single-flight result cache.
 	ServeServer = serve.Server
 	// DemandCache is a bounded, concurrency-safe, single-flight cache
-	// of follower demand probes, each seeded at its own prices,
-	// shareable across solves of the SAME market via
+	// of follower demand probes, each seeded at its own prices. It
+	// admits probes up to its cap and never evicts; past the cap a new
+	// price point is computed without being stored. It may be shared
+	// across solves of the SAME market via
 	// StackelbergOptions.DemandCache.
 	DemandCache = core.DemandCache
 	// DemandCacheStats is a point-in-time copy of a cache's counters.
@@ -557,9 +560,10 @@ type (
 // mid-solve; match it with errors.Is. Canceled work is never cached.
 var ErrSolveCanceled = game.ErrCanceled
 
-// NewDemandCache builds a resident warm-start cache bounded to
-// capEntries demand probes (0 picks the default cap), registering its
-// hit/miss/eviction series on ob (nil skips instrumentation).
+// NewDemandCache builds a warm-start cache that admits up to
+// capEntries demand probes (0 picks the default of 4,096), registering
+// its hit/miss series on ob (nil falls back to the process default
+// observer).
 func NewDemandCache(capEntries int, ob *Observer) *DemandCache {
 	return core.NewDemandCache(capEntries, ob)
 }
