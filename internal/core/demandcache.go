@@ -53,7 +53,6 @@ type DemandCache struct {
 
 	// serve.* instrumentation (nil-safe: a zero observer is disabled).
 	hitsC, missesC *obs.Counter
-	ratioG         *obs.Gauge
 }
 
 type demandEntry struct {
@@ -70,9 +69,8 @@ type demandEntry struct {
 
 // NewDemandCache returns a demand cache holding at most capEntries
 // probes (capEntries <= 0 picks a default of 4,096). Metrics
-// (serve.cache_hits_total, serve.cache_misses_total,
-// serve.cache_hit_ratio) are recorded through ob; nil falls back to the
-// process default observer.
+// (serve.cache_hits_total, serve.cache_misses_total) are recorded
+// through ob; nil falls back to the process default observer.
 func NewDemandCache(capEntries int, ob *obs.Observer) *DemandCache {
 	if capEntries <= 0 {
 		capEntries = defaultDemandCap
@@ -85,7 +83,6 @@ func NewDemandCache(capEntries int, ob *obs.Observer) *DemandCache {
 		entries: make(map[Prices]*demandEntry),
 		hitsC:   ob.Counter("serve.cache_hits_total"),
 		missesC: ob.Counter("serve.cache_misses_total"),
-		ratioG:  ob.Gauge("serve.cache_hit_ratio"),
 	}
 }
 
@@ -116,10 +113,8 @@ func (m *DemandCache) get(p Prices, compute func() (warmStart, error)) (warmStar
 		m.mu.Lock()
 		if e, ok := m.entries[p]; ok {
 			m.hits++
-			ratio := m.ratioLocked()
 			m.mu.Unlock()
 			m.hitsC.Inc()
-			m.ratioG.Set(ratio)
 			<-e.done
 			if e.canceled {
 				// The probe we joined was abandoned by a canceled request;
@@ -129,7 +124,6 @@ func (m *DemandCache) get(p Prices, compute func() (warmStart, error)) (warmStar
 			return e.d, true
 		}
 		m.misses++
-		ratio := m.ratioLocked()
 		var e *demandEntry
 		if len(m.entries) < m.cap {
 			//lint:allow concurrency single-flight completion signal for the cache above; closed exactly once, never used for fan-out
@@ -138,7 +132,6 @@ func (m *DemandCache) get(p Prices, compute func() (warmStart, error)) (warmStar
 		}
 		m.mu.Unlock()
 		m.missesC.Inc()
-		m.ratioG.Set(ratio)
 		d, err := compute()
 		if e == nil {
 			return d, false // full: computed, not stored
@@ -154,15 +147,6 @@ func (m *DemandCache) get(p Prices, compute func() (warmStart, error)) (warmStar
 		close(e.done)
 		return d, false
 	}
-}
-
-// ratioLocked computes the lifetime hit ratio; callers hold mu.
-func (m *DemandCache) ratioLocked() float64 {
-	total := m.hits + m.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(m.hits) / float64(total)
 }
 
 // startAt returns the warm start memoized at exactly p: the totals of

@@ -55,8 +55,8 @@ func TestDemandCacheAdmissionBound(t *testing.T) {
 	if got := ob.Counter("serve.cache_hits_total").Value(); got != 6 {
 		t.Fatalf("serve.cache_hits_total = %d, want 6", got)
 	}
-	if ratio := ob.Gauge("serve.cache_hit_ratio").Value(); ratio <= 0 || ratio >= 1 {
-		t.Fatalf("serve.cache_hit_ratio = %v, want strictly between 0 and 1", ratio)
+	if got := ob.Counter("serve.cache_misses_total").Value(); got != 5 {
+		t.Fatalf("serve.cache_misses_total = %d, want 5", got)
 	}
 }
 

@@ -308,6 +308,54 @@ func (m *market) shares(params miner.Params, capacity float64, start numeric.Poi
 	return shareRoot{res: res, params: params, split: split}
 }
 
+// clearingBracket is where the standalone ESP's clearing price at the
+// CSP price pc lies: above pc and the ESP's cost, up to the leaders'
+// price ceiling.
+func (c Config) clearingBracket(pc float64) (lo, hi float64) {
+	lo = math.Max(pc*(1+1e-6), c.CostE+1e-9)
+	return lo, math.Max(c.maxLeaderPrice(), lo*1.5)
+}
+
+// clearing returns the standalone market's clearing edge price at the
+// CSP price pc (Problem 2c) and its totals there, from one share solve
+// of the capacity-bound market in which, past capacity, the inner
+// variable t prices the edge through P_e = lo + t at μ = 0 rather than
+// through μ. ok is false when the capacity stays slack at lo; a root
+// stuck at t = hi − lo returns hi with the market's totals there. The
+// solve seeds at (lo, pc), its S raised to E_max: the edge alone fills
+// the capacity at the root, and where no miner buys cloud the root is
+// S = E_max itself.
+func (m *market) clearing(pc float64, opts game.NEOptions) (pe float64, totals numeric.Point2, ok bool, err error) {
+	lo, hi := m.cfg.clearingBracket(pc)
+	p := Prices{Edge: lo, Cloud: pc}
+	params := m.cfg.Params(p)
+	if err := params.Validate(); err != nil {
+		return 0, totals, false, err
+	}
+	start, _ := m.seed(p)
+	start.C = math.Max(start.C, m.cfg.EdgeCapacity-start.E)
+	params.H = 1
+	sys := m.system(params, m.cfg.EdgeCapacity)
+	sys.MuMax = hi - lo
+	sys.Sums = func(t, e, s float64) (float64, float64) {
+		q := params
+		q.PriceE = lo + t
+		return m.run.sums(q, 0, e, s)
+	}
+	res := game.SolveShares(sys, start, opts)
+	switch {
+	case res.Canceled:
+		return 0, totals, false, fmt.Errorf("standalone %sclearing price: %w", m.kind(), game.ErrCanceled)
+	case !(res.Mu > 0):
+		return 0, totals, false, nil
+	case res.Mu >= sys.MuMax:
+		totals, err = m.probe(Prices{Edge: hi, Cloud: pc}, opts, warmStart{})
+		return hi, totals, err == nil, err
+	}
+	params.PriceE, res.Mu = lo+res.Mu, 0
+	return params.PriceE, m.run.totals(params, res, false), true, nil
+}
+
 // system is the market's share system at params under the edge
 // capacity: each pass sums over the sorted run, and the interior guess
 // and search bounds take one term per fork-rate group.

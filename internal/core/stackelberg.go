@@ -375,9 +375,11 @@ func (s *leaderStage) end(span *obs.Span, lead game.LeadersResult) {
 // constraint E = E_max: for each CSP price the ESP charges the
 // market-clearing edge price, and the CSP maximizes its profit along
 // that clearing curve. With miners of one budget, all sufficient, the
-// clearing price has a closed form (miner.ClearingPriceEdge); otherwise
-// it is the root of the capacity-unconstrained edge demand, which is
-// decreasing in P_e, less the capacity (numeric.BrentRoot).
+// clearing price has a closed form (miner.ClearingPriceEdge), and a
+// probe there reads the market's totals; otherwise one share solve of
+// the capacity-bound market finds the price and the totals together,
+// with P_e as the unknown that μ is past capacity (market.clearing).
+// Either way each clearing solve is one demand probe.
 func (s *leaderStage) bargain() (game.LeadersResult, error) {
 	c, opts := s.follower.cfg, s.opts
 	ob := opts.observer()
@@ -389,23 +391,11 @@ func (s *leaderStage) bargain() (game.LeadersResult, error) {
 		span.End(obs.Fields{"failed": true})
 		return game.LeadersResult{}, fmt.Errorf("standalone %sSP stage: %w", s.follower.kind(), err)
 	}
-	// The capacity-free twin of the market, whose edge demand the
-	// clearing price clears; its config is validated once, here.
-	twin := *s.follower
-	twin.cfg.EdgeCapacity = math.Inf(1)
-	if err := twin.cfg.Validate(); err != nil {
-		return fail(err)
-	}
-	// clearing returns the market-clearing edge price at pc and, on the
-	// numeric path, the unconstrained follower totals at that price — a
-	// warm start for the constrained solve the caller runs next. Every
-	// follower solve of the bargain is a demand probe, as the leader
-	// grids' are. Each call is self-contained (the chained root search
-	// warm-starts each probe from the previous one's call-local totals,
-	// the first, and any whose seed is exact, from the seed), so its
+	// clearing returns the market-clearing edge price at pc and the
+	// market's totals there. Each call seeds at its own prices, so its
 	// result depends only on pc and the surrounding grid stays
 	// worker-count independent.
-	clearing := func(pc float64) (float64, warmStart, bool) {
+	clearing := func(pc float64) (float64, numeric.Point2, bool) {
 		clearingSolves.Inc()
 		if run := &s.follower.run; run.single() {
 			pe := miner.ClearingPriceEdge(c.Reward, c.Beta, pc, c.N, c.EdgeCapacity)
@@ -420,46 +410,21 @@ func (s *leaderStage) bargain() (game.LeadersResult, error) {
 			if params.Validate() == nil && pe > pc && pe > c.CostE && pc < (1-c.Beta)*pe {
 				sol, err := miner.HomogeneousStandalone(params, c.N, c.EdgeCapacity)
 				if err == nil && params.Spend(sol.Request) <= run.entries[0].budget {
-					return pe, warmStart{}, true
+					d, err := s.probe(s.follower, Prices{Edge: pe, Cloud: pc}, warmStart{})
+					return pe, d.totals, err == nil
 				}
 			}
 		}
-		// Numeric fallback: the root of the unconstrained edge demand.
-		var last warmStart
-		demandAt := func(pe float64) float64 {
-			next, err := s.probe(&twin, Prices{Edge: pe, Cloud: pc}, last)
-			if err != nil {
-				return 0
-			}
-			last = next
-			return next.totals.E
-		}
-		lo := math.Max(pc*(1+1e-6), c.CostE+1e-9)
-		hi := math.Max(c.maxLeaderPrice(), lo*1.5)
-		if demandAt(lo) < c.EdgeCapacity {
-			return 0, warmStart{}, false // capacity never binds; no clearing price
-		}
-		if demandAt(hi) >= c.EdgeCapacity {
-			return hi, last, true
-		}
-		pe, err := numeric.BrentRoot(func(pe float64) float64 {
-			return demandAt(pe) - c.EdgeCapacity
-		}, lo, hi, 1e-6*(1+hi))
-		if err != nil {
-			return 0, warmStart{}, false
-		}
-		return pe, last, true
+		s.probes.Inc()
+		pe, t, ok, err := s.follower.clearing(pc, opts.Follower)
+		return pe, t, ok && err == nil
 	}
 	profitC := func(pc float64) float64 {
-		pe, warm, ok := clearing(pc)
+		_, t, ok := clearing(pc)
 		if !ok {
 			return math.Inf(-1)
 		}
-		d, err := s.probe(s.follower, Prices{Edge: pe, Cloud: pc}, warm)
-		if err != nil {
-			return math.Inf(-1)
-		}
-		return (pc - c.CostC) * d.totals.C
+		return (pc - c.CostC) * t.C
 	}
 	maxPC := c.maxLeaderPrice()
 	pcStar, vc, err := numeric.MaximizeGridPool(profitC, c.CostC+1e-6, maxPC, opts.Leader.GridN, maxPC*1e-7, opts.Leader.Pool)
@@ -469,23 +434,13 @@ func (s *leaderStage) bargain() (game.LeadersResult, error) {
 	if math.IsInf(vc, -1) {
 		return fail(errors.New("capacity never binds; no market-clearing equilibrium (Problem 2c requires E = E_max)"))
 	}
-	peStar, warm, ok := clearing(pcStar)
+	peStar, _, ok := clearing(pcStar)
 	if !ok {
 		return fail(fmt.Errorf("no clearing price at P_c = %g", pcStar))
 	}
-	d, err := s.probe(s.follower, Prices{Edge: peStar, Cloud: pcStar}, warm)
-	if err != nil {
-		return fail(err)
-	}
 	span.End(obs.Fields{"price_e": peStar, "price_c": pcStar})
-	return game.LeadersResult{
-		PriceA:     peStar,
-		PriceB:     pcStar,
-		ProfitA:    (peStar - c.CostE) * d.totals.E,
-		ProfitB:    (pcStar - c.CostC) * d.totals.C,
-		Iterations: 1,
-		Converged:  true,
-	}, nil
+	// The caller sets the profits from its follower solve at these prices.
+	return game.LeadersResult{PriceA: peStar, PriceB: pcStar, Iterations: 1, Converged: true}, nil
 }
 
 // ModeComparison contrasts the Stackelberg outcomes of the two ESP

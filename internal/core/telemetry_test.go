@@ -98,10 +98,12 @@ func TestSolveTelemetryCounters(t *testing.T) {
 	}
 }
 
-// TestStandaloneBargainCountsProbes pins that the standalone bargain's
-// follower solves (the clearing-price root's capacity-free probes, the
-// CSP's profit probes and the final one at the winning prices) count on
-// core.demand_probes_total like the leader grids' probes.
+// TestStandaloneBargainCountsProbes pins the standalone bargain's
+// follower solves: each clearing-price solve is exactly one demand
+// probe on core.demand_probes_total, one share solve of the
+// capacity-bound market that finds the price and the totals together,
+// so the only other share solve is the final follower solve at the
+// winning prices, and no capacity-free market is probed.
 func TestStandaloneBargainCountsProbes(t *testing.T) {
 	ob := obs.New()
 	cfg := Config{
@@ -120,10 +122,11 @@ func TestStandaloneBargainCountsProbes(t *testing.T) {
 	if clearing == 0 {
 		t.Fatalf("core.clearing_price_solves_total = 0: the numeric bargain did not run (prices %+v)", res.Prices)
 	}
-	// Each clearing solve probes the capacity-free twin at least once,
-	// and each profit evaluation probes the market once more.
-	if probes < 2*clearing {
-		t.Errorf("core.demand_probes_total = %d, want ≥ %d for %d clearing-price solves", probes, 2*clearing, clearing)
+	if probes != clearing {
+		t.Errorf("core.demand_probes_total = %d, want one per clearing-price solve (%d)", probes, clearing)
+	}
+	if solves := snap.Histograms["game.solve_ne.iterations"].Count; solves != clearing+1 {
+		t.Errorf("%d share solves, want %d: one per clearing-price solve and the final follower solve", solves, clearing+1)
 	}
 }
 

@@ -165,7 +165,9 @@ func (sv *shareSolver) totalShare(s float64) float64 {
 // inner returns the totals' edge side at S: the root E ∈ (0, min(S,
 // E_max)] of Σe/E = 1 with μ = 0 or, when the capacity binds, E = E_max
 // and the μ that clears it. A trial S too small to hold its own edge
-// demand returns E = S; the outer share there is positive too.
+// demand returns E = S; the outer share there is positive too. At
+// S = E_max the capacity may bind: a root where every type buys edge
+// alone sits there, and the outer share jumps at it.
 func (sv *shareSolver) inner(s float64) (float64, float64) {
 	sys := sv.sys
 	if sys.FlatEdge {
@@ -182,7 +184,7 @@ func (sv *shareSolver) inner(s float64) (float64, float64) {
 	}
 	c := sys.Capacity
 	hi := s
-	binds := c < s
+	binds := c <= s
 	if binds {
 		hi = 2 * c
 	}

@@ -60,7 +60,6 @@ var DefaultHelp = map[string]string{
 	"serve.request_latency_ms":           "Per-request wall time across the /v1 endpoints",
 	"serve.cache_hits_total":             "Demand-cache lookups answered from a stored or in-flight probe",
 	"serve.cache_misses_total":           "Demand-cache lookups that ran a fresh follower solve",
-	"serve.cache_hit_ratio":              "Hit ratio of the demand cache that probed last",
 	"serve.result_cache_hits_total":      "Item responses answered from the marshaled-result cache",
 	"serve.result_cache_misses_total":    "Item responses that ran a solve",
 	"serve.result_cache_evictions_total": "Marshaled responses dropped by the result-cache LRU bound",

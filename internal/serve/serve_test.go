@@ -44,7 +44,17 @@ func classedMarket() Market {
 // newTestServer builds a server plus an httptest frontend.
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(Config{Observer: obs.New()})
+	return newTestServerWith(t, Config{})
+}
+
+// newTestServerWith is newTestServer over cfg, with a fresh observer
+// unless cfg carries one.
+func newTestServerWith(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	if cfg.Observer == nil {
+		cfg.Observer = obs.New()
+	}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -160,8 +170,9 @@ func TestSolveMatchesDirectCLIBytes(t *testing.T) {
 }
 
 // TestPriceMatchesDirectSolve pins the same contract for the two-stage
-// endpoint: the resident demand cache and batch multiplexing must not
-// change a single byte relative to a fresh direct solve.
+// endpoint: the per-solve demand cache, the result cache and batch
+// multiplexing must not change a single byte relative to a fresh
+// direct solve.
 func TestPriceMatchesDirectSolve(t *testing.T) {
 	_, ts := newTestServer(t)
 	req := Request{Items: []Item{{Market: testMarket()}}, Workers: 4}
@@ -197,7 +208,9 @@ func TestPriceMatchesDirectSolve(t *testing.T) {
 
 // TestWorkerCountInvariance pins the determinism criterion: identical
 // batches answered with different worker budgets and different cache
-// temperatures are byte-identical.
+// temperatures are byte-identical. Its servers allow 8 workers, so a
+// request's budget of 4 or 8 fans out that wide on any host rather
+// than stopping at the server's GOMAXPROCS default.
 func TestWorkerCountInvariance(t *testing.T) {
 	req := Request{Items: []Item{
 		{Market: testMarket(), PriceE: 8, PriceC: 4},
@@ -208,7 +221,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}}
 	var reference []byte
 	for _, workers := range []int{1, 4, 8} {
-		_, ts := newTestServer(t) // fresh server: cold caches every time
+		_, ts := newTestServerWith(t, Config{Workers: 8}) // fresh server: cold caches every time
 		req.Workers = workers
 		status, raw := post(t, ts.URL, "/v1/solve", Request{Items: req.Items[:4], Workers: workers})
 		if status != http.StatusOK {

@@ -166,8 +166,10 @@ func certifyClearingLeaders(
 
 // clearingPriceAt returns the market-clearing edge price at the given
 // CSP price: the closed form for homogeneous sufficient-budget miners
-// (Table II regime), a bisection of the decreasing unconstrained edge
-// demand otherwise.
+// (Table II regime), otherwise a Brent root of the decreasing
+// unconstrained edge demand less the capacity, re-solved through the
+// public follower entry point and independent of the solver's
+// one-solve clearing root.
 func clearingPriceAt(
 	cfg core.Config,
 	pc float64,
@@ -198,7 +200,7 @@ func clearingPriceAt(
 	if dHi >= cfg.EdgeCapacity {
 		return hi, true
 	}
-	pe, err := numeric.Bisect(func(pe float64) float64 {
+	pe, err := numeric.BrentRoot(func(pe float64) float64 {
 		d, ok := demandUnconstrained(core.Prices{Edge: pe, Cloud: pc})
 		if !ok {
 			return -cfg.EdgeCapacity
